@@ -75,20 +75,6 @@ fn oracle_choice() {
     for algo in [Algo::KtgVkcDegBfs, Algo::KtgVkcNl, Algo::KtgVkcDegNlrnl] {
         group.bench(algo.name(), "", || bench.run_batch(algo, &batch, &DEFAULTS, Some(50_000)).expect("bench query"));
     }
-    // PLL (2-hop labels): the modern baseline the paper cites as
-    // inspiration but never measures. Run the same search over it.
-    let pll = ktg_index::PllIndex::build(net.graph());
-    group.bench("KTG-VKC-DEG-PLL", "", || {
-        for q in &batch {
-            let query =
-                KtgQuery::new(q.clone(), DEFAULTS.p, DEFAULTS.k, DEFAULTS.n).expect("valid");
-            let opts = bb::BbOptions {
-                node_budget: Some(50_000),
-                ..bb::BbOptions::vkc_deg()
-            };
-            bb::solve(&net, &query, &pll, &opts);
-        }
-    });
 }
 
 fn brute_vs_bb() {

@@ -8,7 +8,7 @@
 //! so every record is self-describing — the sweep does not depend on the
 //! `KTG_THREADS` environment of the invoking shell.
 //!
-//! Unlike the figure benches, the JSON sink stays on in quick mode
+//! Unlike the ablation benches, the JSON sink stays on in quick mode
 //! (`--test` / `KTG_BENCH_FAST=1`): CI's smoke run is exactly what seeds
 //! the perf trajectory, so a smoke run that writes nothing would be
 //! useless. Quick mode only drops the sample count to one and shrinks the
@@ -26,7 +26,7 @@ use ktg_core::{bb, AttributedGraph, KtgQuery, SearchStats};
 use ktg_datasets::keywords::{assign_zipf, KeywordModel};
 use ktg_datasets::sbm::{planted_partition, SbmParams};
 use ktg_datasets::QueryGen;
-use ktg_index::{DistanceOracle, NlrnlIndex, PllIndex};
+use ktg_index::NlrnlIndex;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -79,28 +79,14 @@ fn main() {
     let graph = planted_partition(&params, SEED);
     let (vocab, vk) = assign_zipf(n, &KeywordModel::default(), SEED ^ 0x515F);
     let net = AttributedGraph::new(graph, vocab, vk);
-    let build_start = Instant::now();
     let nlrnl = NlrnlIndex::build(net.graph());
-    let nlrnl_build = build_start.elapsed();
-    let build_start = Instant::now();
-    let pll = PllIndex::build_parallel(net.graph());
-    let pll_build = build_start.elapsed();
     let batch = QueryGen::new(&net, SEED ^ 0xBEEF).batch(queries, 6).expect("bench workload");
 
     let mut baseline: Option<Vec<Vec<ktg_core::Group>>> = None;
     let mut seq_checks: Vec<(&'static str, u64)> = Vec::new();
     let mut records = Vec::new();
 
-    // The PLL series runs the oracle-probing kernel (threshold 0): that
-    // is the mode where per-pair distance queries dominate, i.e. where a
-    // 2-hop labeling can actually out-probe NLRNL. Its groups feed the
-    // same determinism gate as every other configuration.
-    let series: [(&'static str, usize, &dyn DistanceOracle); 3] = [
-        ("bitmap", bb::DEFAULT_BITMAP_THRESHOLD, &nlrnl),
-        ("oracle", 0, &nlrnl),
-        ("pll", 0, &pll),
-    ];
-    for (kernel, bitmap_threshold, oracle) in series {
+    for (kernel, bitmap_threshold) in [("bitmap", bb::DEFAULT_BITMAP_THRESHOLD), ("oracle", 0)] {
         for threads in THREAD_SWEEP {
             let opts = bb::BbOptions::vkc_deg()
                 .with_threads(threads)
@@ -116,7 +102,7 @@ fn main() {
                 let start = Instant::now();
                 for q in &batch {
                     let query = KtgQuery::new(q.clone(), 3, 2, 5).expect("valid params");
-                    let out = bb::solve(&net, &query, &oracle, &opts);
+                    let out = bb::solve(&net, &query, &nlrnl, &opts);
                     if sample == 0 {
                         stats.merge(&out.stats);
                         solved += usize::from(!out.groups.is_empty());
@@ -165,36 +151,6 @@ fn main() {
     assert!(
         bitmap < oracle_checks,
         "bitmap kernel should probe less than the oracle path ({bitmap} vs {oracle_checks})"
-    );
-
-    // Crossover vs NLRNL: how many probing-mode queries amortize PLL's
-    // extra construction time? Logged, not asserted — which oracle wins
-    // per query is a property of the graph's label sizes, and the point
-    // of the series is to put the tradeoff on the record.
-    let min_at = |kernel: &str, threads: usize| {
-        records
-            .iter()
-            .find(|r: &&Record| r.kernel == kernel && r.threads == threads)
-            .map(|r| r.min)
-            .expect("swept configuration present")
-    };
-    let (nlrnl_q, pll_q) = (min_at("oracle", 1), min_at("pll", 1));
-    let per_query_gain_ns =
-        (nlrnl_q.as_nanos() as i128 - pll_q.as_nanos() as i128) / batch.len() as i128;
-    let extra_build_ns = pll_build.as_nanos() as i128 - nlrnl_build.as_nanos() as i128;
-    let verdict = if per_query_gain_ns <= 0 {
-        "no crossover (NLRNL at least as fast per query)".to_string()
-    } else if extra_build_ns <= 0 {
-        "crossover immediate (PLL also builds faster)".to_string()
-    } else {
-        format!(
-            "crossover after ~{} queries",
-            (extra_build_ns as u128).div_ceil(per_query_gain_ns as u128)
-        )
-    };
-    eprintln!(
-        "bb_scaling: pll build {pll_build:?} vs nlrnl {nlrnl_build:?}, \
-         per-query gain {per_query_gain_ns} ns at 1 thread — {verdict}"
     );
 
     let dir = PathBuf::from(std::env::var("KTG_BENCH_OUT").unwrap_or_else(|_| "bench_results".into()));

@@ -44,7 +44,7 @@ use ktg_bench::harness::BenchGroup;
 use ktg_cli::serve::{start, ServeConfig, ServerHandle};
 use ktg_common::net::{write_line, Frame, LineReader};
 use ktg_core::serve::ServeOptions;
-use ktg_core::{bb, AttributedGraph};
+use ktg_core::AttributedGraph;
 use ktg_datasets::keywords::{assign_zipf, KeywordModel};
 use ktg_datasets::sbm::{planted_partition, SbmParams};
 use ktg_datasets::{zipf_indices, QueryGen};
@@ -91,14 +91,7 @@ fn build(quick: bool) -> (AttributedGraph, Vec<String>) {
 }
 
 fn boot(net: &AttributedGraph, use_cache: bool) -> ServerHandle {
-    let options = ServeOptions {
-        threads: 1,
-        use_cache,
-        cache_entries: 4096,
-        engine: bb::BbOptions::vkc_deg(),
-        max_inflight: 0,
-        ..ServeOptions::default()
-    };
+    let options = ServeOptions { threads: 1, use_cache, ..ServeOptions::default() };
     let cfg = ServeConfig {
         workers: CONN_SWEEP[CONN_SWEEP.len() - 1],
         options,

@@ -28,8 +28,8 @@
 //!   answers at every width — is asserted unconditionally above).
 
 use ktg_bench::harness::BenchGroup;
-use ktg_core::serve::{CachePolicy, ItemOutcome, ServeOptions, ServeSession, WorkloadItem};
-use ktg_core::{bb, AttributedGraph, DktgQuery, Group, KtgQuery};
+use ktg_core::serve::{ItemOutcome, ServeOptions, ServeSession, WorkloadItem};
+use ktg_core::{AttributedGraph, DktgQuery, Group, KtgQuery};
 use ktg_datasets::keywords::{assign_zipf, KeywordModel};
 use ktg_datasets::sbm::{planted_partition, SbmParams};
 use ktg_datasets::{zipf_indices, QueryGen};
@@ -104,14 +104,7 @@ fn main() {
 
     for use_cache in [true, false] {
         for threads in THREAD_SWEEP {
-            let options = ServeOptions {
-                threads,
-                use_cache,
-                cache_entries: 4096,
-                engine: bb::BbOptions::vkc_deg(),
-                max_inflight: 0,
-                ..ServeOptions::default()
-            };
+            let options = ServeOptions { threads, use_cache, ..ServeOptions::default() };
             // One long-lived session per configuration: repeated samples
             // measure steady-state serving (warm cache when enabled).
             let mut session = ServeSession::new(net.clone(), options);
@@ -180,117 +173,5 @@ fn main() {
         rates.len(),
         on1 / off1,
         off4 / off1,
-    );
-
-    policy_hit_rate_sweep(&net, &mut group, quick);
-}
-
-/// The eviction-policy sweep: Zipf-skewed streams over a query pool
-/// several times larger than the cache, so every shard is under
-/// constant eviction pressure, with the pool sorted so the Zipf head is
-/// also the *costly* end — the serving regime the cost-aware policy is
-/// built for (popular queries over dense keyword regions are exactly
-/// the ones with big candidate pools). FIFO evicts a hot entry whenever
-/// any cold query lands in its shard; the cost-aware admission floor
-/// turns those cheap one-off entries away and keeps the hot-and-heavy
-/// head resident, so at equal capacity it must match or beat FIFO's hit
-/// rate. The sweep runs at three skew levels (Zipf exponent 0.8 / 1.1 /
-/// 1.4 — the JSON `param` is the exponent × 100), tracing the hit-rate
-/// curve from weakly to strongly skewed workloads; the binary asserts
-/// cost >= FIFO **at every point**, plus byte-identical answers per
-/// point, and exits non-zero on any failure.
-fn policy_hit_rate_sweep(net: &AttributedGraph, group: &mut BenchGroup, quick: bool) {
-    for zipf in [0.8, 1.1, 1.4] {
-        policy_hit_rate_at(net, group, quick, zipf);
-    }
-}
-
-/// One point of the policy sweep: both policies replay the same
-/// `zipf`-skewed workload at equal cache capacity.
-fn policy_hit_rate_at(net: &AttributedGraph, group: &mut BenchGroup, quick: bool, zipf: f64) {
-    let (pool_size, workload_len) = if quick { (48, 360) } else { (48, 1440) };
-    // 16 cache shards × 1 entry each: 48 distinct queries compete for
-    // 16 slots, the regime where the two policies actually differ.
-    let cache_entries = 16;
-
-    let keyword_sets =
-        QueryGen::new(net, SEED ^ 0x70_11C7).batch(pool_size, 5).expect("policy pool");
-    let mut pool: Vec<WorkloadItem> = keyword_sets
-        .into_iter()
-        .map(|q| WorkloadItem::Ktg(KtgQuery::new(q, 3, 2, 5).expect("valid params")))
-        .collect();
-    // Rank the pool hot = heavy: solve each distinct query once, cache
-    // off, and sort by measured cost descending before the Zipf draw
-    // assigns frequencies (index 0 is the hottest).
-    let mut probe = ServeSession::new(
-        net.clone(),
-        ServeOptions { threads: 1, use_cache: false, ..ServeOptions::default() },
-    );
-    let mut costs: Vec<(std::time::Duration, WorkloadItem)> = pool
-        .drain(..)
-        .map(|item| {
-            let start = std::time::Instant::now();
-            let _ = std::hint::black_box(probe.run(std::slice::from_ref(&item)));
-            (start.elapsed(), item)
-        })
-        .collect();
-    costs.sort_by_key(|probe| std::cmp::Reverse(probe.0));
-    let pool: Vec<WorkloadItem> = costs.into_iter().map(|(_, item)| item).collect();
-    let workload: Vec<WorkloadItem> = zipf_indices(pool.len(), workload_len, zipf, SEED ^ 0x9C)
-        .into_iter()
-        .map(|i| pool[i].clone())
-        .collect();
-    let param = (zipf * 100.0) as usize;
-
-    let mut baseline: Option<Vec<Answer>> = None;
-    let mut hit_rates: Vec<(CachePolicy, f64)> = Vec::new();
-    for cache_policy in [CachePolicy::Fifo, CachePolicy::Cost] {
-        let options = ServeOptions {
-            threads: 1,
-            cache_entries,
-            cache_policy,
-            // Isolate the eviction policy: subset seeding would let the
-            // cost run skip work FIFO performs, muddying the hit rates.
-            subset_reuse: false,
-            ..ServeOptions::default()
-        };
-        let mut session = ServeSession::new(net.clone(), options);
-        let mut last: Vec<ItemOutcome> = Vec::new();
-        let name = match cache_policy {
-            CachePolicy::Fifo => "policy_fifo",
-            CachePolicy::Cost => "policy_cost",
-        };
-        group.bench_items(name, param, workload.len(), || {
-            last = session.run(&workload);
-        });
-        let answers = strip(&last);
-        match &baseline {
-            None => baseline = Some(answers),
-            Some(expected) => assert_eq!(
-                expected, &answers,
-                "policy {cache_policy:?} changed answers — eviction must be invisible"
-            ),
-        }
-        let stats = session.stats();
-        let lookups = (stats.result_hits + stats.result_misses).max(1);
-        hit_rates.push((cache_policy, stats.result_hits as f64 / lookups as f64));
-    }
-
-    let rate = |p: CachePolicy| {
-        hit_rates.iter().find(|(q, _)| *q == p).map(|(_, r)| *r).expect("swept")
-    };
-    let (fifo, cost) = (rate(CachePolicy::Fifo), rate(CachePolicy::Cost));
-    assert!(
-        cost >= fifo,
-        "cost-aware hit rate {:.1}% fell below FIFO's {:.1}% at capacity {cache_entries}, \
-         zipf {zipf}",
-        cost * 100.0,
-        fifo * 100.0
-    );
-    eprintln!(
-        "qps: policy ok at zipf {zipf} (cost {:.1}% >= fifo {:.1}% hit rate, {pool_size} \
-         distinct queries over {cache_entries} cache entries)",
-        cost * 100.0,
-        fifo * 100.0
     );
 }

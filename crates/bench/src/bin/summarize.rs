@@ -6,8 +6,7 @@
 //! This binary folds each append-only log into one deterministic JSON
 //! document: the **latest** record per `(bench, param)` pair, plus the
 //! derived headline ratios the CI gate asserts (cache speedup, thread
-//! scaling, cost-vs-FIFO policy throughput, compressed-decode overhead,
-//! bundle load-vs-save). Hand-rolled parsing against the harness's known
+//! scaling, compressed-decode overhead, bundle load-vs-save). Hand-rolled parsing against the harness's known
 //! flat-object shape — the workspace's dependency budget has no serde,
 //! and the two writers ([`ktg_bench::harness::Summary::to_json_line`]
 //! and `bb_scaling`'s richer record) share it.
@@ -102,14 +101,12 @@ fn time_ratio(records: &[Record], num: (&str, &str), den: (&str, &str)) -> Optio
     }
 }
 
-/// The derived headline ratios per group. The qps policy ratio reads the
-/// middle point of the Zipf sweep (exponent 1.1, param `110`).
+/// The derived headline ratios per group.
 fn derived(group: &str, records: &[Record]) -> Vec<(&'static str, Option<f64>)> {
     match group {
         "qps" => vec![
             ("cache_speedup_1t", ops_ratio(records, ("cache_on", "1"), ("cache_off", "1"))),
             ("thread_speedup_off_4t", ops_ratio(records, ("cache_off", "4"), ("cache_off", "1"))),
-            ("cost_over_fifo", ops_ratio(records, ("policy_cost", "110"), ("policy_fifo", "110"))),
         ],
         "bb_scaling" => vec![
             ("bitmap_speedup_4t", time_ratio(records, ("bitmap", "1"), ("bitmap", "4"))),
@@ -255,13 +252,10 @@ mod tests {
             mk("cache_on", "1", 200.0, 1000),
             mk("cache_off", "1", 100.0, 2000),
             mk("cache_off", "4", 300.0, 700),
-            mk("policy_fifo", "110", 50.0, 9000),
-            mk("policy_cost", "110", 60.0, 8000),
         ];
         let json = render("qps", &records);
         assert!(json.contains("\"cache_speedup_1t\":2.000"), "{json}");
         assert!(json.contains("\"thread_speedup_off_4t\":3.000"), "{json}");
-        assert!(json.contains("\"cost_over_fifo\":1.200"), "{json}");
         assert!(json.starts_with("{\"group\":\"qps\""));
         // Missing series: the derived entry is simply omitted.
         let partial = render("qps", &records[..2]);

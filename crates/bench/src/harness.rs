@@ -1,8 +1,8 @@
 //! Minimal timing harness — the workspace's offline `criterion`
 //! replacement.
 //!
-//! Each figure bench is a plain `fn main()` binary (`harness = false`)
-//! driving a [`BenchGroup`]: warm up for a fixed wall-time, take `N`
+//! Each bench is a plain `fn main()` binary (`harness = false`, or a
+//! `[[bin]]`) driving a [`BenchGroup`]: warm up for a fixed wall-time, take `N`
 //! timed samples of the closure, and report min / mean / median / p95.
 //! Every measurement is emitted as one JSON line on stdout and appended
 //! to `bench_results/<group>.jsonl`, so figure postprocessing needs no
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 /// One benchmark's aggregated timing statistics.
 #[derive(Clone, Debug)]
 pub struct Summary {
-    /// Group name (e.g. `fig3_group_size`).
+    /// Group name (e.g. `ablation_oracles`).
     pub group: String,
     /// Series name (e.g. the algorithm).
     pub bench: String,
@@ -141,7 +141,7 @@ impl BenchGroup {
     /// Keeps the JSON-lines file sink active even in quick mode.
     ///
     /// Benches whose smoke run seeds the perf trajectory (e.g. the CI
-    /// qps smoke) opt in; figure benches keep the default of writing
+    /// qps smoke) opt in; the ablation benches keep the default of writing
     /// only full runs so one-shot smoke numbers never pollute plots.
     pub fn write_in_quick_mode(&mut self) -> &mut Self {
         self.write_quick = true;

@@ -1,11 +1,11 @@
 //! # `ktg-bench`
 //!
 //! Benchmark harness reproducing the paper's evaluation (§VII): every
-//! figure has a bench binary (`benches/fig*.rs`) on the hand-rolled
-//! timing harness in [`harness`] (warmup + fixed sample count +
-//! min/mean/median/p95, one JSON line per measurement — the offline
-//! `criterion` replacement), and a sweep command in the `experiments`
-//! binary that prints the same rows/series the paper plots. Table I's
+//! figure has a sweep command in the `experiments` binary that prints
+//! the same rows/series the paper plots, and the ablation and serving
+//! benches run on the hand-rolled timing harness in [`harness`] (warmup,
+//! fixed sample count, min/mean/median/p95, one JSON line per
+//! measurement — the offline `criterion` replacement). Table I's
 //! parameter grid lives in [`params`]; the shared machinery (dataset
 //! instantiation, index construction, per-algorithm query execution,
 //! latency aggregation) in [`runner`]; plain-text/CSV emission in

@@ -2,7 +2,9 @@
 //!
 //! Hand-rolled (the workspace's dependency budget has no `clap`): a
 //! subcommand word followed by `--flag value` pairs, with short aliases
-//! for the query parameters (`-p`, `-k`, `-n`).
+//! for the query parameters (`-p`, `-k`, `-n`). A flag the subcommand
+//! does not read is an error, so a typo cannot silently fall back to a
+//! default.
 
 use ktg_common::{FxHashMap, KtgError, Result};
 
@@ -40,7 +42,53 @@ impl Command {
             ))),
         }
     }
+
+    fn word(self) -> &'static str {
+        match self {
+            Command::Generate => "generate",
+            Command::Stats => "stats",
+            Command::Index => "index",
+            Command::Query => "query",
+            Command::Dktg => "dktg",
+            Command::Batch => "batch",
+            Command::Serve => "serve",
+        }
+    }
+
+    /// Every flag the command reads, in canonical spelling. `serve`
+    /// takes the union of its server and client modes.
+    fn accepted_flags(self) -> &'static [&'static [&'static str]] {
+        match self {
+            Command::Generate => &[GENERATE_FLAGS],
+            Command::Stats => &[NETWORK_FLAGS],
+            Command::Index => &[NETWORK_FLAGS, &["out", "threads"]],
+            Command::Query => &[NETWORK_FLAGS, QUERY_FLAGS],
+            Command::Dktg => &[NETWORK_FLAGS, QUERY_FLAGS, &["gamma"]],
+            Command::Batch => &[NETWORK_FLAGS, SESSION_FLAGS, &["workload"]],
+            Command::Serve => &[NETWORK_FLAGS, SESSION_FLAGS, SERVER_FLAGS, CLIENT_FLAGS],
+        }
+    }
 }
+
+const GENERATE_FLAGS: &[&str] = &[
+    "profile", "out", "scale", "seed", "sbm-n", "sbm-blocks", "sbm-pin", "sbm-pout",
+    "chunk-capacity",
+];
+/// Where a command loads its network from.
+const NETWORK_FLAGS: &[&str] = &["edges", "keywords", "bundle", "graph-format"];
+const QUERY_FLAGS: &[&str] = &[
+    "p", "k", "n", "terms", "random-terms", "seed", "oracle", "index", "algo", "parallel",
+    "threads", "bitmap-threshold", "deadline-ms", "node-budget", "authors", "explain",
+];
+/// The serving-session flags shared by `batch` and the server.
+const SESSION_FLAGS: &[&str] = &[
+    "threads", "no-cache", "cache-entries", "algo", "bitmap-threshold", "deadline-ms",
+    "node-budget", "max-inflight",
+];
+const SERVER_FLAGS: &[&str] =
+    &["bind", "workers", "conn-deadline-ms", "wal", "wal-sync", "checkpoint-every"];
+const CLIENT_FLAGS: &[&str] =
+    &["connect", "workload", "stats", "shutdown", "retry", "retry-base-ms"];
 
 /// A parsed command line: the subcommand plus its flag map.
 #[derive(Clone, Debug)]
@@ -61,7 +109,7 @@ fn canonical(flag: &str) -> &str {
 }
 
 /// Flags that stand alone (no value token follows them).
-const BOOLEAN_FLAGS: &[&str] = &["no-cache", "no-subset-reuse", "stats", "shutdown"];
+const BOOLEAN_FLAGS: &[&str] = &["no-cache", "stats", "shutdown"];
 
 /// Parses `argv` (without the program name).
 pub fn parse(argv: &[String]) -> Result<ParsedArgs> {
@@ -76,6 +124,12 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs> {
             return Err(KtgError::input(format!("unexpected positional argument '{flag}'")));
         }
         let name = canonical(flag);
+        if !command.accepted_flags().iter().any(|group| group.contains(&name)) {
+            return Err(KtgError::input(format!(
+                "unknown flag '{flag}' for `ktg {}`",
+                command.word()
+            )));
+        }
         if BOOLEAN_FLAGS.contains(&name) {
             flags.insert(name.to_string(), "true".to_string());
             continue;
@@ -182,6 +236,31 @@ mod tests {
         assert_eq!(p.command, Command::Batch);
         assert_eq!(p.optional("no-cache"), Some("true"));
         assert_eq!(p.required("workload").unwrap(), "w.txt");
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected() {
+        // Only `query`/`dktg` read `--oracle` (sessions always run
+        // NLRNL); `--cache-entires` is a misspelling.
+        for argv_parts in [
+            &["index", "--edges", "e.txt", "--out", "i.idx", "--oracle", "nlrnl"][..],
+            &["batch", "--workload", "w.txt", "--oracle", "nlrnl"][..],
+            &["serve", "--bind", "127.0.0.1:0", "--oracle", "nlrnl"][..],
+            &["batch", "--workload", "w.txt", "--cache-entires", "64"][..],
+            &["query", "--terms", "a", "--gamma", "0.5"][..],
+        ] {
+            // Each case ends in `--flag value`.
+            let flag = argv_parts[argv_parts.len() - 2];
+            match parse(&argv(argv_parts)) {
+                Err(KtgError::InvalidInput(msg)) => {
+                    assert!(msg.contains(flag), "{argv_parts:?}: {msg}")
+                }
+                other => panic!("{argv_parts:?} should be rejected, got {other:?}"),
+            }
+        }
+        // `serve` accepts both its server and its client flags.
+        assert!(parse(&argv(&["serve", "--bundle", "b", "--wal", "w", "--workers", "2"])).is_ok());
+        assert!(parse(&argv(&["serve", "--connect", "a", "--stats", "--retry", "3"])).is_ok());
     }
 
     #[test]

@@ -32,8 +32,10 @@ fn main() {
             eprintln!();
             eprintln!("usage: ktg <generate|stats|index|query|dktg|batch|serve> [--flag value]...");
             eprintln!("  generate --profile NAME --out DIR [--scale N] [--seed N]");
+            eprintln!("  generate --sbm-n N --out DIR [--sbm-blocks B] [--sbm-pin P] [--sbm-pout P]");
             eprintln!("  stats    --edges FILE [--keywords FILE]");
-            eprintln!("  index    --edges FILE --out FILE");
+            eprintln!("  index    --edges FILE [--keywords FILE] (--out FILE | --bundle FILE)");
+            eprintln!("           [--threads N] [--graph-format flat|compressed]");
             eprintln!("  query    --edges FILE [--keywords FILE] (--terms a,b,c | --random-terms N)");
             eprintln!("           [-p N] [-k N] [-n N] [--algo qkc|vkc|vkc-deg]");
             eprintln!("           [--oracle bfs|nl|nlrnl] [--index FILE] [--authors 1,2]");
@@ -44,8 +46,12 @@ fn main() {
             eprintln!("           [--bitmap-threshold N] [--deadline-ms N] [--node-budget N]");
             eprintln!("           [--max-inflight N]");
             eprintln!("  serve    --edges FILE [--keywords FILE] [--bind ADDR] [--workers N]");
-            eprintln!("           [--conn-deadline-ms N] (plus the batch engine/cache flags)");
+            eprintln!("           [--conn-deadline-ms N] [--wal FILE [--wal-sync always|batch]");
+            eprintln!("           [--checkpoint-every N]] (plus the batch engine/cache flags)");
             eprintln!("  serve    --connect ADDR [--workload FILE] [--stats] [--shutdown]");
+            eprintln!("           [--retry N] [--retry-base-ms MS]");
+            eprintln!("stats/query/dktg/batch/serve take --bundle FILE in place of --edges/--keywords;");
+            eprintln!("a flag the command does not read is an error.");
             eprintln!("env: KTG_THREADS=N  KTG_VERIFY=1  KTG_FAULTS=<sites>:<rate>:<seed>");
             eprintln!("exit codes: 0 ok; 3 degraded/partial answers; 4 overloaded/shed; 2 error");
             std::process::exit(2);

@@ -8,13 +8,13 @@ use crate::args::{Command, ParsedArgs};
 use crate::RunStatus;
 use ktg_common::{CompletionStatus, KtgError, Result, VertexId};
 use ktg_core::dktg::{self, DktgQuery};
-use ktg_core::serve::{self, CachePolicy, ItemOutcome, OracleKind, ServeOptions, ServeSession};
+use ktg_core::serve::{self, ItemOutcome, ServeOptions, ServeSession};
 use ktg_core::{
     bb, candidates, explain, multi_query, verify, AttributedGraph, KtgQuery, MemberOrdering,
 };
 use ktg_datasets::{DatasetProfile, QueryGen};
 use ktg_graph::{io as graph_io, stats, GraphFormat, GraphStore};
-use ktg_index::{persist, BfsOracle, DistanceOracle, NlIndex, NlrnlIndex, PllIndex};
+use ktg_index::{persist, BfsOracle, DistanceOracle, NlIndex, NlrnlIndex};
 use ktg_keywords::io as keyword_io;
 use std::fs::File;
 use std::io::Write;
@@ -52,31 +52,6 @@ fn node_budget_flag(args: &ParsedArgs) -> Result<Option<u64>> {
     match args.optional("node-budget") {
         None => Ok(None),
         Some(_) => args.required_num::<u64>("node-budget").map(Some),
-    }
-}
-
-/// `--cache-policy fifo|cost`: result-cache eviction/admission policy
-/// (answers are byte-identical either way; only hit rates differ).
-fn cache_policy_flag(args: &ParsedArgs) -> Result<CachePolicy> {
-    match args.optional("cache-policy").unwrap_or("cost") {
-        "fifo" => Ok(CachePolicy::Fifo),
-        "cost" => Ok(CachePolicy::Cost),
-        other => Err(KtgError::input(format!(
-            "unknown cache policy '{other}' (fifo|cost)"
-        ))),
-    }
-}
-
-/// `--oracle nlrnl|pll` for the serving commands (the per-query `query`
-/// command additionally accepts bfs|nl, which have no dynamic
-/// maintenance story and therefore no place in a session).
-fn serve_oracle_flag(args: &ParsedArgs) -> Result<OracleKind> {
-    match args.optional("oracle").unwrap_or("nlrnl") {
-        "nlrnl" => Ok(OracleKind::Nlrnl),
-        "pll" => Ok(OracleKind::Pll),
-        other => Err(KtgError::input(format!(
-            "unknown serving oracle '{other}' (nlrnl|pll)"
-        ))),
     }
 }
 
@@ -246,8 +221,8 @@ fn stats_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
     Ok(())
 }
 
-/// `ktg index --edges FILE (--out FILE | --bundle FILE) [--oracle nlrnl|pll]
-/// [--keywords FILE] [--graph-format flat|compressed] [--threads N]`
+/// `ktg index --edges FILE (--out FILE | --bundle FILE) [--keywords FILE]
+/// [--graph-format flat|compressed] [--threads N]`
 ///
 /// `--out` writes the bare index; `--bundle` writes the whole network
 /// (graph in the selected format, vocabulary, keyword arena, NLRNL index)
@@ -261,64 +236,36 @@ fn index_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
     }
     let net = load_network_from_files(args)?;
     let graph = net.graph();
-    match args.optional("oracle").unwrap_or("nlrnl") {
-        "nlrnl" => {
-            let threads: usize = args.num_or("threads", 0)?;
-            let index = if threads == 0 {
-                NlrnlIndex::build(graph)
-            } else {
-                NlrnlIndex::build_with_threads(graph, threads)
-            };
-            if let Some(path) = out_path {
-                persist::save_nlrnl(&index, graph, File::create(path)?)?;
-            }
-            if let Some(path) = bundle_path {
-                persist::save_bundle(
-                    graph,
-                    net.vocab(),
-                    net.keywords(),
-                    Some(&index),
-                    File::create(path)?,
-                )?;
-                writeln!(out, "bundled {} graph + keywords + index into {path}", graph.format())?;
-            }
-            let space = index.space();
-            writeln!(
-                out,
-                "built NLRNL over {} vertices in {:?}: {} bytes ({} forward, {} reverse), saved to {}",
-                graph.num_vertices(),
-                index.build_stats().elapsed,
-                space.total_bytes(),
-                space.forward_bytes,
-                space.reverse_bytes,
-                out_path.or(bundle_path).unwrap_or("-")
-            )?;
-        }
-        "pll" => {
-            if bundle_path.is_some() {
-                return Err(KtgError::input(
-                    "bundles embed NLRNL indexes only; use --oracle nlrnl with --bundle",
-                ));
-            }
-            let index = PllIndex::build_parallel(graph);
-            let path = out_path.unwrap_or_default();
-            persist::save_pll(&index, graph, File::create(path)?)?;
-            writeln!(
-                out,
-                "built PLL over {} vertices in {:?}: {} label entries ({} bytes), saved to {}",
-                graph.num_vertices(),
-                index.build_stats().elapsed,
-                index.label_entries(),
-                index.space().total_bytes(),
-                path
-            )?;
-        }
-        other => {
-            return Err(KtgError::input(format!(
-                "unknown index oracle '{other}' (nlrnl|pll)"
-            )))
-        }
+    let threads: usize = args.num_or("threads", 0)?;
+    let index = if threads == 0 {
+        NlrnlIndex::build(graph)
+    } else {
+        NlrnlIndex::build_with_threads(graph, threads)
+    };
+    if let Some(path) = out_path {
+        persist::save_nlrnl(&index, graph, File::create(path)?)?;
     }
+    if let Some(path) = bundle_path {
+        persist::save_bundle(
+            graph,
+            net.vocab(),
+            net.keywords(),
+            Some(&index),
+            File::create(path)?,
+        )?;
+        writeln!(out, "bundled {} graph + keywords + index into {path}", graph.format())?;
+    }
+    let space = index.space();
+    writeln!(
+        out,
+        "built NLRNL over {} vertices in {:?}: {} bytes ({} forward, {} reverse), saved to {}",
+        graph.num_vertices(),
+        index.build_stats().elapsed,
+        space.total_bytes(),
+        space.forward_bytes,
+        space.reverse_bytes,
+        out_path.or(bundle_path).unwrap_or("-")
+    )?;
     Ok(())
 }
 
@@ -366,13 +313,12 @@ fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
     let stats = session.stats();
     writeln!(
         out,
-        "served: {} answers from cache, {} fresh; {} conflict-row hits; {} stale reclaimed; {} subset-seeded; {} compactions; epoch {}",
+        "served: {} answers from cache, {} fresh; {} conflict-row hits; {} stale reclaimed; {} subset-seeded; epoch {}",
         stats.result_hits,
         stats.result_misses,
         stats.row_hits,
         stats.result_reclaimed,
         stats.subset_hits,
-        stats.compactions,
         stats.epoch
     )?;
     if degraded + failed + shed > 0 {
@@ -453,8 +399,7 @@ pub fn write_outcome(
 
 /// Builds [`ServeOptions`] from the engine/cache flags shared by
 /// `ktg batch` and the `ktg serve` server mode: `--threads`,
-/// `--no-cache`, `--cache-entries`, `--cache-policy`,
-/// `--no-subset-reuse`, `--oracle`, `--algo`, `--bitmap-threshold`,
+/// `--no-cache`, `--cache-entries`, `--algo`, `--bitmap-threshold`,
 /// `--deadline-ms`, `--node-budget`, `--max-inflight`.
 pub(crate) fn serve_options_from_flags(args: &ParsedArgs) -> Result<ServeOptions> {
     let mut engine = bb::BbOptions::vkc()
@@ -466,9 +411,6 @@ pub(crate) fn serve_options_from_flags(args: &ParsedArgs) -> Result<ServeOptions
         threads: args.num_or("threads", 0)?,
         use_cache: args.optional("no-cache").is_none(),
         cache_entries: args.num_or("cache-entries", 4096)?,
-        cache_policy: cache_policy_flag(args)?,
-        subset_reuse: args.optional("no-subset-reuse").is_none(),
-        oracle: serve_oracle_flag(args)?,
         engine,
         max_inflight: args.num_or("max-inflight", 0)?,
     })
@@ -497,8 +439,8 @@ fn query_cmd(args: &ParsedArgs, out: &mut dyn Write, diversified: bool) -> Resul
     };
     let query = KtgQuery::new(keywords.clone(), p, k, n)?;
 
-    // Oracle selection; `--index FILE` loads a persisted index of the
-    // matching kind (see `ktg index --oracle`).
+    // Oracle selection; `--index FILE` loads a persisted NLRNL index
+    // (see `ktg index --out`).
     let oracle: Box<dyn DistanceOracle> = match args.optional("oracle").unwrap_or("nlrnl") {
         "bfs" => Box::new(BfsOracle::new(net.graph())),
         "nl" => Box::new(NlIndex::build(net.graph())),
@@ -507,14 +449,8 @@ fn query_cmd(args: &ParsedArgs, out: &mut dyn Write, diversified: bool) -> Resul
             (None, Some(index)) => Box::new(index),
             (None, None) => Box::new(NlrnlIndex::build(net.graph())),
         },
-        "pll" => match args.optional("index") {
-            Some(path) => Box::new(persist::load_pll(net.graph(), File::open(path)?)?),
-            None => Box::new(PllIndex::build_parallel(net.graph())),
-        },
         other => {
-            return Err(KtgError::input(format!(
-                "unknown oracle '{other}' (bfs|nl|nlrnl|pll)"
-            )))
+            return Err(KtgError::input(format!("unknown oracle '{other}' (bfs|nl|nlrnl)")))
         }
     };
     let oracle = oracle.as_ref();
@@ -929,85 +865,6 @@ ktg terms=t0,t1,t2 p=2 k=1 n=2
         let mut no_cache = base.to_vec();
         no_cache.push("--no-cache");
         assert!(!run_to_string(&no_cache).unwrap().contains("[cached]"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pll_oracle_matches_nlrnl_in_query_and_batch() {
-        let dir = temp_dir("pll");
-        let out = dir.to_str().unwrap();
-        run_to_string(&[
-            "generate", "--profile", "brightkite", "--scale", "400", "--seed", "9", "--out", out,
-        ])
-        .unwrap();
-        let edges = dir.join("edges.txt");
-        let keywords = dir.join("keywords.txt");
-        let groups = |text: &str, prefix: &str| -> Vec<String> {
-            text.lines().filter(|l| l.starts_with(prefix)).map(String::from).collect()
-        };
-
-        // `query --oracle pll` (in-process and via a persisted index) is
-        // byte-identical to the NLRNL answer for the same query.
-        let base = [
-            "query",
-            "--edges", edges.to_str().unwrap(),
-            "--keywords", keywords.to_str().unwrap(),
-            "--random-terms", "5",
-            "-p", "3", "-k", "1", "-n", "3",
-        ];
-        let reference = groups(&run_to_string(&base).unwrap(), "#");
-        assert!(!reference.is_empty());
-        let mut pll = base.to_vec();
-        pll.extend(["--oracle", "pll"]);
-        assert_eq!(groups(&run_to_string(&pll).unwrap(), "#"), reference);
-        let idx_path = dir.join("pll.idx");
-        let built = run_to_string(&[
-            "index",
-            "--edges", edges.to_str().unwrap(),
-            "--oracle", "pll",
-            "--out", idx_path.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(built.contains("built PLL"), "{built}");
-        let mut loaded = pll.clone();
-        loaded.extend(["--index", idx_path.to_str().unwrap()]);
-        assert_eq!(groups(&run_to_string(&loaded).unwrap(), "#"), reference);
-
-        // Batch: the serving axes (--oracle pll, --cache-policy fifo,
-        // --no-subset-reuse) never change the group lines.
-        let workload = dir.join("workload.txt");
-        std::fs::write(
-            &workload,
-            "\
-ktg terms=t0,t1,t2,t3,t4 p=2 k=1 n=2
-ktg terms=t0,t1,t2 p=2 k=1 n=2
-insert 0 1
-ktg terms=t0,t1,t2 p=2 k=1 n=2
-",
-        )
-        .unwrap();
-        let batch = [
-            "batch",
-            "--workload", workload.to_str().unwrap(),
-            "--edges", edges.to_str().unwrap(),
-            "--keywords", keywords.to_str().unwrap(),
-        ];
-        let text = run_to_string(&batch).unwrap();
-        let reference = groups(&text, "    #");
-        assert!(!reference.is_empty());
-        assert!(text.contains("subset-seeded"), "{text}");
-        for extra in [
-            &["--oracle", "pll"][..],
-            &["--cache-policy", "fifo"][..],
-            &["--no-subset-reuse"][..],
-        ] {
-            let mut argv = batch.to_vec();
-            argv.extend(extra.iter().copied());
-            assert_eq!(groups(&run_to_string(&argv).unwrap(), "    #"), reference, "{extra:?}");
-        }
-        let mut bad = batch.to_vec();
-        bad.extend(["--cache-policy", "lru"]);
-        assert!(run_to_string(&bad).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -901,7 +901,6 @@ fn stats_line(shared: &Shared) -> String {
         ("result_misses", session_stats.result_misses),
         ("result_reclaimed", session_stats.result_reclaimed),
         ("subset_hits", session_stats.subset_hits),
-        ("compactions", session_stats.compactions),
         ("row_hits", session_stats.row_hits),
         ("row_misses", session_stats.row_misses),
         ("row_evictions", session_stats.row_evictions),
@@ -1276,7 +1275,7 @@ mod tests {
             "\"requests\":", "\"degraded\":", "\"overloaded\":1", "\"failed\":",
             "\"write_failures\":0",
             "\"result_hits\":", "\"result_misses\":", "\"result_reclaimed\":",
-            "\"subset_hits\":", "\"compactions\":", "\"row_hits\":",
+            "\"subset_hits\":", "\"row_hits\":",
             "\"row_misses\":", "\"row_evictions\":", "\"epoch\":1", "\"inflight\":0",
             "\"latency_samples\":", "\"p50_ns\":", "\"p95_ns\":", "\"p99_ns\":",
         ] {

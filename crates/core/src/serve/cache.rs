@@ -27,24 +27,23 @@
 //!   session with edge churn must not let unreachable entries squeeze
 //!   out reachable ones). [`ResultCache::reclaimed`] counts them.
 //! * **Bounded shards.** Entries live in a fixed stripe array (hashed by
-//!   key) with per-shard eviction under a selectable [`CachePolicy`], so
-//!   concurrent workers do not serialize on one lock and a long-running
-//!   session cannot grow without limit.
+//!   key) with per-shard eviction, so concurrent workers do not
+//!   serialize on one lock and a long-running session cannot grow
+//!   without limit.
 //!
 //! ## Eviction policy
 //!
-//! [`CachePolicy::Fifo`] is the original insertion-order baseline.
-//! [`CachePolicy::Cost`] (the default) is workload-aware: every entry
-//! records the solve nanos that produced it and the shard-local logical
-//! tick of its last hit, eviction removes the minimum *benefit score* —
-//! solve cost halved once per [`HALF_LIFE`] ticks of disuse, insertion
-//! sequence as the total-order tie break — and admission rejects a new
-//! entry whose cost is below the would-be victim's score (caching a
-//! cheap answer by evicting an expensive hot one is a net loss). Clocks
-//! are purely logical (per-shard access counters, never wall time, per
-//! lint L4): the retained set is a pure function of the access sequence,
-//! and since cached answers equal freshly solved ones, *answers* are
-//! byte-identical under every policy — only hit rates differ.
+//! Eviction is workload-aware: every entry records the solve nanos that
+//! produced it and the shard-local logical tick of its last hit,
+//! eviction removes the minimum *benefit score* — solve cost halved once
+//! per [`HALF_LIFE`] ticks of disuse, insertion sequence as the
+//! total-order tie break — and admission rejects a new entry whose cost
+//! is below the would-be victim's score (caching a cheap answer by
+//! evicting an expensive hot one is a net loss). Clocks are purely
+//! logical (per-shard access counters, never wall time, per lint L4):
+//! the retained set is a pure function of the access sequence, and
+//! since cached answers equal freshly solved ones, eviction decides only
+//! hit rates, never *answers*.
 //!
 //! ## Keyword-subset reuse
 //!
@@ -62,7 +61,6 @@
 //! the result (DESIGN.md §17).
 
 use ktg_common::{FxHashMap, FxHasher64};
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -89,19 +87,6 @@ const SUBSET_INDEX_WIDTH: usize = 32;
 /// by how long it has gone unreferenced.
 fn benefit_score(cost: u64, age: u64) -> u64 {
     cost >> (age / HALF_LIFE).min(63)
-}
-
-/// Eviction/admission policy for [`ResultCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Insertion-order eviction, admit-everything — the original
-    /// baseline, kept selectable for differential testing and as the
-    /// `qps` comparison point.
-    Fifo,
-    /// Benefit-score eviction (recorded solve cost × recency decay) with
-    /// a cost-admission floor.
-    #[default]
-    Cost,
 }
 
 /// A canonicalized query identity: two queries with the same key are
@@ -216,7 +201,7 @@ struct ParamSig {
 }
 
 /// A resident answer with the graph epoch it was computed at plus the
-/// bookkeeping the cost policy scores by.
+/// bookkeeping eviction scores by.
 struct Entry<V> {
     epoch: u64,
     value: V,
@@ -235,16 +220,6 @@ struct CacheShard<V> {
     /// below it are discarded outright.
     latest: u64,
     map: FxHashMap<CacheKey, Entry<V>>,
-    /// Insertion order for FIFO eviction, with the epoch each record was
-    /// pushed at. Records are deleted lazily: a popped record only evicts
-    /// when the resident entry still carries the same stamp (an entry
-    /// re-inserted at a newer epoch leaves its old record dangling).
-    /// Unused (empty) under [`CachePolicy::Cost`].
-    fifo: VecDeque<(CacheKey, u64)>,
-    /// Records in `fifo` whose entry no longer matches. When they exceed
-    /// the live entries the queue is compacted — without this, same-key
-    /// overwrite churn grows `fifo` without bound.
-    dangling: usize,
     /// Logical access clock: bumped once per lookup or insert.
     tick: u64,
     /// Insertion counter feeding [`Entry::seq`].
@@ -255,7 +230,6 @@ struct CacheShard<V> {
 pub struct ResultCache<V> {
     shards: Vec<Mutex<CacheShard<V>>>,
     per_shard_capacity: usize,
-    policy: CachePolicy,
     /// Keyword sets resident per parameter signature, for superset
     /// probes. Best-effort: bounded per bucket, entries may outlive the
     /// answers they point at (a probe just misses then).
@@ -263,48 +237,32 @@ pub struct ResultCache<V> {
     hits: AtomicU64,
     misses: AtomicU64,
     reclaimed: AtomicU64,
-    compactions: AtomicU64,
     subset_hits: AtomicU64,
 }
 
 impl<V: Clone> ResultCache<V> {
     /// Creates a cache holding at most `capacity` answers in total
     /// (rounded up to a multiple of the stripe count; a zero capacity
-    /// still admits one answer per stripe), under the default
-    /// [`CachePolicy::Cost`].
+    /// still admits one answer per stripe).
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, CachePolicy::default())
-    }
-
-    /// [`new`](Self::new) with an explicit eviction/admission policy.
-    pub fn with_policy(capacity: usize, policy: CachePolicy) -> Self {
         ResultCache {
             shards: (0..CACHE_SHARDS)
                 .map(|_| {
                     Mutex::new(CacheShard {
                         latest: 0,
                         map: FxHashMap::default(),
-                        fifo: VecDeque::new(),
-                        dangling: 0,
                         tick: 0,
                         seq: 0,
                     })
                 })
                 .collect(),
             per_shard_capacity: capacity.div_ceil(CACHE_SHARDS).max(1),
-            policy,
             subsets: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
             subset_hits: AtomicU64::new(0),
         }
-    }
-
-    /// The eviction/admission policy this cache runs.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
     }
 
     /// Lookups answered from the memo so far.
@@ -324,11 +282,6 @@ impl<V: Clone> ResultCache<V> {
         self.reclaimed.load(Ordering::Relaxed)
     }
 
-    /// Lazy-deletion record-queue compactions performed so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
-    }
-
     /// Successful superset probes ([`get_superset`](Self::get_superset))
     /// so far.
     pub fn subset_hits(&self) -> u64 {
@@ -343,13 +296,6 @@ impl<V: Clone> ResultCache<V> {
     /// Whether the cache currently holds no answers.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total lazy-deletion records resident across shards (live +
-    /// dangling) — test instrumentation for the compaction bound.
-    #[cfg(test)]
-    fn record_count(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).fifo.len()).sum()
     }
 
     fn lock<'a>(&self, shard: &'a Mutex<CacheShard<V>>) -> MutexGuard<'a, CacheShard<V>> {
@@ -386,12 +332,7 @@ impl<V: Clone> ResultCache<V> {
             }
             Some(_) => {
                 // Dead on arrival: the entry predates the current graph.
-                // Its FIFO record is left dangling (lazy deletion).
                 shard.map.remove(key);
-                if self.policy == CachePolicy::Fifo {
-                    shard.dangling += 1;
-                    self.maybe_compact(&mut shard);
-                }
                 self.reclaimed.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -403,22 +344,8 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
-    /// Compacts the lazy-deletion record queue once dangling records
-    /// outnumber live entries, so same-key overwrite churn (or stale
-    /// reclamation) cannot grow it without bound. Amortized O(1): each
-    /// compaction touches at most 2× the live entries and halves-or-more
-    /// the queue.
-    fn maybe_compact(&self, shard: &mut CacheShard<V>) {
-        if shard.dangling > shard.map.len() {
-            let CacheShard { map, fifo, .. } = &mut *shard;
-            fifo.retain(|(k, e)| map.get(k).is_some_and(|entry| entry.epoch == *e));
-            shard.dangling = 0;
-            self.compactions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Stores `value` as the answer for `key` at `epoch`, with no
-    /// recorded solve cost (scored as cost 1 under the cost policy).
+    /// recorded solve cost (scored as cost 1).
     pub fn insert(&self, key: CacheKey, epoch: u64, value: V) {
         self.insert_with_cost(key, epoch, value, 1);
     }
@@ -432,9 +359,8 @@ impl<V: Clone> ResultCache<V> {
     /// purged **first** — evicting a live entry while unreachable stale
     /// ones still occupy the shard would collapse the hit rate under
     /// edge-update churn. Only if the shard is still full after the
-    /// purge does the policy run: FIFO evicts the oldest live entry;
-    /// the cost policy evicts the minimum-benefit entry *unless* the
-    /// incoming answer is cheaper than that entry's current score, in
+    /// purge does eviction run: the minimum-benefit entry goes *unless*
+    /// the incoming answer is cheaper than that entry's current score, in
     /// which case the insert itself is rejected (admission floor).
     pub fn insert_with_cost(&self, key: CacheKey, epoch: u64, value: V, cost_ns: u64) {
         let cost = cost_ns.max(1);
@@ -453,78 +379,36 @@ impl<V: Clone> ResultCache<V> {
             let dead = before - shard.map.len();
             if dead > 0 {
                 self.reclaimed.fetch_add(dead as u64, Ordering::Relaxed);
-                let CacheShard { map, fifo, .. } = &mut *shard;
-                fifo.retain(|(k, e)| map.get(k).is_some_and(|entry| entry.epoch == *e));
-                shard.dangling = 0;
             }
             if shard.map.len() >= self.per_shard_capacity {
-                match self.policy {
-                    CachePolicy::Fifo => {
-                        while let Some((oldest, stamp)) = shard.fifo.pop_front() {
-                            if shard.map.get(&oldest).is_some_and(|e| e.epoch == stamp) {
-                                shard.map.remove(&oldest);
-                                break;
-                            }
-                            shard.dangling = shard.dangling.saturating_sub(1);
-                        }
+                let tick = shard.tick;
+                // `seq` is unique per shard, so the `(score, seq)` minimum
+                // is one entry regardless of map iteration order —
+                // eviction stays deterministic. An empty shard needs no
+                // eviction at all.
+                let weakest = shard
+                    .map
+                    .iter()
+                    .map(|(k, e)| {
+                        let score = benefit_score(e.cost, tick.saturating_sub(e.last_touch));
+                        ((score, e.seq), k.clone())
+                    })
+                    .min_by_key(|(rank, _)| *rank);
+                if let Some(((floor, _), victim)) = weakest {
+                    if cost < floor {
+                        // Admission floor: the incoming answer is cheaper
+                        // to recompute than the benefit of the entry it
+                        // would displace.
+                        return;
                     }
-                    CachePolicy::Cost => {
-                        let tick = shard.tick;
-                        // `seq` is unique per shard, so the `(score, seq)`
-                        // minimum is one entry regardless of map iteration
-                        // order — eviction stays deterministic. An empty
-                        // shard needs no eviction at all.
-                        let weakest = shard
-                            .map
-                            .iter()
-                            .map(|(k, e)| {
-                                (
-                                    (
-                                        benefit_score(
-                                            e.cost,
-                                            tick.saturating_sub(e.last_touch),
-                                        ),
-                                        e.seq,
-                                    ),
-                                    k.clone(),
-                                )
-                            })
-                            .min_by_key(|(rank, _)| *rank);
-                        if let Some(((floor, _), victim)) = weakest {
-                            if cost < floor {
-                                // Admission floor: the incoming answer is
-                                // cheaper to recompute than the benefit
-                                // of the entry it would displace.
-                                return;
-                            }
-                            shard.map.remove(&victim);
-                        }
-                    }
+                    shard.map.remove(&victim);
                 }
             }
         }
 
         shard.seq += 1;
         let (tick, seq) = (shard.tick, shard.seq);
-        let previous =
-            shard.map.insert(key.clone(), Entry { epoch, value, cost, last_touch: tick, seq });
-        if self.policy == CachePolicy::Fifo {
-            let stamp_changed = match &previous {
-                Some(old) => old.epoch != epoch,
-                None => true,
-            };
-            if stamp_changed {
-                // A same-epoch overwrite keeps its original FIFO
-                // position; everything else needs a fresh record (the
-                // old one, if any, now dangles and is skipped at pop
-                // time).
-                if previous.is_some() {
-                    shard.dangling += 1;
-                }
-                shard.fifo.push_back((key.clone(), epoch));
-                self.maybe_compact(&mut shard);
-            }
-        }
+        shard.map.insert(key.clone(), Entry { epoch, value, cost, last_touch: tick, seq });
         drop(shard);
 
         // Remember the keyword set for superset probes (bounded FIFO per
@@ -687,7 +571,7 @@ mod tests {
     /// Regression for the epoch-churn eviction bug: an over-capacity
     /// insert must purge the shard's stale (dead-epoch) entries before
     /// evicting anything live. Without the purge, entries computed
-    /// before an edge update sit unreachable in the FIFO and squeeze
+    /// before an edge update sit unreachable in the shard and squeeze
     /// out the very answers the current epoch can still hit.
     #[test]
     fn stale_generations_are_purged_before_live_eviction() {
@@ -710,7 +594,8 @@ mod tests {
             "over-capacity inserts must reclaim the dead generation"
         );
         // The newest entry of the new generation is never the eviction
-        // victim: stale entries go first, then FIFO order among live ones.
+        // victim: stale entries go first, then the live entries the
+        // benefit score ranks lowest.
         assert_eq!(cache.get(&key_with_p(&net, 132), 2), Some(132));
         assert!(cache.len() <= 16, "resident {} exceeds capacity", cache.len());
         // Every surviving entry is from the live generation.
@@ -724,45 +609,6 @@ mod tests {
         }
     }
 
-    /// A same-epoch overwrite (two workers racing the same miss) must
-    /// not duplicate FIFO records — otherwise the duplicate record
-    /// evicts the entry ahead of its turn.
-    #[test]
-    fn same_epoch_overwrite_keeps_one_fifo_record() {
-        let net = fixtures::figure1();
-        let cache: ResultCache<usize> = ResultCache::with_policy(16, CachePolicy::Fifo);
-        let key = key_with_p(&net, 1);
-        cache.insert(key.clone(), 1, 10);
-        cache.insert(key.clone(), 1, 11);
-        // Fill the shard far past capacity with distinct keys; the
-        // overwritten key is evicted exactly once, and the cache stays
-        // consistent (no phantom entries, bound respected).
-        for p in 2..40usize {
-            cache.insert(key_with_p(&net, p), 1, p);
-        }
-        assert!(cache.len() <= 16);
-    }
-
-    /// Regression: cross-epoch overwrites of the *same* key leave one
-    /// dangling record each; without compaction the queue grows without
-    /// bound (live entries stay constant at one).
-    #[test]
-    fn fifo_dangling_records_are_compacted() {
-        let net = fixtures::figure1();
-        let cache: ResultCache<usize> = ResultCache::with_policy(16, CachePolicy::Fifo);
-        let key = key_with_p(&net, 1);
-        for epoch in 1..500u64 {
-            cache.insert(key.clone(), epoch, 0);
-        }
-        assert!(cache.compactions() > 0, "overwrite churn must trigger compactions");
-        assert!(
-            cache.record_count() <= 2 * cache.len() + CACHE_SHARDS,
-            "record queue stays proportional to live entries, got {} records for {} entries",
-            cache.record_count(),
-            cache.len()
-        );
-    }
-
     /// Groups `p`-parameterized keys by the shard they hash to, so tests
     /// can co-locate keys in one stripe.
     fn shard_groups(net: &crate::network::AttributedGraph) -> Vec<Vec<CacheKey>> {
@@ -774,7 +620,7 @@ mod tests {
         groups
     }
 
-    /// The cost policy evicts the minimum `(benefit score, seq)` entry
+    /// Eviction removes the minimum `(benefit score, seq)` entry
     /// and rejects inserts cheaper than that floor — deterministically.
     #[test]
     fn cost_eviction_order_is_deterministic() {
@@ -785,7 +631,7 @@ mod tests {
         // must retain the same set.
         for _ in 0..2 {
             // Capacity 64 → 4 entries per stripe.
-            let cache: ResultCache<usize> = ResultCache::with_policy(64, CachePolicy::Cost);
+            let cache: ResultCache<usize> = ResultCache::new(64);
             let costs = [100u64, 10, 1000, 50];
             for (i, cost) in costs.iter().enumerate() {
                 cache.insert_with_cost(keys[i].clone(), 1, i, *cost);
@@ -813,7 +659,7 @@ mod tests {
         let net = fixtures::figure1();
         let groups = shard_groups(&net);
         let keys = groups.iter().find(|g| g.len() >= 6).expect("a stripe with 6 keys");
-        let cache: ResultCache<usize> = ResultCache::with_policy(64, CachePolicy::Cost);
+        let cache: ResultCache<usize> = ResultCache::new(64);
         cache.insert_with_cost(keys[0].clone(), 1, 0, 1_000_000); // expensive, then cold
         for (i, key) in keys.iter().enumerate().take(4).skip(1) {
             cache.insert_with_cost(key.clone(), 1, i, 10);

@@ -50,10 +50,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ktg_common::fault::{self, FaultSite};
 use ktg_common::parallel::{scope_join, worker_count};
 use ktg_common::{CompletionStatus, FixedBitSet, Pool, PoolGuard, Stopwatch, VertexId};
-use ktg_graph::{Adjacency, DynamicGraph, GraphStore};
+use ktg_graph::GraphStore;
 use ktg_index::{
-    conflict_bitmaps_cached, kline_conflict_bitmaps, pll_conflict_bitmaps_into, DistanceOracle,
-    DynamicNlrnl, KernelScratch, NeighborhoodCache, NlrnlIndex, PllIndex,
+    conflict_bitmaps_cached, kline_conflict_bitmaps, DynamicNlrnl, KernelScratch,
+    NeighborhoodCache, NlrnlIndex,
 };
 
 use crate::bb::{self, BbOptions, ConflictKernel, KtgOutcome};
@@ -201,149 +201,6 @@ impl MaskPermutation {
     }
 }
 
-/// Selects which distance oracle a [`ServeSession`] maintains behind its
-/// conflict-row construction and pairwise probes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OracleKind {
-    /// The paper's NLRNL index, maintained *incrementally* under edge
-    /// updates (the default — cheapest when updates are frequent).
-    #[default]
-    Nlrnl,
-    /// Pruned landmark labeling: distance queries are label merges and a
-    /// candidate's whole conflict row falls out of one label scan
-    /// ([`ktg_index::pll_conflict_bitmaps_into`]). Each applied edge
-    /// update triggers a full — but parallel and deterministic — label
-    /// rebuild, so this kind favors query-heavy workloads.
-    Pll,
-}
-
-impl OracleKind {
-    /// Flag-facing name (`--oracle` value).
-    pub fn name(self) -> &'static str {
-        match self {
-            OracleKind::Nlrnl => "nlrnl",
-            OracleKind::Pll => "pll",
-        }
-    }
-}
-
-/// The session's distance oracle: one mutable topology mirror bundled
-/// with whichever index [`OracleKind`] selected, kept consistent across
-/// edge updates. Queries always run against the frozen CSR in the
-/// session's [`AttributedGraph`], rebuilt from this mirror after each
-/// applied update.
-pub enum ServeOracle {
-    /// NLRNL with incremental maintenance.
-    Nlrnl(DynamicNlrnl),
-    /// PLL labels, rebuilt in parallel after each applied update.
-    Pll {
-        /// The mutable topology mirror.
-        graph: DynamicGraph,
-        /// Labels over the current topology.
-        index: PllIndex,
-    },
-}
-
-impl ServeOracle {
-    /// Builds the session oracle, reusing a pre-built NLRNL index (a bundle reload)
-    /// instead of reconstructing it. A prebuilt index under the PLL
-    /// oracle, or one covering a different vertex count, is ignored and
-    /// the index is rebuilt — the session must always open consistent.
-    fn with_prebuilt<A: Adjacency + Sync>(
-        kind: OracleKind,
-        graph: &A,
-        prebuilt: Option<NlrnlIndex>,
-    ) -> Self {
-        match kind {
-            OracleKind::Nlrnl => {
-                if let Some(index) = prebuilt {
-                    if let Ok(d) = DynamicNlrnl::with_index(graph, index) {
-                        return ServeOracle::Nlrnl(d);
-                    }
-                }
-                ServeOracle::Nlrnl(DynamicNlrnl::new(graph))
-            }
-            OracleKind::Pll => ServeOracle::Pll {
-                graph: DynamicGraph::from_graph(graph),
-                index: PllIndex::build_parallel(graph),
-            },
-        }
-    }
-
-    /// The current topology.
-    pub fn graph(&self) -> &DynamicGraph {
-        match self {
-            ServeOracle::Nlrnl(d) => d.graph(),
-            ServeOracle::Pll { graph, .. } => graph,
-        }
-    }
-
-    /// Applies one edge mutation, keeping the index consistent. Returns
-    /// whether the topology actually changed; errors propagate from graph
-    /// validation (range, self-loop).
-    fn apply(&mut self, insert: bool, u: VertexId, v: VertexId) -> ktg_common::Result<bool> {
-        match self {
-            ServeOracle::Nlrnl(d) => {
-                if insert {
-                    d.insert_edge(u, v)
-                } else {
-                    d.remove_edge(u, v)
-                }
-            }
-            ServeOracle::Pll { graph, index } => {
-                let changed = if insert {
-                    graph.insert_edge(u, v)?
-                } else {
-                    graph.remove_edge(u, v)?
-                };
-                if changed {
-                    // No incremental maintenance for 2-hop labels; rebuild
-                    // in parallel. The batch construction is deterministic
-                    // (thread-count independent), so the post-update label
-                    // set — and every answer derived from it — is too.
-                    *index = PllIndex::build_parallel(&graph.to_csr());
-                }
-                Ok(changed)
-            }
-        }
-    }
-
-    /// A `Copy` borrow for the worker fan-out.
-    fn as_ref(&self) -> OracleRef<'_> {
-        match self {
-            ServeOracle::Nlrnl(d) => OracleRef::Nlrnl(d.index()),
-            ServeOracle::Pll { index, .. } => OracleRef::Pll(index),
-        }
-    }
-}
-
-/// Borrowed view of the session oracle that every worker carries through
-/// the answer pipeline. Implements [`DistanceOracle`] by delegation;
-/// `solve_ktg` additionally matches on it to pick the conflict-row
-/// construction path (cached bounded BFS vs. PLL label scans).
-#[derive(Clone, Copy)]
-enum OracleRef<'a> {
-    Nlrnl(&'a NlrnlIndex),
-    Pll(&'a PllIndex),
-}
-
-impl DistanceOracle for OracleRef<'_> {
-    #[inline]
-    fn farther_than(&self, u: VertexId, v: VertexId, k: u32) -> bool {
-        match self {
-            OracleRef::Nlrnl(index) => index.farther_than(u, v, k),
-            OracleRef::Pll(index) => index.farther_than(u, v, k),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            OracleRef::Nlrnl(index) => index.name(),
-            OracleRef::Pll(index) => index.name(),
-        }
-    }
-}
-
 /// Per-worker recycled scratch: everything a fresh solve needs that is
 /// sized by the query, pooled so steady-state serving allocates nothing
 /// large. (The per-query keyword-mask compile still allocates inside
@@ -376,9 +233,6 @@ pub struct ServeStats {
     /// Result-cache misses that found a same-parameter keyword-superset
     /// entry and seeded the solver's initial pruning floor from it.
     pub subset_hits: u64,
-    /// Lazy-deletion record-queue compactions performed by the result
-    /// cache (FIFO policy only; the cost policy keeps no record queue).
-    pub compactions: u64,
     /// Current graph epoch (number of applied edge updates).
     pub epoch: u64,
 }
@@ -386,12 +240,12 @@ pub struct ServeStats {
 /// A long-lived query-serving session over one attributed network.
 pub struct ServeSession {
     net: AttributedGraph,
-    /// Mutable mirror of `net`'s topology bundled with the configured
-    /// distance index — the shared, immutable-between-updates oracle
-    /// every worker reads concurrently. Queries always run against the
-    /// frozen CSR in `net`, rebuilt from this mirror after each applied
-    /// update.
-    oracle: ServeOracle,
+    /// Mutable mirror of `net`'s topology plus the incrementally
+    /// maintained NLRNL index — the shared, immutable-between-updates
+    /// oracle every worker reads concurrently. Queries always run against
+    /// the frozen CSR in `net`, rebuilt from this mirror after each
+    /// applied update.
+    oracle: DynamicNlrnl,
     /// Bumped once per applied edge update; stamps every cache entry.
     epoch: u64,
     options: ServeOptions,
@@ -407,17 +261,20 @@ impl ServeSession {
     }
 
     /// Opens a session reusing a pre-built NLRNL index (the bundle-reload
-    /// path; see [`ServeOracle::with_prebuilt`] for the fallback rules).
+    /// path). An index covering a different vertex count is ignored and
+    /// rebuilt — the session must always open consistent.
     pub fn with_index(
         net: AttributedGraph,
         options: ServeOptions,
         index: Option<NlrnlIndex>,
     ) -> Self {
-        let oracle = ServeOracle::with_prebuilt(options.oracle, net.graph(), index);
+        let oracle = index
+            .and_then(|index| DynamicNlrnl::with_index(net.graph(), index).ok())
+            .unwrap_or_else(|| DynamicNlrnl::new(net.graph()));
         ServeSession {
             oracle,
             epoch: 0,
-            results: ResultCache::with_policy(options.cache_entries, options.cache_policy),
+            results: ResultCache::new(options.cache_entries),
             rows: NeighborhoodCache::new(options.cache_entries),
             arenas: Pool::new(),
             options,
@@ -437,14 +294,12 @@ impl ServeSession {
         self.epoch
     }
 
-    /// The live NLRNL index when that oracle is configured (`None` under
-    /// PLL). This is the checkpoint seam: the server persists it into
-    /// the rewritten bundle so a recovery reload skips reconstruction.
+    /// The live NLRNL index — always `Some`; the `Option` matches
+    /// [`ktg_index::persist::save_bundle`]'s optional index argument.
+    /// This is the checkpoint seam: the server persists it into the
+    /// rewritten bundle so a recovery reload skips reconstruction.
     pub fn nlrnl_index(&self) -> Option<&NlrnlIndex> {
-        match &self.oracle {
-            ServeOracle::Nlrnl(d) => Some(d.index()),
-            ServeOracle::Pll { .. } => None,
-        }
+        Some(self.oracle.index())
     }
 
     /// Cache instrumentation so far.
@@ -457,7 +312,6 @@ impl ServeSession {
             row_misses: self.rows.misses(),
             row_evictions: self.rows.evictions(),
             subset_hits: self.results.subset_hits(),
-            compactions: self.results.compactions(),
             epoch: self.epoch,
         }
     }
@@ -520,9 +374,8 @@ impl ServeSession {
                 reason: "update items require exclusive session access".to_string(),
             };
         }
-        let oracle = self.oracle.as_ref();
         let mut slot: Option<PoolGuard<'_, Arena>> = None;
-        self.answer_isolated(item, oracle, &mut slot)
+        self.answer_isolated(item, self.oracle.index(), &mut slot)
     }
 
     /// Executes one item of any kind, taking `&mut self`: queries go
@@ -542,7 +395,11 @@ impl ServeSession {
     /// the frozen CSR is rebuilt; a no-op update leaves both untouched so
     /// caches stay warm.
     fn apply_update(&mut self, insert: bool, u: VertexId, v: VertexId) -> ItemOutcome {
-        let changed = self.oracle.apply(insert, u, v);
+        let changed = if insert {
+            self.oracle.insert_edge(u, v)
+        } else {
+            self.oracle.remove_edge(u, v)
+        };
         // Out-of-range/self-loop updates are reported, not fatal: a
         // workload replay keeps going (the parser already rejects them in
         // files; this arm covers programmatic workloads).
@@ -572,7 +429,7 @@ impl ServeSession {
         // worker reads the same oracle lock-free — the shared-index
         // amortization that makes the fan-out actually scale (per-worker
         // memoizing oracles would redo each other's BFS work).
-        let oracle = self.oracle.as_ref();
+        let oracle = self.oracle.index();
 
         if workers <= 1 {
             let mut slot: Option<PoolGuard<'_, Arena>> = None;
@@ -623,7 +480,7 @@ impl ServeSession {
     fn answer_isolated<'p>(
         &'p self,
         item: &WorkloadItem,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         slot: &mut Option<PoolGuard<'p, Arena>>,
     ) -> ItemOutcome {
         match self.attempt(item, oracle, slot) {
@@ -654,7 +511,7 @@ impl ServeSession {
     fn attempt<'p>(
         &'p self,
         item: &WorkloadItem,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         slot: &mut Option<PoolGuard<'p, Arena>>,
     ) -> std::thread::Result<ItemOutcome> {
         catch_unwind(AssertUnwindSafe(|| {
@@ -679,7 +536,7 @@ impl ServeSession {
     fn answer(
         &self,
         item: &WorkloadItem,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         arena: &mut Arena,
     ) -> ItemOutcome {
         match item {
@@ -696,7 +553,7 @@ impl ServeSession {
     fn answer_ktg(
         &self,
         query: &KtgQuery,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         arena: &mut Arena,
     ) -> KtgAnswer {
         let opts = self.inner_opts();
@@ -718,10 +575,7 @@ impl ServeSession {
         // projected coverage is a sound initial Theorem-2 floor. Skipped
         // for order-dependent solves (node budget / coverage early-exit),
         // whose results are defined by unseeded discovery order.
-        let seed = if self.options.subset_reuse
-            && opts.node_budget.is_none()
-            && opts.stop_at_coverage.is_none()
-        {
+        let seed = if opts.node_budget.is_none() && opts.stop_at_coverage.is_none() {
             key.as_ref().and_then(|key| match self.results.get_superset(key, self.epoch) {
                 Some((super_kw, CachedAnswer::Ktg(groups))) => Some(SubsetSeed {
                     query_kw: key.keywords().to_vec(),
@@ -760,7 +614,7 @@ impl ServeSession {
     fn solve_ktg(
         &self,
         query: &KtgQuery,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         arena: &mut Arena,
         opts: &BbOptions,
         seed: Option<SubsetSeed>,
@@ -774,7 +628,7 @@ impl ServeSession {
             return bb::solve_with_kernel(
                 &self.net,
                 query,
-                &oracle,
+                oracle,
                 &arena.cands,
                 &ConflictKernel::Oracle,
                 opts,
@@ -783,34 +637,22 @@ impl ServeSession {
         }
         arena.sources.clear();
         arena.sources.extend(arena.cands.iter().map(|c| c.v));
-        match oracle {
-            OracleRef::Pll(pll) => {
-                // PLL fast path: every row falls out of label merges,
-                // bit-identical to the BFS rows (enforced in ktg-index).
-                // The `(vertex, k)` memo is bypassed — the labels already
-                // amortize across queries — so `row_hits`/`row_misses`
-                // stay untouched in this mode.
-                pll_conflict_bitmaps_into(pll, &arena.sources, query.k(), &mut arena.bitmaps);
-            }
-            OracleRef::Nlrnl(_) if self.options.use_cache => {
-                conflict_bitmaps_cached(
-                    self.net.graph(),
-                    &arena.sources,
-                    query.k(),
-                    &self.rows,
-                    self.epoch,
-                    &mut arena.kernel,
-                    &mut arena.bitmaps,
-                );
-            }
-            OracleRef::Nlrnl(_) => {
-                arena.bitmaps =
-                    kline_conflict_bitmaps(self.net.graph(), &arena.sources, query.k());
-            }
+        if self.options.use_cache {
+            conflict_bitmaps_cached(
+                self.net.graph(),
+                &arena.sources,
+                query.k(),
+                &self.rows,
+                self.epoch,
+                &mut arena.kernel,
+                &mut arena.bitmaps,
+            );
+        } else {
+            arena.bitmaps = kline_conflict_bitmaps(self.net.graph(), &arena.sources, query.k());
         }
         let kernel = ConflictKernel::Bitmap(std::mem::take(&mut arena.bitmaps));
         let outcome =
-            bb::solve_with_kernel(&self.net, query, &oracle, &arena.cands, &kernel, opts, floor);
+            bb::solve_with_kernel(&self.net, query, oracle, &arena.cands, &kernel, opts, floor);
         if let Some(rows) = kernel.into_bitmaps() {
             // Hand the rows back to the arena so the next query reuses
             // their word allocations.
@@ -822,7 +664,7 @@ impl ServeSession {
     fn answer_dktg(
         &self,
         query: &DktgQuery,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         arena: &mut Arena,
     ) -> DktgAnswer {
         let opts = self.inner_opts();
@@ -852,7 +694,7 @@ impl ServeSession {
         let clock = Stopwatch::start();
         let masks = self.net.compile(query.base().keywords());
         candidates::collect(self.net.graph(), &masks, &mut arena.cands);
-        let outcome = dktg::solve_with_candidates(query, &oracle, &mut arena.cands, &opts);
+        let outcome = dktg::solve_with_candidates(query, oracle, &mut arena.cands, &opts);
         let solve_ns = clock.elapsed_nanos();
         crate::verify::enforce_dktg(&self.net, query, &outcome.groups);
         if let Some(key) = key.filter(|_| outcome.status.is_exact()) {
@@ -975,6 +817,13 @@ dktg terms=GD,QP,SN,DQ,GQ p=3 k=1 n=2 gamma=0.5
         .unwrap()
     }
 
+    /// Options for tests that assert cache hits: with more than one
+    /// worker, two workers can claim identical queries at once and both
+    /// miss.
+    fn sequential() -> ServeOptions {
+        ServeOptions { threads: 1, ..ServeOptions::default() }
+    }
+
     fn reference_ktg(net: &AttributedGraph) -> Vec<Group> {
         let query = KtgQuery::new(
             net.query_keywords(["SN", "QP", "DQ", "GQ", "GD"]).unwrap(),
@@ -991,7 +840,8 @@ dktg terms=GD,QP,SN,DQ,GQ p=3 k=1 n=2 gamma=0.5
     fn serves_paper_answers_and_caches_repeats() {
         let net = fixtures::figure1();
         let expect = reference_ktg(&net);
-        let mut session = ServeSession::new(net.clone(), ServeOptions::default());
+        // One worker: racing workers can both miss on identical queries.
+        let mut session = ServeSession::new(net.clone(), sequential());
         let outcomes = session.run(&paper_workload(&net));
         let ItemOutcome::Ktg(first) = &outcomes[0] else { panic!("expected ktg") };
         assert_eq!(first.groups, expect);
@@ -1060,7 +910,7 @@ dktg terms=GD,QP,SN,DQ,GQ p=3 k=1 n=2 gamma=0.5
     #[test]
     fn permuted_keywords_hit_with_translated_masks() {
         let net = fixtures::figure1();
-        let mut session = ServeSession::new(net.clone(), ServeOptions::default());
+        let mut session = ServeSession::new(net.clone(), sequential());
         let workload = parse_workload(
             "\
 ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
@@ -1307,7 +1157,7 @@ ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
     }
 
     #[test]
-    fn subset_reuse_seeds_floor_without_changing_answers() {
+    fn superset_hit_seeds_floor_without_changing_answers() {
         let net = fixtures::figure1();
         // Superset first, subset after: the subset query's cache miss
         // probes the superset entry and seeds the engine's initial floor.
@@ -1319,22 +1169,19 @@ ktg terms=SN,QP,DQ p=3 k=1 n=2
             &net,
         )
         .unwrap();
-        let mut seeded = ServeSession::new(
-            net.clone(),
-            ServeOptions { threads: 1, ..ServeOptions::default() },
-        );
+        let mut seeded = ServeSession::new(net.clone(), sequential());
         let out = seeded.run(&workload);
         assert_eq!(
             seeded.stats().subset_hits,
             1,
             "the subset miss must find the same-parameter superset entry"
         );
-        // Byte-identical to a session with reuse disabled (debug builds
-        // re-audit every returned group, so the re-projected masks also
-        // pass the checked-mode verifier here).
+        // Byte-identical to a session with the cache off, which never
+        // seeds (debug builds re-audit every returned group, so the
+        // re-projected masks also pass the checked-mode verifier here).
         let mut plain = ServeSession::new(
             net.clone(),
-            ServeOptions { threads: 1, subset_reuse: false, ..ServeOptions::default() },
+            ServeOptions { threads: 1, use_cache: false, ..ServeOptions::default() },
         );
         assert_eq!(out, plain.run(&workload));
         assert_eq!(plain.stats().subset_hits, 0);
@@ -1378,62 +1225,9 @@ ktg terms=SN,QP,DQ p=3 k=1 n=2
     }
 
     #[test]
-    fn pll_oracle_session_matches_nlrnl() {
-        let net = fixtures::figure1();
-        let workload = parse_workload(
-            "\
-ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
-dktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2 gamma=0.5
-insert 0 5
-ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
-remove 0 5
-ktg terms=SN,QP,DQ p=2 k=2 n=1
-",
-            &net,
-        )
-        .unwrap();
-        // Both the bitmap-kernel path (PLL label-scan rows) and the
-        // pairwise-probe path (threshold 0) must agree with NLRNL.
-        for engine in [BbOptions::vkc_deg(), BbOptions::vkc_deg().with_bitmap_threshold(0)] {
-            let opts = |oracle| ServeOptions {
-                threads: 1,
-                oracle,
-                engine,
-                ..ServeOptions::default()
-            };
-            let nlrnl = ServeSession::new(net.clone(), opts(OracleKind::Nlrnl)).run(&workload);
-            let mut pll_session = ServeSession::new(net.clone(), opts(OracleKind::Pll));
-            let pll = pll_session.run(&workload);
-            assert_eq!(nlrnl, pll, "threshold={}", engine.bitmap_threshold);
-            assert_eq!(
-                pll_session.stats().row_hits,
-                0,
-                "PLL mode bypasses the (vertex, k) memo entirely"
-            );
-            assert_eq!(pll_session.epoch(), 2, "updates rebuilt the labels twice");
-        }
-    }
-
-    #[test]
-    fn cache_policies_serve_identical_answers() {
-        let net = fixtures::figure1();
-        let mut workload = paper_workload(&net);
-        workload.extend(paper_workload(&net));
-        let run_with = |policy| {
-            ServeSession::new(
-                net.clone(),
-                ServeOptions { threads: 1, cache_policy: policy, ..ServeOptions::default() },
-            )
-            .run(&workload)
-        };
-        use crate::serve::CachePolicy;
-        assert_eq!(run_with(CachePolicy::Fifo), run_with(CachePolicy::Cost));
-    }
-
-    #[test]
     fn row_cache_reused_across_distinct_queries() {
         let net = fixtures::figure1();
-        let mut session = ServeSession::new(net.clone(), ServeOptions::default());
+        let mut session = ServeSession::new(net.clone(), sequential());
         // Distinct p ⇒ distinct result-cache keys, but identical k and
         // candidate sets ⇒ the second query's conflict rows all hit.
         let workload = parse_workload(

@@ -28,7 +28,9 @@
 //!     &net,
 //! )
 //! .unwrap();
-//! let mut session = ServeSession::new(net, ServeOptions::default());
+//! // One worker, so the repeat cannot race the first query's insert.
+//! let options = ServeOptions { threads: 1, ..ServeOptions::default() };
+//! let mut session = ServeSession::new(net, options);
 //! let outcomes = session.run(&workload);
 //! let ItemOutcome::Ktg(repeat) = &outcomes[1] else { unreachable!() };
 //! assert!(repeat.cached, "the second identical query is a cache hit");
@@ -41,10 +43,8 @@ pub mod cache;
 pub mod executor;
 pub mod workload;
 
-pub use cache::{CacheKey, CachePolicy, ResultCache};
-pub use executor::{
-    DktgAnswer, ItemOutcome, KtgAnswer, OracleKind, ServeOracle, ServeSession, ServeStats,
-};
+pub use cache::{CacheKey, ResultCache};
+pub use executor::{DktgAnswer, ItemOutcome, KtgAnswer, ServeSession, ServeStats};
 pub use workload::{parse_request_line, parse_workload, WorkloadItem};
 
 /// Configuration for a [`ServeSession`].
@@ -55,26 +55,14 @@ pub struct ServeOptions {
     /// `1` serves sequentially. Individual solves always run
     /// single-threaded — parallelism lives at the workload level.
     pub threads: usize,
-    /// Master switch for both the result cache and the conflict-row
-    /// memo. Off, every query is a fresh solve (the baseline the `qps`
-    /// bench compares against).
+    /// Master switch for the result cache, its keyword-subset floor
+    /// seeding (DESIGN.md §17), and the conflict-row memo. Off, every
+    /// query is a fresh solve (the baseline the `qps` bench compares
+    /// against).
     pub use_cache: bool,
     /// Capacity (in entries) of the result cache and of the conflict-row
     /// memo. Ignored when `use_cache` is off.
     pub cache_entries: usize,
-    /// Result-cache eviction/admission policy (answers are byte-identical
-    /// under every policy; only hit rates differ).
-    pub cache_policy: CachePolicy,
-    /// Keyword-subset reuse: on a result-cache miss, probe for a cached
-    /// same-parameter superset query `W' ⊇ W_Q` and seed the solver's
-    /// initial `TopN` floor from its re-projected coverage counts.
-    /// Sound — the floor only tightens pruning, never changes the top-N
-    /// (DESIGN.md §17) — and ignored when `use_cache` is off.
-    pub subset_reuse: bool,
-    /// Which distance oracle backs conflict-row construction. NLRNL (the
-    /// default) maintains incrementally under edge updates; PLL answers
-    /// by label merge and rebuilds (in parallel) on update.
-    pub oracle: executor::OracleKind,
     /// Inner engine configuration. The `threads` field is overridden to
     /// `1` per solve; the result-affecting fields (ordering, pruning
     /// toggles, bitmap threshold) are folded into every cache key.
@@ -92,9 +80,6 @@ impl Default for ServeOptions {
             threads: 0,
             use_cache: true,
             cache_entries: 4096,
-            cache_policy: CachePolicy::default(),
-            subset_reuse: true,
-            oracle: executor::OracleKind::Nlrnl,
             engine: BbOptions::vkc_deg(),
             max_inflight: 0,
         }

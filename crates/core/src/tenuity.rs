@@ -84,9 +84,9 @@ pub fn report(oracle: &impl DistanceOracle, members: &[VertexId], k: u32) -> Ten
 /// `None` when no pair is reachable (or fewer than two members) — the
 /// maximally tenuous case.
 ///
-/// Requires an oracle exposing exact distances; [`ktg_index::NlrnlIndex`]
-/// and [`ktg_index::PllIndex`] both do. This function takes the distances
-/// through a closure so any of them (or a plain BFS) plugs in.
+/// Requires an oracle exposing exact distances, such as
+/// [`ktg_index::NlrnlIndex`]. This function takes the distances through
+/// a closure so any such oracle (or a plain BFS) plugs in.
 pub fn group_tenuity<F>(members: &[VertexId], mut distance: F) -> Option<u32>
 where
     F: FnMut(VertexId, VertexId) -> Option<u32>,

@@ -15,7 +15,6 @@
 //! using these bitmaps returns byte-identical groups to one using any
 //! correct oracle.
 
-use crate::pll::PllIndex;
 use ktg_common::parallel::{chunk_size, scope_join, worker_count};
 use ktg_common::{FixedBitSet, VertexId};
 use ktg_graph::bfs::{bfs_levels, BfsScratch};
@@ -65,58 +64,6 @@ pub fn kline_conflict_bitmaps<A: Adjacency + Sync>(
     ));
 
     bitmaps
-}
-
-/// [`kline_conflict_bitmaps`]'s label-merge twin: the identical conflict
-/// matrix, but every row comes from PLL label merges — O(|L(u)| + |L(v)|)
-/// per candidate pair — instead of a hop-bounded BFS over the graph. On
-/// large graphs with small candidate sets this replaces |C| frontier
-/// expansions with |C|² tiny merges, which is the crossover `bb_scaling`
-/// charts. PLL distances are exact, so the bits (and therefore the
-/// search results) are byte-identical to the BFS construction.
-///
-/// `out` is recycled in place ([`FixedBitSet::reset`]) for pooled reuse.
-pub fn pll_conflict_bitmaps_into(
-    pll: &PllIndex,
-    sources: &[VertexId],
-    k: u32,
-    out: &mut Vec<FixedBitSet>,
-) {
-    let m = sources.len();
-    out.truncate(m);
-    while out.len() < m {
-        out.push(FixedBitSet::new(m));
-    }
-    let chunk = chunk_size(m, worker_count());
-    scope_join(sources.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate().map(
-        |(ci, (src_chunk, bm_chunk))| {
-            let base = ci * chunk;
-            move || {
-                let mut hub_scratch = Vec::new();
-                let mut dists = Vec::new();
-                for (off, (src, bitmap)) in
-                    src_chunk.iter().zip(bm_chunk.iter_mut()).enumerate()
-                {
-                    bitmap.reset(m);
-                    pll.distances_into(*src, sources, &mut hub_scratch, &mut dists);
-                    for (j, &d) in dists.iter().enumerate() {
-                        // `d == 0` only at the source itself (candidates
-                        // are distinct vertices), excluded by index.
-                        if j != base + off && d <= k {
-                            bitmap.insert(j);
-                        }
-                    }
-                }
-            }
-        },
-    ));
-}
-
-/// Allocating convenience wrapper over [`pll_conflict_bitmaps_into`].
-pub fn pll_conflict_bitmaps(pll: &PllIndex, sources: &[VertexId], k: u32) -> Vec<FixedBitSet> {
-    let mut out = Vec::new();
-    pll_conflict_bitmaps_into(pll, sources, k, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -200,32 +147,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pll_rows_match_bfs_rows() {
-        let mut rng = ktg_common::SeededRng::seed_from_u64(0x911_0cde);
-        let n = 48;
-        let mut edges = Vec::new();
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.gen_bool(0.06) {
-                    edges.push((u, v));
-                }
-            }
-        }
-        let g = CsrGraph::from_edges(n as usize, &edges).unwrap();
-        let pll = PllIndex::build_parallel_with(&g, 3);
-        let sources: Vec<VertexId> = (0..n).filter(|u| u % 4 != 2).map(VertexId).collect();
-        for k in [0u32, 1, 2, 4] {
-            let bfs_rows = kline_conflict_bitmaps(&g, &sources, k);
-            let pll_rows = pll_conflict_bitmaps(&pll, &sources, k);
-            assert_eq!(pll_rows, bfs_rows, "k={k}");
-        }
-        // Pooled reuse over shrinking source sets recycles rows cleanly.
-        let mut out = pll_conflict_bitmaps(&pll, &sources, 4);
-        let subset: Vec<VertexId> = sources.iter().copied().step_by(2).collect();
-        pll_conflict_bitmaps_into(&pll, &subset, 2, &mut out);
-        assert_eq!(out, kline_conflict_bitmaps(&g, &subset, 2));
     }
 }

@@ -49,19 +49,17 @@ pub mod nl;
 pub mod nlrnl;
 pub mod oracle;
 pub mod persist;
-pub mod pll;
 pub mod rows;
 pub mod space;
 pub mod wal;
 
-pub use batch::{kline_conflict_bitmaps, pll_conflict_bitmaps, pll_conflict_bitmaps_into};
+pub use batch::kline_conflict_bitmaps;
 pub use bfs_oracle::BfsOracle;
 pub use dynamic::DynamicNlrnl;
 pub use exact::ExactOracle;
 pub use nl::NlIndex;
 pub use nlrnl::{EdgeUpdate, NlrnlIndex};
 pub use oracle::DistanceOracle;
-pub use pll::PllIndex;
 pub use rows::{conflict_bitmaps_cached, KernelScratch, NeighborhoodCache};
 pub use space::{BuildStats, IndexSpace};
 pub use wal::{WalRecord, WalReplay, WalSync, WalWriter};

@@ -24,10 +24,6 @@
 //! checksum u64     Fx hash of everything after the magic
 //! ```
 //!
-//! The PLL labeling (magic `"KTGPLL__"`) shares the envelope — version,
-//! fingerprint, streaming checksum — with a per-vertex payload of
-//! `(hub rank, distance)` pairs sorted by rank.
-//!
 //! ## Bundles
 //!
 //! [`save_bundle`]/[`load_bundle`] persist a *whole attributed network* —
@@ -43,8 +39,6 @@
 
 use crate::leveled::LeveledList;
 use crate::nlrnl::NlrnlIndex;
-use crate::pll::PllIndex;
-use crate::space::BuildStats;
 use ktg_common::id::vertex_range;
 use ktg_common::{KtgError, Result, VertexId};
 use ktg_graph::{Adjacency, CompressedCsr, CsrGraph, GraphFormat, GraphStore};
@@ -53,7 +47,6 @@ use std::hash::Hasher;
 use std::io::{BufReader, BufWriter, Read, Write};
 
 const MAGIC: &[u8; 8] = b"KTGNLRNL";
-const PLL_MAGIC: &[u8; 8] = b"KTGPLL__";
 const BUNDLE_MAGIC: &[u8; 8] = b"KTGBNDL_";
 const VERSION: u32 = 1;
 
@@ -277,98 +270,6 @@ pub fn load_nlrnl<A: Adjacency, R: Read>(graph: &A, reader: R) -> Result<NlrnlIn
     validate_component_labels(&components)?;
     Ok(NlrnlIndex::from_parts(n, c, forward, reverse, components))
 }
-
-/// Serializes a PLL labeling. `graph` must be the graph it was built over
-/// (its fingerprint is embedded).
-pub fn save_pll<A: Adjacency, W: Write>(index: &PllIndex, graph: &A, writer: W) -> Result<()> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(PLL_MAGIC)?;
-    let mut cw = ChecksumWriter::new(&mut w);
-    cw.write_u32(VERSION)?;
-    let labels = index.labels();
-    cw.write_u64(labels.len() as u64)?;
-    cw.write_u64(graph_fingerprint(graph))?;
-    for list in labels {
-        cw.write_u32(list.len() as u32)?;
-        for &(rank, dist) in list {
-            cw.write_u32(rank)?;
-            cw.write_u32(dist)?;
-        }
-    }
-    let checksum = cw.checksum();
-    w.write_all(&checksum.to_le_bytes())?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Deserializes a PLL labeling, validating the version, the checksum, and
-/// the graph fingerprint.
-///
-/// # Errors
-/// [`KtgError::InvalidInput`] on corruption or version mismatch;
-/// [`KtgError::IndexMismatch`] when the graph differs from build time.
-pub fn load_pll<A: Adjacency, R: Read>(graph: &A, reader: R) -> Result<PllIndex> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != PLL_MAGIC {
-        return Err(KtgError::input("not a KTG PLL index file"));
-    }
-    let mut cr = ChecksumReader::new(&mut r);
-    let version = cr.read_u32()?;
-    if version != VERSION {
-        return Err(KtgError::input(format!(
-            "unsupported index version {version} (expected {VERSION})"
-        )));
-    }
-    let n = cr.read_u64()? as usize;
-    if n != graph.num_vertices() {
-        return Err(KtgError::IndexMismatch(format!(
-            "index covers {n} vertices, graph has {}",
-            graph.num_vertices()
-        )));
-    }
-    let fingerprint = cr.read_u64()?;
-    if fingerprint != graph_fingerprint(graph) {
-        return Err(KtgError::IndexMismatch(
-            "index was built for a different graph (fingerprint mismatch)".to_string(),
-        ));
-    }
-
-    let mut labels = Vec::with_capacity(n);
-    let mut entries = 0usize;
-    for _ in 0..n {
-        let len = cr.read_u32()? as usize;
-        if len > n {
-            return Err(KtgError::input("corrupt index: label list exceeds |V|"));
-        }
-        let mut list = Vec::with_capacity(len);
-        for _ in 0..len {
-            let rank = cr.read_u32()?;
-            if rank as usize >= n {
-                return Err(KtgError::input("corrupt index: hub rank out of range"));
-            }
-            let dist = cr.read_u32()?;
-            list.push((rank, dist));
-        }
-        if !list.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(KtgError::input("corrupt index: labels not sorted by rank"));
-        }
-        entries += len;
-        labels.push(list);
-    }
-    let expected = cr.checksum();
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    if u64::from_le_bytes(buf) != expected {
-        return Err(KtgError::input("corrupt index: checksum mismatch"));
-    }
-    Ok(PllIndex::from_parts(
-        labels,
-        BuildStats { traversals: n, entries, ..BuildStats::default() },
-    ))
-}
-
 
 // ---------------------------------------------------------------------------
 // Bundles: graph + keywords + optional NLRNL in one file.
@@ -887,55 +788,6 @@ mod tests {
             Ok(_) => panic!("expected IndexMismatch, got a loaded index"),
         }
     }
-
-    #[test]
-    fn pll_roundtrip_preserves_answers() {
-        let g = sample_graph();
-        let index = PllIndex::build_parallel_with(&g, 2);
-        let mut buf = Vec::new();
-        save_pll(&index, &g, &mut buf).unwrap();
-        let loaded = load_pll(&g, buf.as_slice()).unwrap();
-        assert_eq!(index.labels(), loaded.labels(), "labels reload byte-identically");
-        assert_eq!(index.label_entries(), loaded.build_stats().entries);
-        for u in g.vertices() {
-            for v in g.vertices() {
-                assert_eq!(index.distance(u, v), loaded.distance(u, v), "({u:?}, {v:?})");
-            }
-        }
-    }
-
-    #[test]
-    fn pll_load_rejects_nlrnl_file_and_vice_versa() {
-        let g = sample_graph();
-        let nlrnl = NlrnlIndex::build(&g);
-        let mut buf = Vec::new();
-        save_nlrnl(&nlrnl, &g, &mut buf).unwrap();
-        assert!(load_pll(&g, buf.as_slice()).is_err(), "magic mismatch");
-        let pll = PllIndex::build(&g);
-        let mut buf = Vec::new();
-        save_pll(&pll, &g, &mut buf).unwrap();
-        assert!(load_nlrnl(&g, buf.as_slice()).is_err(), "magic mismatch");
-    }
-
-    #[test]
-    fn pll_bitflip_and_wrong_graph_rejected() {
-        let g = sample_graph();
-        let pll = PllIndex::build(&g);
-        let mut buf = Vec::new();
-        save_pll(&pll, &g, &mut buf).unwrap();
-        let mut flipped = buf.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x01;
-        assert!(load_pll(&g, flipped.as_slice()).is_err());
-        let other =
-            CsrGraph::from_edges(8, &[(0, 2), (2, 4), (4, 6), (6, 0), (1, 3), (3, 5)]).unwrap();
-        match load_pll(&other, buf.as_slice()) {
-            Err(KtgError::IndexMismatch(_)) => {}
-            Err(other) => panic!("expected IndexMismatch, got error {other}"),
-            Ok(_) => panic!("expected IndexMismatch, got a loaded index"),
-        }
-    }
-
 
     fn sample_bundle_parts(format: GraphFormat) -> (GraphStore, Vocabulary, VertexKeywords) {
         let graph = GraphStore::from_csr(sample_graph(), format);

@@ -8,7 +8,7 @@
 
 use ktg_common::SeededRng;
 use ktg_graph::{bfs, DynamicGraph, VertexId};
-use ktg_index::{BfsOracle, DistanceOracle, ExactOracle, NlIndex, NlrnlIndex, PllIndex};
+use ktg_index::{BfsOracle, DistanceOracle, ExactOracle, NlIndex, NlrnlIndex};
 use ktg_integration_tests::random_graph;
 
 #[test]
@@ -22,7 +22,6 @@ fn all_oracles_agree_with_ground_truth() {
         let exact = ExactOracle::build(&g);
         let nl = NlIndex::build(&g);
         let nlrnl = NlrnlIndex::build(&g);
-        let pll = PllIndex::build(&g);
         let bfs_oracle = BfsOracle::new(&g);
         let k_max = 2 + n as u32; // beyond any possible diameter
         for u in g.vertices() {
@@ -34,11 +33,6 @@ fn all_oracles_agree_with_ground_truth() {
                         nlrnl.farther_than(u, v, k),
                         truth,
                         "case {case}: NLRNL ({u:?},{v:?},{k})"
-                    );
-                    assert_eq!(
-                        pll.farther_than(u, v, k),
-                        truth,
-                        "case {case}: PLL ({u:?},{v:?},{k})"
                     );
                     assert_eq!(
                         bfs_oracle.farther_than(u, v, k),

@@ -157,32 +157,6 @@ fn unsatisfiable_queries_return_empty() {
 }
 
 #[test]
-fn pll_oracle_agrees_in_full_pipeline() {
-    // The PLL extension must be a drop-in replacement for NLRNL in the
-    // end-to-end query path.
-    use ktg_index::PllIndex;
-    let net = scaled_net();
-    let pll = PllIndex::build(net.graph());
-    let nlrnl = NlrnlIndex::build(net.graph());
-    let mut qg = QueryGen::new(&net, 61);
-    for _ in 0..3 {
-        let query = KtgQuery::new(qg.query(5).expect("workload"), 3, 2, 4).expect("valid");
-        let a = bb::solve(&net, &query, &pll, &bb::BbOptions::vkc_deg());
-        let b = bb::solve(&net, &query, &nlrnl, &bb::BbOptions::vkc_deg());
-        assert_eq!(a.groups, b.groups);
-    }
-    // PLL label size sanity: labels exist and the index answers
-    // distances exactly like NLRNL's recovery.
-    assert!(pll.label_entries() >= net.num_vertices());
-    for u in 0..20.min(net.num_vertices()) {
-        for v in 0..20.min(net.num_vertices()) {
-            let (u, v) = (ktg_common::VertexId(u as u32), ktg_common::VertexId(v as u32));
-            assert_eq!(pll.distance(u, v), nlrnl.distance(u, v));
-        }
-    }
-}
-
-#[test]
 fn tenuity_reports_consistent_with_results() {
     // Every group returned by the engine must be a k-distance group under
     // the tenuity metrics module, with group tenuity > k.
