@@ -1,6 +1,6 @@
 //! Scale bench: the substrate-level numbers behind the 10M-vertex story.
 //!
-//! Four series over a seeded block-diagonal SBM (chunked generators, so
+//! Two series over a seeded block-diagonal SBM (chunked generators, so
 //! the instance is built the same way a 10M-vertex run would be) plus
 //! the figure-9 index comparison ported off the legacy cargo-bench
 //! target:
@@ -11,62 +11,24 @@
 //! * `nlrnl_build_threads` — partitioned parallel NLRNL construction
 //!   across worker counts. With ≥ 4 hardware threads and full sampling,
 //!   4 workers must beat 1 by ≥ 1.5× (the partition merge is cheap).
-//! * `compress` + `bfs_flat` / `bfs_compressed` — compressed-adjacency
-//!   build cost and the decode overhead a full BFS sweep pays for the
-//!   varint blocks. Compressed heap bytes must come in under flat (the
-//!   bench graph honors the ≥ 12 average degree where delta+varint
-//!   wins), and both sweeps must visit identical distance sums.
 //! * `bundle_save` / `bundle_load` — binary persistence round-trip
 //!   (graph + keywords + NLRNL), the O(1)-ish load path that replaces
 //!   rebuild-on-start. The loaded bundle must equal what was saved.
 //!
 //! Like `bb_scaling` and `qps`, the JSON sink stays on in quick mode
 //! (`--test` / `KTG_BENCH_FAST=1`): CI's smoke run seeds the perf
-//! trajectory. The binary also asserts the differential property the
-//! whole format story rests on: a [`ServeSession`] over the compressed
-//! store answers byte-identically to one over the flat store.
+//! trajectory.
 
 use ktg_bench::harness::BenchGroup;
-use ktg_core::serve::{ServeOptions, ServeSession, WorkloadItem};
-use ktg_core::{bb, AttributedGraph, KtgQuery};
 use ktg_datasets::keywords::{assign_zipf_chunked, KeywordModel};
 use ktg_datasets::sbm::{planted_partition_chunked, SbmParams};
-use ktg_datasets::{DatasetProfile, QueryGen};
-use ktg_graph::{Adjacency, GraphFormat, GraphStore};
+use ktg_datasets::DatasetProfile;
 use ktg_index::{persist, NlIndex, NlrnlIndex};
 use std::time::Duration;
 
 const SEED: u64 = 0x5CA1_AB1E;
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const CHUNK: usize = 1 << 16;
-
-/// Full BFS sweep from every 64th vertex, summing distances: a pure
-/// adjacency-decode workload (no index, no allocation-heavy answer).
-fn bfs_sweep<A: Adjacency>(graph: &A) -> u64 {
-    let n = graph.num_vertices();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    let mut total = 0u64;
-    for source in (0..n).step_by(64) {
-        for d in dist.iter_mut() {
-            *d = u32::MAX;
-        }
-        queue.clear();
-        dist[source] = 0;
-        queue.push_back(ktg_common::VertexId(source as u32));
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u.index()];
-            graph.for_each_neighbor(u, |v| {
-                if dist[v.index()] == u32::MAX {
-                    dist[v.index()] = du + 1;
-                    queue.push_back(v);
-                }
-            });
-        }
-        total += dist.iter().filter(|&&d| d != u32::MAX).map(|&d| d as u64).sum::<u64>();
-    }
-    total
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--test")
@@ -102,8 +64,7 @@ fn main() {
     // chunked builder — components stay block-sized, so NLRNL's
     // per-vertex BFS cost is bounded and the sweep measures the
     // partitioned construction, not one giant component. Block size 100
-    // at p_in = 0.12 puts the average degree ≈ 12, the regime where
-    // delta+varint compression beats flat CSR.
+    // at p_in = 0.12 puts the average degree ≈ 12.
     let params = SbmParams { n, blocks, p_in: 0.12, p_out: 0.0 };
     let flat = planted_partition_chunked(&params, SEED, CHUNK).expect("chunked SBM");
     let (vocab, vk) = assign_zipf_chunked(n, &KeywordModel::default(), SEED ^ 0x515F);
@@ -136,71 +97,21 @@ fn main() {
         if quick { ", quick mode: assert skipped" } else { "" }
     );
 
-    // Space vs format, and the decode overhead the compressed blocks pay.
-    let comp_store = GraphStore::from_csr(flat.clone(), GraphFormat::Compressed);
-    group.bench("compress", n, || GraphStore::from_csr(flat.clone(), GraphFormat::Compressed));
-    let flat_store = GraphStore::Flat(flat.clone());
-    let (flat_bytes, comp_bytes) = (flat_store.heap_bytes(), comp_store.heap_bytes());
-    assert!(
-        comp_bytes < flat_bytes,
-        "compressed adjacency ({comp_bytes} B) should undercut flat ({flat_bytes} B) \
-         at average degree {:.1}",
-        2.0 * flat.num_edges() as f64 / n as f64
-    );
-    eprintln!(
-        "scale: space at {n} vertices / {} edges — flat {flat_bytes} B, \
-         compressed {comp_bytes} B ({:.1}% of flat)",
-        flat.num_edges(),
-        100.0 * comp_bytes as f64 / flat_bytes as f64
-    );
-    let flat_sum = bfs_sweep(&flat_store);
-    let comp_sum = bfs_sweep(&comp_store);
-    assert_eq!(flat_sum, comp_sum, "BFS sweep diverged between formats");
-    let s_flat = group.bench("bfs_flat", n, || bfs_sweep(&flat_store));
-    let s_comp = group.bench("bfs_compressed", n, || bfs_sweep(&comp_store));
-    eprintln!(
-        "scale: BFS decode overhead {:.2}x (flat {:?}, compressed {:?})",
-        s_comp.min.as_secs_f64() / s_flat.min.as_secs_f64().max(1e-12),
-        s_flat.min,
-        s_comp.min
-    );
-
-    // Binary persistence: save and load the full bundle (compressed
-    // graph + keywords + NLRNL index) through memory.
+    // Binary persistence: save and load the full bundle (graph +
+    // keywords + NLRNL index) through memory.
     let index = NlrnlIndex::build_with_threads(&flat, cores.min(8));
     let mut bytes: Vec<u8> = Vec::new();
-    persist::save_bundle(&comp_store, &vocab, &vk, Some(&index), &mut bytes)
-        .expect("bundle save");
+    persist::save_bundle(&flat, &vocab, &vk, Some(&index), &mut bytes).expect("bundle save");
     group.bench("bundle_save", n, || {
         let mut sink: Vec<u8> = Vec::with_capacity(bytes.len());
-        persist::save_bundle(&comp_store, &vocab, &vk, Some(&index), &mut sink)
-            .expect("bundle save");
+        persist::save_bundle(&flat, &vocab, &vk, Some(&index), &mut sink).expect("bundle save");
         sink.len()
     });
     let loaded = persist::load_bundle(bytes.as_slice()).expect("bundle load");
-    assert_eq!(loaded.graph, comp_store, "bundle round-trip changed the graph");
+    assert_eq!(loaded.graph, flat, "bundle round-trip changed the graph");
     assert_eq!(loaded.keywords, vk, "bundle round-trip changed the keyword arena");
     assert!(loaded.index.is_some(), "bundle dropped the NLRNL index");
     group.bench("bundle_load", n, || persist::load_bundle(bytes.as_slice()).expect("bundle load"));
     eprintln!("scale: bundle {} bytes for {n} vertices (graph + keywords + index)", bytes.len());
-
-    // The differential gate: serving over the compressed store must
-    // answer byte-identically to serving over the flat store.
-    let queries = if quick { 4 } else { 12 };
-    let net_flat = AttributedGraph::with_store(flat_store, vocab.clone(), vk.clone());
-    let net_comp = AttributedGraph::with_store(comp_store, vocab, vk);
-    let workload: Vec<WorkloadItem> = QueryGen::new(&net_flat, SEED ^ 0xBEEF)
-        .batch(queries, 5)
-        .expect("scale workload")
-        .into_iter()
-        .map(|q| WorkloadItem::Ktg(KtgQuery::new(q, 3, 2, 5).expect("valid params")))
-        .collect();
-    let options =
-        ServeOptions { threads: 1, engine: bb::BbOptions::vkc_deg(), ..ServeOptions::default() };
-    let out_flat = ServeSession::new(net_flat, options.clone()).run(&workload);
-    let out_comp = ServeSession::new(net_comp, options).run(&workload);
-    assert_eq!(out_flat, out_comp, "compressed-format serving diverged from flat");
-    eprintln!(
-        "scale: done (quick={quick}); flat/compressed serving identical over {queries} queries"
-    );
+    eprintln!("scale: done (quick={quick})");
 }

@@ -6,10 +6,11 @@
 //! This binary folds each append-only log into one deterministic JSON
 //! document: the **latest** record per `(bench, param)` pair, plus the
 //! derived headline ratios the CI gate asserts (cache speedup, thread
-//! scaling, compressed-decode overhead, bundle load-vs-save). Hand-rolled parsing against the harness's known
-//! flat-object shape — the workspace's dependency budget has no serde,
-//! and the two writers ([`ktg_bench::harness::Summary::to_json_line`]
-//! and `bb_scaling`'s richer record) share it.
+//! scaling, bundle load-vs-save). Hand-rolled parsing against the
+//! harness's known flat-object shape — the workspace's dependency budget
+//! has no serde, and the two writers
+//! ([`ktg_bench::harness::Summary::to_json_line`] and `bb_scaling`'s
+//! richer record) share it.
 //!
 //! Usage: `summarize [OUT_DIR]` — reads every known group log under
 //! `$KTG_BENCH_OUT` (default `bench_results/`): `qps.jsonl`,
@@ -131,7 +132,6 @@ fn derived(group: &str, records: &[Record]) -> Vec<(&'static str, Option<f64>)> 
                 "build_speedup_4t",
                 time_ratio(records, ("nlrnl_build_threads", "1"), ("nlrnl_build_threads", "4")),
             ),
-            ("decode_overhead", time_ratio(records, ("bfs_compressed", "*"), ("bfs_flat", "*"))),
             ("load_over_save", time_ratio(records, ("bundle_load", "*"), ("bundle_save", "*"))),
         ],
         _ => Vec::new(),
@@ -268,14 +268,11 @@ mod tests {
         let records = vec![
             mk("nlrnl_build_threads", "1", 0.0, 4000),
             mk("nlrnl_build_threads", "4", 0.0, 2000),
-            mk("bfs_flat", "48000", 0.0, 1000),
-            mk("bfs_compressed", "48000", 0.0, 1300),
             mk("bundle_save", "48000", 0.0, 500),
             mk("bundle_load", "48000", 0.0, 250),
         ];
         let json = render("scale", &records);
         assert!(json.contains("\"build_speedup_4t\":2.000"), "{json}");
-        assert!(json.contains("\"decode_overhead\":1.300"), "{json}");
         assert!(json.contains("\"load_over_save\":0.500"), "{json}");
     }
 

@@ -34,11 +34,10 @@ fn main() {
             eprintln!("  generate --profile NAME --out DIR [--scale N] [--seed N]");
             eprintln!("  generate --sbm-n N --out DIR [--sbm-blocks B] [--sbm-pin P] [--sbm-pout P]");
             eprintln!("  stats    --edges FILE [--keywords FILE]");
-            eprintln!("  index    --edges FILE [--keywords FILE] (--out FILE | --bundle FILE)");
-            eprintln!("           [--threads N] [--graph-format flat|compressed]");
+            eprintln!("  index    --edges FILE [--keywords FILE] --bundle FILE [--threads N]");
             eprintln!("  query    --edges FILE [--keywords FILE] (--terms a,b,c | --random-terms N)");
             eprintln!("           [-p N] [-k N] [-n N] [--algo qkc|vkc|vkc-deg]");
-            eprintln!("           [--oracle bfs|nl|nlrnl] [--index FILE] [--authors 1,2]");
+            eprintln!("           [--oracle bfs|nl|nlrnl] [--threads N] [--authors 1,2]");
             eprintln!("           [--explain true] [--deadline-ms N] [--node-budget N]");
             eprintln!("  dktg     (query flags) [--gamma F]");
             eprintln!("  batch    --workload FILE --edges FILE [--keywords FILE] [--threads N]");

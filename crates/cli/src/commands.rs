@@ -13,7 +13,7 @@ use ktg_core::{
     bb, candidates, explain, multi_query, verify, AttributedGraph, KtgQuery, MemberOrdering,
 };
 use ktg_datasets::{DatasetProfile, QueryGen};
-use ktg_graph::{io as graph_io, stats, GraphFormat, GraphStore};
+use ktg_graph::{io as graph_io, stats};
 use ktg_index::{persist, BfsOracle, DistanceOracle, NlIndex, NlrnlIndex};
 use ktg_keywords::io as keyword_io;
 use std::fs::File;
@@ -109,13 +109,6 @@ fn generate(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
     Ok(())
 }
 
-/// `--graph-format flat|compressed`: which in-memory topology layout to
-/// use (absent = keep the source's format; text inputs default to flat).
-fn graph_format_flag(args: &ParsedArgs) -> Result<Option<GraphFormat>> {
-    args.optional("graph-format").map(GraphFormat::parse).transpose()
-}
-
-
 /// The `--sbm-*` arm of [`generate`].
 fn generate_sbm(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
     let params = ktg_datasets::sbm::SbmParams {
@@ -162,20 +155,10 @@ pub(crate) fn load_network(args: &ParsedArgs) -> Result<AttributedGraph> {
 /// Loads an attributed network plus any pre-built NLRNL index that rode
 /// along: from `--bundle FILE` (one binary file, O(I/O) reload) when
 /// given, otherwise from `--edges` (+ optional `--keywords`) text files.
-/// `--graph-format` converts the topology on either path.
 pub(crate) fn load_network_ex(args: &ParsedArgs) -> Result<(AttributedGraph, Option<NlrnlIndex>)> {
-    let want = graph_format_flag(args)?;
     if let Some(path) = args.optional("bundle") {
         let bundle = persist::load_bundle(File::open(path)?)?;
-        let mut graph = bundle.graph;
-        if let Some(fmt) = want {
-            if fmt != graph.format() {
-                // Format conversion preserves topology, so the bundled
-                // index (fingerprinted on the degree sequence) stays valid.
-                graph = GraphStore::from_csr(graph.to_csr(), fmt);
-            }
-        }
-        let net = AttributedGraph::with_store(graph, bundle.vocab, bundle.keywords);
+        let net = AttributedGraph::new(bundle.graph, bundle.vocab, bundle.keywords);
         return Ok((net, bundle.index));
     }
     load_network_from_files(args).map(|net| (net, None))
@@ -185,7 +168,6 @@ pub(crate) fn load_network_ex(args: &ParsedArgs) -> Result<(AttributedGraph, Opt
 /// `--edges`/`--keywords`, never `--bundle` (which `ktg index` uses as an
 /// *output* path).
 fn load_network_from_files(args: &ParsedArgs) -> Result<AttributedGraph> {
-    let want = graph_format_flag(args)?;
     let edges = args.required("edges")?;
     let loaded = graph_io::read_edge_list(File::open(edges)?)?;
     let n = loaded.graph.num_vertices();
@@ -198,8 +180,7 @@ fn load_network_from_files(args: &ParsedArgs) -> Result<AttributedGraph> {
             ktg_datasets::keywords::assign_zipf(n, &model, 42)
         }
     };
-    let store = GraphStore::from_csr(loaded.graph, want.unwrap_or(GraphFormat::Flat));
-    Ok(AttributedGraph::with_store(store, vocab, vk))
+    Ok(AttributedGraph::new(loaded.graph, vocab, vk))
 }
 
 /// `ktg stats --edges FILE [--keywords FILE]`
@@ -221,19 +202,13 @@ fn stats_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
     Ok(())
 }
 
-/// `ktg index --edges FILE (--out FILE | --bundle FILE) [--keywords FILE]
-/// [--graph-format flat|compressed] [--threads N]`
+/// `ktg index --edges FILE --bundle FILE [--keywords FILE] [--threads N]`
 ///
-/// `--out` writes the bare index; `--bundle` writes the whole network
-/// (graph in the selected format, vocabulary, keyword arena, NLRNL index)
-/// as one binary file that `query`/`batch`/`serve --bundle` reload
-/// without re-parsing text or rebuilding the index.
+/// Writes the whole network (graph, vocabulary, keyword arena, NLRNL
+/// index) as one binary file that `query`/`dktg`/`batch`/`serve --bundle`
+/// reload without re-parsing text or rebuilding the index.
 fn index_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
-    let out_path = args.optional("out");
-    let bundle_path = args.optional("bundle");
-    if out_path.is_none() && bundle_path.is_none() {
-        return Err(KtgError::input("provide --out FILE and/or --bundle FILE"));
-    }
+    let path = args.required("bundle")?;
     let net = load_network_from_files(args)?;
     let graph = net.graph();
     let threads: usize = args.num_or("threads", 0)?;
@@ -242,29 +217,17 @@ fn index_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
     } else {
         NlrnlIndex::build_with_threads(graph, threads)
     };
-    if let Some(path) = out_path {
-        persist::save_nlrnl(&index, graph, File::create(path)?)?;
-    }
-    if let Some(path) = bundle_path {
-        persist::save_bundle(
-            graph,
-            net.vocab(),
-            net.keywords(),
-            Some(&index),
-            File::create(path)?,
-        )?;
-        writeln!(out, "bundled {} graph + keywords + index into {path}", graph.format())?;
-    }
+    persist::save_bundle(graph, net.vocab(), net.keywords(), Some(&index), File::create(path)?)?;
+    writeln!(out, "bundled graph + keywords + index into {path}")?;
     let space = index.space();
     writeln!(
         out,
-        "built NLRNL over {} vertices in {:?}: {} bytes ({} forward, {} reverse), saved to {}",
+        "built NLRNL over {} vertices in {:?}: {} bytes ({} forward, {} reverse)",
         graph.num_vertices(),
         index.build_stats().elapsed,
         space.total_bytes(),
         space.forward_bytes,
         space.reverse_bytes,
-        out_path.or(bundle_path).unwrap_or("-")
     )?;
     Ok(())
 }
@@ -439,15 +402,13 @@ fn query_cmd(args: &ParsedArgs, out: &mut dyn Write, diversified: bool) -> Resul
     };
     let query = KtgQuery::new(keywords.clone(), p, k, n)?;
 
-    // Oracle selection; `--index FILE` loads a persisted NLRNL index
-    // (see `ktg index --out`).
+    // Oracle selection; NLRNL reuses the index a `--bundle` carries.
     let oracle: Box<dyn DistanceOracle> = match args.optional("oracle").unwrap_or("nlrnl") {
         "bfs" => Box::new(BfsOracle::new(net.graph())),
         "nl" => Box::new(NlIndex::build(net.graph())),
-        "nlrnl" => match (args.optional("index"), preloaded) {
-            (Some(path), _) => Box::new(persist::load_nlrnl(net.graph(), File::open(path)?)?),
-            (None, Some(index)) => Box::new(index),
-            (None, None) => Box::new(NlrnlIndex::build(net.graph())),
+        "nlrnl" => match preloaded {
+            Some(index) => Box::new(index),
+            None => Box::new(NlrnlIndex::build(net.graph())),
         },
         other => {
             return Err(KtgError::input(format!("unknown oracle '{other}' (bfs|nl|nlrnl)")))
@@ -456,12 +417,10 @@ fn query_cmd(args: &ParsedArgs, out: &mut dyn Write, diversified: bool) -> Resul
     let oracle = oracle.as_ref();
 
     let ordering = ordering_flag(args)?;
-    // `--parallel true` fans the search out over all cores (KTG_THREADS
-    // honored); `--threads N` pins an exact worker count and wins when
-    // both are given. Either way the results are byte-identical to the
-    // sequential engine — only the wall clock changes.
-    let parallel = args.optional("parallel").is_some_and(|v| v == "true" || v == "1");
-    let threads: usize = args.num_or("threads", if parallel { 0 } else { 1 })?;
+    // `--threads N` pins the worker count (0 = all cores, KTG_THREADS
+    // honored). The results are byte-identical to the sequential engine —
+    // only the wall clock changes.
+    let threads: usize = args.num_or("threads", 1)?;
     let bitmap_threshold: usize =
         args.num_or("bitmap-threshold", bb::DEFAULT_BITMAP_THRESHOLD)?;
     let mut opts = bb::BbOptions::vkc()
@@ -610,19 +569,20 @@ mod tests {
         assert!(stats.contains("graph: |V|="));
         assert!(stats.contains("vocabulary:"));
 
-        let idx_path = dir.join("nlrnl.idx");
+        let bundle = dir.join("net.bundle");
         let idx = run_to_string(&[
-            "index", "--edges", edges.to_str().unwrap(), "--out", idx_path.to_str().unwrap(),
+            "index",
+            "--edges", edges.to_str().unwrap(),
+            "--keywords", keywords.to_str().unwrap(),
+            "--bundle", bundle.to_str().unwrap(),
         ])
         .unwrap();
         assert!(idx.contains("built NLRNL"));
-        assert!(idx_path.exists());
+        assert!(bundle.exists());
 
         let q = run_to_string(&[
             "query",
-            "--edges", edges.to_str().unwrap(),
-            "--keywords", keywords.to_str().unwrap(),
-            "--index", idx_path.to_str().unwrap(),
+            "--bundle", bundle.to_str().unwrap(),
             "--random-terms", "5",
             "-p", "3", "-k", "1", "-n", "3",
             "--explain", "true",
@@ -648,7 +608,7 @@ mod tests {
 
 
     #[test]
-    fn graph_format_and_bundle_are_differential() {
+    fn text_and_bundle_are_differential() {
         let dir = temp_dir("bundle");
         let out = dir.to_str().unwrap();
         // Chunked SBM generation: block-diagonal (p_out 0) keeps every
@@ -687,16 +647,11 @@ ktg terms=t0,t1,t2 p=2 k=1 n=2
                 .map(String::from)
                 .collect()
         };
-        let flat = answers(&run_to_string(&base).unwrap());
-        assert!(!flat.is_empty());
-
-        // The compressed format must answer byte-identically.
-        let mut compressed = base.to_vec();
-        compressed.extend(["--graph-format", "compressed"]);
-        assert_eq!(answers(&run_to_string(&compressed).unwrap()), flat);
+        let from_text = answers(&run_to_string(&base).unwrap());
+        assert!(!from_text.is_empty());
 
         // Bundle the network + index, then serve the same workload from
-        // the bundle — byte-identical again, in both formats.
+        // the bundle — byte-identical.
         let bundle = dir.join("net.bundle");
         let built = run_to_string(&[
             "index",
@@ -705,37 +660,15 @@ ktg terms=t0,t1,t2 p=2 k=1 n=2
             "--bundle", bundle.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(built.contains("bundled flat graph"), "{built}");
-        for fmt in ["flat", "compressed"] {
-            let from_bundle = run_to_string(&[
-                "batch",
-                "--workload", workload.to_str().unwrap(),
-                "--bundle", bundle.to_str().unwrap(),
-                "--graph-format", fmt,
-                "--threads", "1",
-            ])
-            .unwrap();
-            assert_eq!(answers(&from_bundle), flat, "bundle/{fmt} diverged");
-        }
-
-        // A compressed-format bundle reloads identically too.
-        let cbundle = dir.join("net-compressed.bundle");
-        run_to_string(&[
-            "index",
-            "--edges", edges.to_str().unwrap(),
-            "--keywords", keywords.to_str().unwrap(),
-            "--graph-format", "compressed",
-            "--bundle", cbundle.to_str().unwrap(),
-        ])
-        .unwrap();
-        let from_cbundle = run_to_string(&[
+        assert!(built.contains("bundled graph + keywords + index"), "{built}");
+        let from_bundle = run_to_string(&[
             "batch",
             "--workload", workload.to_str().unwrap(),
-            "--bundle", cbundle.to_str().unwrap(),
+            "--bundle", bundle.to_str().unwrap(),
             "--threads", "1",
         ])
         .unwrap();
-        assert_eq!(answers(&from_cbundle), flat);
+        assert_eq!(answers(&from_bundle), from_text, "bundle diverged from text");
 
         // Query straight off a bundle (index reused, no rebuild).
         let q = run_to_string(&[
@@ -746,11 +679,6 @@ ktg terms=t0,t1,t2 p=2 k=1 n=2
         ])
         .unwrap();
         assert!(q.contains("KTG query"), "{q}");
-
-        // Unknown format is a clean error.
-        let mut bad = base.to_vec();
-        bad.extend(["--graph-format", "zstd"]);
-        assert!(run_to_string(&bad).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -802,7 +730,7 @@ ktg terms=t0,t1,t2 p=2 k=1 n=2
         assert!(!sequential.is_empty());
         for extra in [
             &["--threads", "4"][..],
-            &["--parallel", "true"][..],
+            &["--threads", "0"][..],
             &["--threads", "4", "--bitmap-threshold", "0"][..],
         ] {
             let mut argv = base.to_vec();

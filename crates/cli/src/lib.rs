@@ -6,9 +6,9 @@
 //! ```text
 //! ktg generate --profile gowalla --scale 100 --seed 42 --out data/
 //! ktg stats    --edges data/edges.txt
-//! ktg index    --edges data/edges.txt --out data/nlrnl.idx
-//! ktg query    --edges data/edges.txt --keywords data/keywords.txt \
-//!              --terms t1,t5,t9 -p 3 -k 2 -n 5 --explain
+//! ktg index    --edges data/edges.txt --keywords data/keywords.txt \
+//!              --bundle data/net.bundle
+//! ktg query    --bundle data/net.bundle --terms t1,t5,t9 -p 3 -k 2 -n 5 --explain true
 //! ktg dktg     --edges data/edges.txt --keywords data/keywords.txt \
 //!              --terms t1,t5,t9 -p 3 -k 2 -n 5 --gamma 0.5
 //! ktg batch    --workload queries.txt --edges data/edges.txt \

@@ -1527,7 +1527,7 @@ mod tests {
             ktg_index::persist::load_bundle(std::fs::File::open(&bundle).unwrap())
                 .unwrap();
         let net =
-            AttributedGraph::with_store(loaded.graph, loaded.vocab, loaded.keywords);
+            AttributedGraph::new(loaded.graph, loaded.vocab, loaded.keywords);
         let cfg2 = ServeConfig {
             workers: 2,
             options: ServeOptions { threads: 1, ..ServeOptions::default() },

@@ -86,7 +86,7 @@ impl ConflictKernel {
 mod tests {
     use super::*;
 
-    fn figure1_parts() -> (ktg_graph::GraphStore, Vec<Candidate>) {
+    fn figure1_parts() -> (ktg_graph::CsrGraph, Vec<Candidate>) {
         let net = crate::fixtures::figure1();
         let query = crate::query::KtgQuery::new(
             net.query_keywords(["SN", "QP", "DQ", "GQ", "GD"]).unwrap(),

@@ -120,14 +120,14 @@ mod tests {
     #[test]
     fn u0_neighbors_match_paper() {
         let net = figure1();
-        let ns: Vec<u32> = net.graph().neighbors_vec(VertexId(0)).iter().map(|v| v.0).collect();
+        let ns: Vec<u32> = net.graph().neighbors(VertexId(0)).iter().map(|v| v.0).collect();
         assert_eq!(ns, vec![1, 2, 3, 4, 9, 11]);
     }
 
     #[test]
     fn u3_neighbors_and_levels_match_paper() {
         let net = figure1();
-        let ns: Vec<u32> = net.graph().neighbors_vec(VertexId(3)).iter().map(|v| v.0).collect();
+        let ns: Vec<u32> = net.graph().neighbors(VertexId(3)).iter().map(|v| v.0).collect();
         assert_eq!(ns, vec![0, 2, 4, 9], "u3's 1-hop list from §V-A");
         // u3's only 3-hop neighbor is u5; eccentricity 3.
         let oracle = ExactOracle::build(net.graph());

@@ -6,13 +6,13 @@
 //! algorithm modules take it by reference.
 
 use ktg_common::{Result, VertexId};
-use ktg_graph::{CsrGraph, GraphFormat, GraphStore};
+use ktg_graph::CsrGraph;
 use ktg_keywords::{InvertedIndex, QueryKeywords, QueryMasks, VertexKeywords, Vocabulary};
 
 /// An attributed social network `G = (V, E, κ)`.
 #[derive(Clone, Debug)]
 pub struct AttributedGraph {
-    graph: GraphStore,
+    graph: CsrGraph,
     vocab: Vocabulary,
     keywords: VertexKeywords,
     inverted: InvertedIndex,
@@ -25,16 +25,6 @@ impl AttributedGraph {
     /// Debug-panics if the keyword arena covers a different number of
     /// vertices than the graph.
     pub fn new(graph: CsrGraph, vocab: Vocabulary, keywords: VertexKeywords) -> Self {
-        Self::with_store(GraphStore::from(graph), vocab, keywords)
-    }
-
-    /// Assembles a network over an explicit topology store — the entry
-    /// point for the compressed format and for reloaded bundles.
-    ///
-    /// # Panics
-    /// Debug-panics if the keyword arena covers a different number of
-    /// vertices than the graph.
-    pub fn with_store(graph: GraphStore, vocab: Vocabulary, keywords: VertexKeywords) -> Self {
         debug_assert_eq!(
             graph.num_vertices(),
             keywords.num_vertices(),
@@ -44,16 +34,27 @@ impl AttributedGraph {
         AttributedGraph { graph, vocab, keywords, inverted }
     }
 
-    /// The social graph.
-    #[inline]
-    pub fn graph(&self) -> &GraphStore {
-        &self.graph
+    /// Another name for [`AttributedGraph::new`], kept because
+    /// `perfbench/` assembles reloaded bundles through it.
+    pub fn with_store(graph: CsrGraph, vocab: Vocabulary, keywords: VertexKeywords) -> Self {
+        Self::new(graph, vocab, keywords)
     }
 
-    /// The topology storage format.
+    /// Swaps in a new topology over the same vertex set, keeping the
+    /// vocabulary, keyword arena and inverted index (edge updates change
+    /// none of them).
+    ///
+    /// # Panics
+    /// Debug-panics if `graph` has a different number of vertices.
+    pub fn set_graph(&mut self, graph: CsrGraph) {
+        debug_assert_eq!(graph.num_vertices(), self.graph.num_vertices(), "|V| changed");
+        self.graph = graph;
+    }
+
+    /// The social graph.
     #[inline]
-    pub fn graph_format(&self) -> GraphFormat {
-        self.graph.format()
+    pub fn graph(&self) -> &CsrGraph {
+        &self.graph
     }
 
     /// The keyword vocabulary `κ`.
@@ -109,8 +110,7 @@ impl AttributedGraph {
                 kb.add(VertexId::new(new), k);
             }
         }
-        let store = GraphStore::from_csr(sub.graph.clone(), self.graph.format());
-        let net = AttributedGraph::with_store(store, self.vocab.clone(), kb.build());
+        let net = AttributedGraph::new(sub.graph.clone(), self.vocab.clone(), kb.build());
         (net, sub)
     }
 

@@ -50,7 +50,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ktg_common::fault::{self, FaultSite};
 use ktg_common::parallel::{scope_join, worker_count};
 use ktg_common::{CompletionStatus, FixedBitSet, Pool, PoolGuard, Stopwatch, VertexId};
-use ktg_graph::GraphStore;
 use ktg_index::{
     conflict_bitmaps_cached, kline_conflict_bitmaps, DynamicNlrnl, KernelScratch,
     NeighborhoodCache, NlrnlIndex,
@@ -406,11 +405,7 @@ impl ServeSession {
         let applied = changed.unwrap_or(false);
         if applied {
             self.epoch += 1;
-            self.net = AttributedGraph::with_store(
-                GraphStore::from_csr(self.oracle.graph().to_csr(), self.net.graph().format()),
-                self.net.vocab().clone(),
-                self.net.keywords().clone(),
-            );
+            self.net.set_graph(self.oracle.graph().to_csr());
         }
         ItemOutcome::Update { applied }
     }

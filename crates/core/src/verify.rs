@@ -434,7 +434,7 @@ mod tests {
         // sits at distance 1 ≤ k, so the audit must flag a k-line.
         let g = &groups[0];
         let keep = g.members()[0];
-        let close = net.graph().neighbors_vec(keep)[0];
+        let close = net.graph().neighbors(keep)[0];
         assert!(!g.contains(close), "neighbor must be a genuine substitution");
         let mut members = g.members().to_vec();
         members[1] = close;

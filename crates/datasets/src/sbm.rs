@@ -11,7 +11,7 @@
 
 use ktg_common::rng::SplitMix64;
 use ktg_common::{Result, SeededRng, VertexId};
-use ktg_graph::{CompressedCsr, CsrGraph, GraphBuilder, StreamingGraphBuilder};
+use ktg_graph::{CsrGraph, GraphBuilder, StreamingGraphBuilder};
 
 /// Parameters of a planted-partition graph.
 #[derive(Clone, Copy, Debug)]
@@ -190,26 +190,6 @@ pub fn planted_partition_chunked(
     b.finish()
 }
 
-/// [`planted_partition_chunked`] straight into the compressed format.
-///
-/// # Errors
-/// Propagates spill-file I/O errors from the streaming builder.
-pub fn planted_partition_chunked_compressed(
-    params: &SbmParams,
-    seed: u64,
-    chunk_capacity: usize,
-) -> Result<CompressedCsr> {
-    let mut b = StreamingGraphBuilder::with_chunk_capacity(params.n, chunk_capacity);
-    let mut pending = Ok(());
-    for_each_sbm_edge(params, seed, |u, v| {
-        if pending.is_ok() {
-            pending = b.add_edge(u, v);
-        }
-    });
-    pending?;
-    b.finish_compressed()
-}
-
 /// The fraction of edges that stay inside a community — a cheap modularity
 /// proxy used by tests and the ablation bench.
 pub fn intra_fraction(params: &SbmParams, graph: &CsrGraph) -> f64 {
@@ -294,18 +274,6 @@ mod tests {
         let expect = 4.0 * 4950.0 * 0.2;
         let intra = g.num_edges() as f64 * frac;
         assert!((intra - expect).abs() < expect * 0.25, "intra {intra} vs {expect}");
-    }
-
-    #[test]
-    fn chunked_compressed_matches_flat() {
-        let p = SbmParams { n: 250, blocks: 5, p_in: 0.3, p_out: 0.01 };
-        let flat = planted_partition_chunked(&p, 3, 128).unwrap();
-        let comp = planted_partition_chunked_compressed(&p, 3, 128).unwrap();
-        assert_eq!(comp.num_vertices(), flat.num_vertices());
-        assert_eq!(comp.num_edges(), flat.num_edges());
-        for v in flat.vertices() {
-            assert_eq!(comp.neighbors_vec(v).as_slice(), flat.neighbors(v));
-        }
     }
 
     #[test]

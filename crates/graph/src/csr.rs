@@ -10,16 +10,13 @@ use ktg_common::{KtgError, Result, VertexId};
 
 /// Read access to an undirected graph's adjacency structure.
 ///
-/// [`CsrGraph`], [`crate::CompressedCsr`], [`crate::GraphStore`] and
-/// [`crate::DynamicGraph`] all implement this, so traversals (BFS,
-/// component labelling) and index construction run over any
-/// representation. Neighbor access is callback-based
-/// ([`Adjacency::for_each_neighbor`]) rather than slice-based so that
-/// compressed representations, which decode lists on the fly, fit
-/// behind the same trait; implementations must visit neighbors in
-/// strictly ascending vertex order (the invariant every flat list
-/// already keeps), which is what makes traversal results identical
-/// across representations.
+/// [`CsrGraph`] and [`crate::DynamicGraph`] both implement this, so
+/// traversals (BFS, component labelling) and index construction run over
+/// the frozen topology and the mutable one alike. Neighbor access is
+/// callback-based ([`Adjacency::for_each_neighbor`]); implementations
+/// must visit neighbors in strictly ascending vertex order (the invariant
+/// every sorted list already keeps), which is what makes traversal
+/// results identical across the two.
 pub trait Adjacency {
     /// Number of vertices.
     fn num_vertices(&self) -> usize;

@@ -132,7 +132,7 @@ impl DynamicGraph {
         Self::from_graph(graph)
     }
 
-    /// Thaws any [`Adjacency`] (e.g. a compressed graph) into mutable form.
+    /// Thaws any [`Adjacency`] into mutable form.
     pub fn from_graph<A: Adjacency>(graph: &A) -> Self {
         let adj: Vec<Vec<VertexId>> = ktg_common::id::vertex_range(graph.num_vertices())
             .map(|v| {

@@ -26,19 +26,15 @@
 
 pub mod bfs;
 pub mod components;
-pub mod compressed;
 pub mod csr;
 pub mod dynamic;
 pub mod io;
 pub mod stats;
-pub mod store;
 pub mod streaming;
 pub mod subgraph;
 
 pub use bfs::BfsScratch;
-pub use compressed::CompressedCsr;
 pub use csr::{Adjacency, CsrGraph, GraphBuilder};
 pub use dynamic::DynamicGraph;
 pub use ktg_common::VertexId;
-pub use store::{GraphFormat, GraphStore};
 pub use streaming::StreamingGraphBuilder;

@@ -16,16 +16,13 @@
 //!    runs (plus the final in-memory buffer) with a binary heap,
 //!    deduplicates adjacent pairs, and streams the globally sorted
 //!    half-edges straight into CSR arrays — no second full-size sort
-//!    buffer ever exists. [`StreamingGraphBuilder::finish_compressed`]
-//!    feeds the same merge directly into the block varint encoder, so a
-//!    compressed graph is built without materializing the flat arrays.
+//!    buffer ever exists.
 //!
 //! The result is identical to `GraphBuilder` over the same edge
 //! multiset (same dedup, same self-loop stripping, same sorted lists) —
 //! a differential test holds the two equal — so chunk size and spill
 //! count affect memory and wall clock only, never the graph.
 
-use crate::compressed::{CompressedCsr, Encoder};
 use crate::csr::CsrGraph;
 use ktg_common::{KtgError, Result, VertexId};
 use std::collections::BinaryHeap;
@@ -128,10 +125,13 @@ impl StreamingGraphBuilder {
         Ok(())
     }
 
-    /// Merges all runs and the residual buffer, feeding each vertex's
-    /// final sorted neighbor list to `sink` in vertex order (including
-    /// empty lists for isolated vertices).
-    fn merge_into<F: FnMut(VertexId, &[VertexId])>(mut self, mut sink: F) -> Result<()> {
+    /// Finalizes into a flat [`CsrGraph`]: k-way merges all runs and the
+    /// residual buffer, dropping cross-run duplicates, straight into the
+    /// CSR arrays (isolated vertices get empty lists).
+    ///
+    /// # Errors
+    /// Returns [`KtgError::Io`] if reading a spill run fails.
+    pub fn finish(mut self) -> Result<CsrGraph> {
         self.buf.sort_unstable();
         self.buf.dedup();
 
@@ -150,8 +150,10 @@ impl StreamingGraphBuilder {
             }
         }
 
-        let mut current_src = 0u32;
-        let mut list: Vec<VertexId> = Vec::new();
+        let n = self.num_vertices;
+        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut neighbors: Vec<VertexId> = Vec::new();
         let mut last: Option<(u32, u32)> = None;
         while let Some(std::cmp::Reverse((pair, i))) = heap.pop() {
             if let Some(next) = sources[i].next_pair()? {
@@ -162,47 +164,16 @@ impl StreamingGraphBuilder {
             }
             last = Some(pair);
             let (s, d) = pair;
-            while current_src < s {
-                sink(VertexId(current_src), &list);
-                list.clear();
-                current_src += 1;
+            // Close the lists of every vertex before `s`.
+            while offsets.len() <= s as usize {
+                offsets.push(neighbors.len() as u64);
             }
-            list.push(VertexId(d));
+            neighbors.push(VertexId(d));
         }
-        while (current_src as usize) < self.num_vertices {
-            sink(VertexId(current_src), &list);
-            list.clear();
-            current_src += 1;
-        }
-        Ok(())
-    }
-
-    /// Finalizes into a flat [`CsrGraph`].
-    ///
-    /// # Errors
-    /// Returns [`KtgError::Io`] if reading a spill run fails.
-    pub fn finish(self) -> Result<CsrGraph> {
-        let n = self.num_vertices;
-        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut neighbors: Vec<VertexId> = Vec::new();
-        self.merge_into(|_, list| {
-            neighbors.extend_from_slice(list);
+        while offsets.len() <= n {
             offsets.push(neighbors.len() as u64);
-        })?;
+        }
         CsrGraph::from_sorted_parts(offsets, neighbors)
-    }
-
-    /// Finalizes straight into a [`CompressedCsr`], never materializing
-    /// the flat neighbor array: the merge output is block-encoded one
-    /// vertex at a time.
-    ///
-    /// # Errors
-    /// Returns [`KtgError::Io`] if reading a spill run fails.
-    pub fn finish_compressed(self) -> Result<CompressedCsr> {
-        let mut enc = Encoder::new(self.num_vertices);
-        self.merge_into(|_, list| enc.push_list(list))?;
-        Ok(enc.finish())
     }
 }
 
@@ -305,23 +276,6 @@ mod tests {
             }
             assert_eq!(b.finish().unwrap(), expected, "chunk {chunk} ({spills} spills)");
         }
-    }
-
-    #[test]
-    fn finish_compressed_equals_compressing_the_flat_result() {
-        let n = 200u32;
-        let edges = random_edges(n, 1500, 0xABCD);
-        let filled = || {
-            let mut b = StreamingGraphBuilder::with_chunk_capacity(n as usize, 128);
-            for &(u, v) in &edges {
-                b.add_edge(VertexId(u), VertexId(v)).unwrap();
-            }
-            b
-        };
-        let flat = filled().finish().unwrap();
-        let compressed = filled().finish_compressed().unwrap();
-        assert_eq!(compressed, CompressedCsr::from_csr(&flat));
-        assert_eq!(compressed.to_csr(), flat);
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl NlrnlIndex {
 
     /// Reassembles an index from its serialized parts (see
     /// [`crate::persist`]). The caller is responsible for the parts being
-    /// mutually consistent — `load_nlrnl` validates them structurally and
+    /// mutually consistent — `load_bundle` validates them structurally and
     /// via checksum before calling this.
     pub(crate) fn from_parts(
         n: usize,
@@ -478,17 +478,12 @@ mod tests {
         edges.sort_unstable();
         edges.dedup();
         let g = CsrGraph::from_edges(n as usize, &edges).unwrap();
-        let reference = {
-            let mut buf = Vec::new();
-            crate::persist::save_nlrnl(&NlrnlIndex::build_with_threads(&g, 1), &g, &mut buf)
-                .unwrap();
-            buf
+        let encode = |threads| {
+            crate::persist::encode_nlrnl_section(&NlrnlIndex::build_with_threads(&g, threads))
         };
+        let reference = encode(1);
         for threads in [2usize, 3, 5, 8, 16] {
-            let mut buf = Vec::new();
-            crate::persist::save_nlrnl(&NlrnlIndex::build_with_threads(&g, threads), &g, &mut buf)
-                .unwrap();
-            assert_eq!(buf, reference, "threads={threads} diverged from sequential");
+            assert_eq!(encode(threads), reference, "threads={threads} diverged from sequential");
         }
     }
 

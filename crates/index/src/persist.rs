@@ -1,62 +1,58 @@
-//! Index persistence.
+//! Index persistence: the bundle.
 //!
 //! NL/NLRNL construction costs one BFS per vertex — minutes on large
 //! graphs — which is the entire reason the indexes exist. A production
-//! deployment builds once and reloads; this module provides a compact,
-//! versioned, checksummed binary format for the NLRNL index (the
-//! recommended one; NL's query-time expansion cache makes persisting it
-//! pointless — rebuilding is as cheap as reloading).
+//! deployment builds once and reloads. [`save_bundle`]/[`load_bundle`]
+//! persist a *whole attributed network* — the flat CSR topology, the
+//! keyword vocabulary + per-vertex keyword arena, and optionally the
+//! NLRNL index (the recommended one; NL's query-time expansion cache
+//! makes persisting it pointless — rebuilding is as cheap as reloading)
+//! — as one file.
 //!
 //! ## Format
 //!
 //! Little-endian throughout:
 //!
 //! ```text
-//! magic   8 bytes  "KTGNLRNL"
-//! version u32      currently 1
-//! n       u64      vertex count
-//! graph fingerprint u64   (vertex count, edge count, degree sequence hash)
-//! per vertex:
-//!   c        u32
-//!   comp     u32
-//!   fwd_lvls u32, then per level: len u32, then len × u32 vertex ids
-//!   rev_lvls u32, same encoding
-//! checksum u64     Fx hash of everything after the magic
+//! magic        8 bytes  "KTGBNDL_"
+//! version      u32      currently 1
+//! layout       u32      always 0 (flat CSR); anything else is rejected
+//! n            u64      vertex count
+//! fingerprint  u64      graph fingerprint (vertex count, edge count, degrees)
+//! sections     u32      2 or 3: graph, keywords, optional NLRNL index
+//! per section: tag u32, len u64, then len payload bytes
+//! checksum     u64      Fx hash of everything after the magic
 //! ```
 //!
-//! ## Bundles
-//!
-//! [`save_bundle`]/[`load_bundle`] persist a *whole attributed network* —
-//! topology (flat or compressed), keyword vocabulary + per-vertex
-//! keyword arena, and optionally the NLRNL index — as one file (magic
-//! `"KTGBNDL_"`). The payload is a sequence of length-prefixed sections
-//! whose arrays are written and read in bulk (one length word, then the
-//! raw little-endian element run), so reloading a pre-built 10M-vertex
-//! network is bounded by I/O, not per-entry parsing. The same streaming
-//! checksum and graph fingerprint guard the envelope; the fingerprint
-//! additionally binds the NLRNL section to the graph section it was
-//! built over.
+//! Section payloads are arrays written and read in bulk (one length word,
+//! then the raw little-endian element run), so reloading a pre-built
+//! 10M-vertex network is bounded by I/O, not per-entry parsing. The
+//! checksum guards every byte; the fingerprint is checked against the
+//! reloaded graph section only. The NLRNL section is tied to the graph
+//! by its vertex count and by being written in the same checksummed
+//! file, never loaded against a separately supplied graph.
 
 use crate::leveled::LeveledList;
 use crate::nlrnl::NlrnlIndex;
 use ktg_common::id::vertex_range;
 use ktg_common::{KtgError, Result, VertexId};
-use ktg_graph::{Adjacency, CompressedCsr, CsrGraph, GraphFormat, GraphStore};
+use ktg_graph::{Adjacency, CsrGraph};
 use ktg_keywords::{KeywordId, VertexKeywords, Vocabulary};
 use std::hash::Hasher;
 use std::io::{BufReader, BufWriter, Read, Write};
 
-const MAGIC: &[u8; 8] = b"KTGNLRNL";
 const BUNDLE_MAGIC: &[u8; 8] = b"KTGBNDL_";
 const VERSION: u32 = 1;
+/// The header's layout word: flat CSR is the only layout written or read.
+const LAYOUT_FLAT: u32 = 0;
 
 /// Bundle section tags (fixed order: graph, keywords, optional index).
 const SECTION_GRAPH: u32 = 1;
 const SECTION_KEYWORDS: u32 = 2;
 const SECTION_NLRNL: u32 = 3;
 
-/// A fingerprint binding a persisted index to the graph it was built for:
-/// loading against a different graph is rejected.
+/// A fingerprint of a graph's shape (vertex count, edge count, degree
+/// sequence), stored in the bundle header and re-checked on load.
 pub fn graph_fingerprint<A: Adjacency>(graph: &A) -> u64 {
     let mut h = ktg_common::FxHasher64::default();
     h.write_u64(graph.num_vertices() as u64);
@@ -162,123 +158,14 @@ fn validate_component_labels(labels: &[u32]) -> Result<()> {
     Ok(())
 }
 
-/// Serializes an NLRNL index. `graph` must be the graph it was built over
-/// (its fingerprint is embedded).
-pub fn save_nlrnl<A: Adjacency, W: Write>(index: &NlrnlIndex, graph: &A, writer: W) -> Result<()> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(MAGIC)?;
-    let mut cw = ChecksumWriter::new(&mut w);
-    cw.write_u32(VERSION)?;
-    let n = index.num_vertices();
-    cw.write_u64(n as u64)?;
-    cw.write_u64(graph_fingerprint(graph))?;
-    for i in 0..n {
-        let v = VertexId::new(i);
-        cw.write_u32(index.c(v))?;
-        cw.write_u32(index.component(v))?;
-        for lists in [index.forward_lists(v), index.reverse_lists(v)] {
-            cw.write_u32(lists.num_levels() as u32)?;
-            for slot in 0..lists.num_levels() {
-                let level = lists.level(slot);
-                cw.write_u32(level.len() as u32)?;
-                for &x in level {
-                    cw.write_u32(x.0)?;
-                }
-            }
-        }
-    }
-    let checksum = cw.checksum();
-    w.write_all(&checksum.to_le_bytes())?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Deserializes an NLRNL index, validating the version, the checksum, and
-/// the graph fingerprint.
-///
-/// # Errors
-/// [`KtgError::InvalidInput`] on corruption or version mismatch;
-/// [`KtgError::IndexMismatch`] when the graph differs from build time.
-pub fn load_nlrnl<A: Adjacency, R: Read>(graph: &A, reader: R) -> Result<NlrnlIndex> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(KtgError::input("not a KTG NLRNL index file"));
-    }
-    let mut cr = ChecksumReader::new(&mut r);
-    let version = cr.read_u32()?;
-    if version != VERSION {
-        return Err(KtgError::input(format!(
-            "unsupported index version {version} (expected {VERSION})"
-        )));
-    }
-    let n = cr.read_u64()? as usize;
-    if n != graph.num_vertices() {
-        return Err(KtgError::IndexMismatch(format!(
-            "index covers {n} vertices, graph has {}",
-            graph.num_vertices()
-        )));
-    }
-    let fingerprint = cr.read_u64()?;
-    if fingerprint != graph_fingerprint(graph) {
-        return Err(KtgError::IndexMismatch(
-            "index was built for a different graph (fingerprint mismatch)".to_string(),
-        ));
-    }
-
-    let mut c = Vec::with_capacity(n);
-    let mut components = Vec::with_capacity(n);
-    let mut forward = Vec::with_capacity(n);
-    let mut reverse = Vec::with_capacity(n);
-    for _ in 0..n {
-        c.push(cr.read_u32()?);
-        components.push(cr.read_u32()?);
-        for target in [&mut forward, &mut reverse] {
-            let num_levels = cr.read_u32()? as usize;
-            if num_levels > n {
-                return Err(KtgError::input("corrupt index: level count exceeds |V|"));
-            }
-            let mut levels = Vec::with_capacity(num_levels);
-            for _ in 0..num_levels {
-                let len = cr.read_u32()? as usize;
-                if len > n {
-                    return Err(KtgError::input("corrupt index: level length exceeds |V|"));
-                }
-                let mut level = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let id = cr.read_u32()?;
-                    if id as usize >= n {
-                        return Err(KtgError::input("corrupt index: vertex id out of range"));
-                    }
-                    level.push(VertexId(id));
-                }
-                if !level.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(KtgError::input("corrupt index: level not sorted"));
-                }
-                levels.push(level);
-            }
-            target.push(LeveledList::from_levels(&levels));
-        }
-    }
-    let expected = cr.checksum();
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    if u64::from_le_bytes(buf) != expected {
-        return Err(KtgError::input("corrupt index: checksum mismatch"));
-    }
-    validate_component_labels(&components)?;
-    Ok(NlrnlIndex::from_parts(n, c, forward, reverse, components))
-}
-
 // ---------------------------------------------------------------------------
 // Bundles: graph + keywords + optional NLRNL in one file.
 // ---------------------------------------------------------------------------
 
-/// A fully reloaded attributed network (module docs, "Bundles").
+/// A fully reloaded attributed network (module docs, "Format").
 pub struct Bundle {
-    /// The topology, in the format it was saved with.
-    pub graph: GraphStore,
+    /// The topology.
+    pub graph: CsrGraph,
     /// The keyword vocabulary.
     pub vocab: Vocabulary,
     /// The per-vertex keyword arena.
@@ -385,53 +272,20 @@ impl<'a> SectionCursor<'a> {
     }
 }
 
-fn encode_graph_section(graph: &GraphStore) -> Vec<u8> {
+fn encode_graph_section(graph: &CsrGraph) -> Vec<u8> {
     let mut buf = Vec::new();
-    match graph {
-        GraphStore::Flat(g) => {
-            push_u64_run(&mut buf, g.raw_offsets());
-            push_u32_run(&mut buf, g.raw_neighbors().iter().map(|v| v.0));
-        }
-        GraphStore::Compressed(g) => {
-            let (degrees, block_index, block_off, block_first, bytes, num_edges) = g.raw_parts();
-            push_u32_run(&mut buf, degrees.iter().copied());
-            push_u64_run(&mut buf, block_index);
-            push_u64_run(&mut buf, block_off);
-            push_u32_run(&mut buf, block_first.iter().copied());
-            push_byte_run(&mut buf, bytes);
-            push_u64(&mut buf, num_edges);
-        }
-    }
+    push_u64_run(&mut buf, graph.raw_offsets());
+    push_u32_run(&mut buf, graph.raw_neighbors().iter().map(|v| v.0));
     buf
 }
 
-fn decode_graph_section(payload: &[u8], format: GraphFormat) -> Result<GraphStore> {
+fn decode_graph_section(payload: &[u8]) -> Result<CsrGraph> {
     let mut cur = SectionCursor::new(payload);
-    let store = match format {
-        GraphFormat::Flat => {
-            let offsets = cur.read_u64_run()?;
-            let neighbors = cur.read_u32_run()?.into_iter().map(VertexId).collect();
-            GraphStore::Flat(CsrGraph::from_sorted_parts(offsets, neighbors)?)
-        }
-        GraphFormat::Compressed => {
-            let degrees = cur.read_u32_run()?;
-            let block_index = cur.read_u64_run()?;
-            let block_off = cur.read_u64_run()?;
-            let block_first = cur.read_u32_run()?;
-            let bytes = cur.read_byte_run()?;
-            let num_edges = cur.read_u64()?;
-            GraphStore::Compressed(CompressedCsr::from_raw_parts(
-                degrees,
-                block_index,
-                block_off,
-                block_first,
-                bytes,
-                num_edges,
-            )?)
-        }
-    };
+    let offsets = cur.read_u64_run()?;
+    let neighbors = cur.read_u32_run()?.into_iter().map(VertexId).collect();
+    let graph = CsrGraph::from_sorted_parts(offsets, neighbors)?;
     cur.finish()?;
-    Ok(store)
+    Ok(graph)
 }
 
 fn encode_keyword_section(vocab: &Vocabulary, keywords: &VertexKeywords) -> Vec<u8> {
@@ -481,7 +335,9 @@ fn decode_keyword_section(payload: &[u8]) -> Result<(Vocabulary, VertexKeywords)
     Ok((vocab, arena))
 }
 
-fn encode_nlrnl_section(index: &NlrnlIndex) -> Vec<u8> {
+/// Encodes the NLRNL section payload (also the byte-level identity the
+/// build-determinism test compares).
+pub(crate) fn encode_nlrnl_section(index: &NlrnlIndex) -> Vec<u8> {
     let n = index.num_vertices();
     let mut buf = Vec::new();
     push_u32_run(&mut buf, vertex_range(n).map(|v| index.c(v)));
@@ -563,16 +419,16 @@ fn decode_nlrnl_section(payload: &[u8], n: usize) -> Result<NlrnlIndex> {
     Ok(NlrnlIndex::from_parts(n, c, forward, reverse, components))
 }
 
-/// Serializes a whole attributed network — graph (in its current format),
-/// vocabulary, keyword arena, and optionally an NLRNL index — as one
-/// checksummed bundle. The index, when present, must have been built over
-/// `graph` (same vertex count; the embedded fingerprint binds them).
+/// Serializes a whole attributed network — graph, vocabulary, keyword
+/// arena, and optionally an NLRNL index — as one checksummed bundle. The
+/// index, when present, must have been built over `graph`; only its vertex
+/// count is checked here.
 ///
 /// # Errors
 /// [`KtgError::InvalidInput`] when the parts disagree on the vertex count;
 /// I/O errors from the writer.
 pub fn save_bundle<W: Write>(
-    graph: &GraphStore,
+    graph: &CsrGraph,
     vocab: &Vocabulary,
     keywords: &VertexKeywords,
     index: Option<&NlrnlIndex>,
@@ -597,10 +453,7 @@ pub fn save_bundle<W: Write>(
     w.write_all(BUNDLE_MAGIC)?;
     let mut cw = ChecksumWriter::new(&mut w);
     cw.write_u32(VERSION)?;
-    cw.write_u32(match graph.format() {
-        GraphFormat::Flat => 0,
-        GraphFormat::Compressed => 1,
-    })?;
+    cw.write_u32(LAYOUT_FLAT)?;
     cw.write_u64(n as u64)?;
     cw.write_u64(graph_fingerprint(graph))?;
     let sections: Vec<(u32, Vec<u8>)> = {
@@ -648,11 +501,13 @@ pub fn load_bundle<R: Read>(reader: R) -> Result<Bundle> {
             "unsupported bundle version {version} (expected {VERSION})"
         )));
     }
-    let format = match cr.read_u32()? {
-        0 => GraphFormat::Flat,
-        1 => GraphFormat::Compressed,
-        other => return Err(KtgError::input(format!("unknown bundle graph format {other}"))),
-    };
+    let layout = cr.read_u32()?;
+    if layout != LAYOUT_FLAT {
+        return Err(KtgError::input(format!(
+            "unsupported bundle graph layout {layout}: only the flat layout (0) loads; \
+             rebuild the bundle with `ktg index --bundle`"
+        )));
+    }
     let n = usize::try_from(cr.read_u64()?)
         .map_err(|_| KtgError::input("corrupt bundle: vertex count overflows"))?;
     let fingerprint = cr.read_u64()?;
@@ -663,7 +518,7 @@ pub fn load_bundle<R: Read>(reader: R) -> Result<Bundle> {
         )));
     }
 
-    let mut graph: Option<GraphStore> = None;
+    let mut graph: Option<CsrGraph> = None;
     let mut kw: Option<(Vocabulary, VertexKeywords)> = None;
     let mut index: Option<NlrnlIndex> = None;
     for i in 0..num_sections {
@@ -671,7 +526,7 @@ pub fn load_bundle<R: Read>(reader: R) -> Result<Bundle> {
         let len = cr.read_u64()?;
         let payload = cr.read_section(len)?;
         match (i, tag) {
-            (0, SECTION_GRAPH) => graph = Some(decode_graph_section(&payload, format)?),
+            (0, SECTION_GRAPH) => graph = Some(decode_graph_section(&payload)?),
             (1, SECTION_KEYWORDS) => kw = Some(decode_keyword_section(&payload)?),
             (2, SECTION_NLRNL) => index = Some(decode_nlrnl_section(&payload, n)?),
             _ => {
@@ -724,73 +579,8 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn roundtrip_preserves_answers() {
-        let g = sample_graph();
-        let index = NlrnlIndex::build(&g);
-        let mut buf = Vec::new();
-        save_nlrnl(&index, &g, &mut buf).unwrap();
-        let loaded = load_nlrnl(&g, buf.as_slice()).unwrap();
-        for u in g.vertices() {
-            for v in g.vertices() {
-                for k in 0..8 {
-                    assert_eq!(
-                        index.farther_than(u, v, k),
-                        loaded.farther_than(u, v, k),
-                        "({u:?}, {v:?}, k={k})"
-                    );
-                }
-                assert_eq!(index.distance(u, v), loaded.distance(u, v));
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_magic_rejected() {
-        let g = sample_graph();
-        assert!(load_nlrnl(&g, b"NOTANIDX________".as_slice()).is_err());
-    }
-
-    #[test]
-    fn truncated_file_rejected() {
-        let g = sample_graph();
-        let index = NlrnlIndex::build(&g);
-        let mut buf = Vec::new();
-        save_nlrnl(&index, &g, &mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert!(load_nlrnl(&g, buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn bitflip_fails_checksum() {
-        let g = sample_graph();
-        let index = NlrnlIndex::build(&g);
-        let mut buf = Vec::new();
-        save_nlrnl(&index, &g, &mut buf).unwrap();
-        // Flip a byte in the middle of the payload.
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0x01;
-        assert!(load_nlrnl(&g, buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn different_graph_rejected() {
-        let g = sample_graph();
-        let index = NlrnlIndex::build(&g);
-        let mut buf = Vec::new();
-        save_nlrnl(&index, &g, &mut buf).unwrap();
-        // Same vertex count, different topology.
-        let other =
-            CsrGraph::from_edges(8, &[(0, 2), (2, 4), (4, 6), (6, 0), (1, 3), (3, 5)]).unwrap();
-        match load_nlrnl(&other, buf.as_slice()) {
-            Err(KtgError::IndexMismatch(_)) => {}
-            Err(other) => panic!("expected IndexMismatch, got error {other}"),
-            Ok(_) => panic!("expected IndexMismatch, got a loaded index"),
-        }
-    }
-
-    fn sample_bundle_parts(format: GraphFormat) -> (GraphStore, Vocabulary, VertexKeywords) {
-        let graph = GraphStore::from_csr(sample_graph(), format);
+    fn sample_bundle_parts() -> (CsrGraph, Vocabulary, VertexKeywords) {
+        let graph = sample_graph();
         let mut vocab = Vocabulary::new();
         let ids = vocab.intern_all(["db", "ir", "ml", "hci"]);
         let mut lists = vec![Vec::new(); graph.num_vertices()];
@@ -806,27 +596,25 @@ mod tests {
     }
 
     #[test]
-    fn bundle_roundtrip_both_formats() {
-        for format in [GraphFormat::Flat, GraphFormat::Compressed] {
-            let (graph, vocab, keywords) = sample_bundle_parts(format);
-            let index = NlrnlIndex::build(&graph);
-            let mut buf = Vec::new();
-            save_bundle(&graph, &vocab, &keywords, Some(&index), &mut buf).unwrap();
-            let bundle = load_bundle(buf.as_slice()).unwrap();
-            assert_eq!(bundle.graph, graph, "{format}: graph reloads byte-identically");
-            assert_eq!(bundle.vocab.terms(), vocab.terms());
-            assert_eq!(bundle.keywords, keywords);
-            let loaded = bundle.index.expect("index section present");
-            for u in vertex_range(graph.num_vertices()) {
-                for v in vertex_range(graph.num_vertices()) {
-                    assert_eq!(loaded.distance(u, v), index.distance(u, v), "({u:?},{v:?})");
-                    for k in 0..6 {
-                        assert_eq!(
-                            loaded.farther_than(u, v, k),
-                            index.farther_than(u, v, k),
-                            "({u:?},{v:?},k={k})"
-                        );
-                    }
+    fn bundle_roundtrip_with_index() {
+        let (graph, vocab, keywords) = sample_bundle_parts();
+        let index = NlrnlIndex::build(&graph);
+        let mut buf = Vec::new();
+        save_bundle(&graph, &vocab, &keywords, Some(&index), &mut buf).unwrap();
+        let bundle = load_bundle(buf.as_slice()).unwrap();
+        assert_eq!(bundle.graph, graph, "graph reloads byte-identically");
+        assert_eq!(bundle.vocab.terms(), vocab.terms());
+        assert_eq!(bundle.keywords, keywords);
+        let loaded = bundle.index.expect("index section present");
+        for u in graph.vertices() {
+            for v in graph.vertices() {
+                assert_eq!(loaded.distance(u, v), index.distance(u, v), "({u:?},{v:?})");
+                for k in 0..6 {
+                    assert_eq!(
+                        loaded.farther_than(u, v, k),
+                        index.farther_than(u, v, k),
+                        "({u:?},{v:?},k={k})"
+                    );
                 }
             }
         }
@@ -834,7 +622,7 @@ mod tests {
 
     #[test]
     fn bundle_roundtrip_without_index() {
-        let (graph, vocab, keywords) = sample_bundle_parts(GraphFormat::Compressed);
+        let (graph, vocab, keywords) = sample_bundle_parts();
         let mut buf = Vec::new();
         save_bundle(&graph, &vocab, &keywords, None, &mut buf).unwrap();
         let bundle = load_bundle(buf.as_slice()).unwrap();
@@ -846,7 +634,7 @@ mod tests {
     /// never a panic.
     #[test]
     fn bundle_corruption_suite() {
-        let (graph, vocab, keywords) = sample_bundle_parts(GraphFormat::Flat);
+        let (graph, vocab, keywords) = sample_bundle_parts();
         let index = NlrnlIndex::build(&graph);
         let mut buf = Vec::new();
         save_bundle(&graph, &vocab, &keywords, Some(&index), &mut buf).unwrap();
@@ -868,6 +656,15 @@ mod tests {
         let mut bad = buf.clone();
         bad[8] = 0xEE;
         assert!(matches!(load_bundle(bad.as_slice()), Err(KtgError::InvalidInput(_))));
+
+        // A layout word other than 0 (flat) is rejected before the
+        // checksum is read, with the rebuild hint.
+        let mut bad = buf.clone();
+        bad[12..16].copy_from_slice(&1u32.to_le_bytes());
+        match load_bundle(bad.as_slice()) {
+            Err(KtgError::InvalidInput(msg)) => assert!(msg.contains("ktg index --bundle"), "{msg}"),
+            other => panic!("format word 1 must fail InvalidInput, ok={}", other.is_ok()),
+        }
 
         // Fingerprint mismatch (flip a fingerprint byte, keep structure):
         // the checksum catches it first unless we also re-seal, so damage
@@ -910,7 +707,7 @@ mod tests {
 
     #[test]
     fn bundle_rejects_mismatched_parts() {
-        let (graph, vocab, _) = sample_bundle_parts(GraphFormat::Flat);
+        let (graph, vocab, _) = sample_bundle_parts();
         let short = VertexKeywords::from_lists(&vec![Vec::new(); 3]);
         let mut buf = Vec::new();
         assert!(save_bundle(&graph, &vocab, &short, None, &mut buf).is_err());

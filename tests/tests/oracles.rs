@@ -165,6 +165,7 @@ fn bounded_bfs_matches_table() {
 #[test]
 fn nlrnl_persistence_roundtrip() {
     use ktg_index::persist;
+    use ktg_keywords::{VertexKeywords, Vocabulary};
     let mut rng = SeededRng::seed_from_u64(0x9E4515);
     for case in 0..32 {
         let n = rng.gen_range(2..20usize);
@@ -172,9 +173,13 @@ fn nlrnl_persistence_roundtrip() {
         let seed = rng.gen_range(0u64..1000);
         let g = random_graph(n, density, seed);
         let index = NlrnlIndex::build(&g);
+        let keywords = VertexKeywords::from_lists(&vec![Vec::new(); n]);
         let mut buf = Vec::new();
-        persist::save_nlrnl(&index, &g, &mut buf).expect("serialize");
-        let loaded = persist::load_nlrnl(&g, buf.as_slice()).expect("deserialize");
+        persist::save_bundle(&g, &Vocabulary::new(), &keywords, Some(&index), &mut buf)
+            .expect("serialize");
+        let bundle = persist::load_bundle(buf.as_slice()).expect("deserialize");
+        assert_eq!(bundle.graph, g, "case {case}");
+        let loaded = bundle.index.expect("index section present");
         for u in g.vertices() {
             for v in g.vertices() {
                 assert_eq!(index.distance(u, v), loaded.distance(u, v), "case {case}");

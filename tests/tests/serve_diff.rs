@@ -19,7 +19,7 @@ use ktg_common::fault::{self, FaultConfig, FaultSite};
 use ktg_common::{SeededRng, VertexId};
 use ktg_core::serve::{ItemOutcome, ServeOptions, ServeSession, WorkloadItem};
 use ktg_core::{bb, dktg, verify, AttributedGraph, DktgQuery, Group, KtgQuery};
-use ktg_graph::{DynamicGraph, GraphFormat, GraphStore};
+use ktg_graph::DynamicGraph;
 use ktg_index::{persist, BfsOracle, NlrnlIndex};
 use ktg_integration_tests::{random_network, random_query};
 use ktg_keywords::QueryKeywords;
@@ -189,11 +189,11 @@ fn serving_matches_sequential_on_random_networks() {
 }
 
 /// The persistence axis: a network round-tripped through
-/// `save_bundle`/`load_bundle` — in both graph formats, with the bundled
-/// NLRNL index preloaded into the session — must serve byte-identically
-/// to the query-at-a-time reference on the original flat network.
+/// `save_bundle`/`load_bundle`, with the bundled NLRNL index preloaded
+/// into the session, must serve byte-identically to the query-at-a-time
+/// reference on the original network.
 #[test]
-fn bundle_roundtrip_serves_byte_identically_in_both_formats() {
+fn bundle_roundtrip_serves_byte_identically() {
     let mut rng = SeededRng::seed_from_u64(0xB0D1);
     for case in 0..3 {
         let n = rng.gen_range(16..36usize);
@@ -201,27 +201,22 @@ fn bundle_roundtrip_serves_byte_identically_in_both_formats() {
         let net = random_network(n, 0.22, 8, 4, seed);
         let workload = query_pool_workload(&net, 8, seed ^ 0xF00D);
         let expected = reference_replay(&net, &workload);
-        for format in [GraphFormat::Flat, GraphFormat::Compressed] {
-            let store = GraphStore::from_csr(net.graph().to_csr(), format);
-            let index = NlrnlIndex::build(&store);
-            let mut bytes = Vec::new();
-            persist::save_bundle(&store, net.vocab(), net.keywords(), Some(&index), &mut bytes)
-                .expect("bundle save");
-            for threads in THREADS {
-                let bundle = persist::load_bundle(bytes.as_slice()).expect("bundle load");
-                assert_eq!(bundle.graph.format(), format, "case {case}: format changed");
-                let loaded =
-                    AttributedGraph::with_store(bundle.graph, bundle.vocab, bundle.keywords);
-                let options = ServeOptions { threads, ..ServeOptions::default() };
-                let mut session = ServeSession::with_index(loaded, options, bundle.index);
-                let outcomes = session.run(&workload);
-                assert_eq!(
-                    expected,
-                    strip(&outcomes),
-                    "case {case}: bundle-loaded {format} serving at {threads} thread(s) \
-                     diverged from the reference"
-                );
-            }
+        let index = NlrnlIndex::build(net.graph());
+        let mut bytes = Vec::new();
+        persist::save_bundle(net.graph(), net.vocab(), net.keywords(), Some(&index), &mut bytes)
+            .expect("bundle save");
+        for threads in THREADS {
+            let bundle = persist::load_bundle(bytes.as_slice()).expect("bundle load");
+            let loaded = AttributedGraph::new(bundle.graph, bundle.vocab, bundle.keywords);
+            let options = ServeOptions { threads, ..ServeOptions::default() };
+            let mut session = ServeSession::with_index(loaded, options, bundle.index);
+            let outcomes = session.run(&workload);
+            assert_eq!(
+                expected,
+                strip(&outcomes),
+                "case {case}: bundle-loaded serving at {threads} thread(s) diverged from the \
+                 reference"
+            );
         }
     }
 }

@@ -87,11 +87,10 @@ if [ -z "$net_on_ns" ] || [ -z "$net_off_ns" ] || [ "$net_on_ns" -gt "$net_off_n
     echo "FAIL: cache-on (${net_on_ns:-?} ns) should not be slower than cache-off (${net_off_ns:-?} ns) at 1 connection" >&2
     exit 1
 fi
-echo "== scale smoke (substrate bench: >= 6 records, format/bundle invariants self-asserted) =="
-# The binary asserts compressed heap bytes < flat, identical BFS sums
-# across formats, a clean bundle round-trip, and byte-identical serving
-# over flat vs compressed stores; the record-count check below catches a
-# silent no-op run.
+echo "== scale smoke (substrate bench: >= 6 records, bundle round-trip self-asserted) =="
+# The binary asserts a clean bundle round-trip (graph, keywords and
+# index all reload); the record-count check below catches a silent
+# no-op run.
 KTG_BENCH_FAST=1 KTG_BENCH_OUT="$bench_out" \
     cargo run -q --release --offline -p ktg-bench --bin scale
 scale_records="$(wc -l < "$bench_out/scale.jsonl")"
@@ -395,15 +394,15 @@ grep -q "checked mode: verified" "$deg_out" || {
     exit 1
 }
 
-echo "== substrate scale smoke (100k-vertex chunked SBM, bundle, compressed == flat == bundle bytes) =="
+echo "== substrate scale smoke (100k-vertex chunked SBM, bundle, text == bundle bytes) =="
 # The 10M story, CI-gated at 100k: the chunked generator streams a
 # block-diagonal SBM (p_out 0 keeps components block-sized, so NLRNL
 # construction stays linear in practice), `index --bundle` persists
 # graph + keywords + a 4-thread partitioned NLRNL build, and the same
-# workload must produce byte-identical output through every loading
-# path: flat text, compressed text, bundle, and bundle-converted-to-
-# compressed — all under the checked-mode verifier. Query terms come
-# from the Zipf tail so candidate pools stay small at this scale.
+# workload must produce byte-identical output through both loading
+# paths: the text files and the bundle — both under the checked-mode
+# verifier. Query terms come from the Zipf tail so candidate pools stay
+# small at this scale.
 cargo run -q --release --offline -p ktg-cli -- generate \
     --sbm-n 100000 --sbm-blocks 1000 --sbm-pin 0.12 --sbm-pout 0.0 \
     --out "$tmp/sbm" --seed 11
@@ -411,7 +410,7 @@ cargo run -q --release --offline -p ktg-cli -- index \
     --edges "$tmp/sbm/edges.txt" --keywords "$tmp/sbm/keywords.txt" \
     --threads 4 --bundle "$tmp/sbm/net.bundle" \
     | tee "$tmp/index.out"
-grep -q "bundled flat graph + keywords + index" "$tmp/index.out" || {
+grep -q "bundled graph + keywords + index" "$tmp/index.out" || {
     echo "FAIL: index --bundle did not report the bundle write" >&2
     exit 1
 }
@@ -424,20 +423,13 @@ WEOF
 scale_batch=(--workload "$tmp/scale-workload.txt" --threads 1)
 text_input=(--edges "$tmp/sbm/edges.txt" --keywords "$tmp/sbm/keywords.txt")
 KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
-    "${scale_batch[@]}" "${text_input[@]}" --graph-format flat > "$tmp/scale-flat.out"
-KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
-    "${scale_batch[@]}" "${text_input[@]}" --graph-format compressed > "$tmp/scale-comp.out"
+    "${scale_batch[@]}" "${text_input[@]}" > "$tmp/scale-text.out"
 KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
     "${scale_batch[@]}" --bundle "$tmp/sbm/net.bundle" > "$tmp/scale-bundle.out"
-KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
-    "${scale_batch[@]}" --bundle "$tmp/sbm/net.bundle" --graph-format compressed \
-    > "$tmp/scale-bundle-comp.out"
-for variant in comp bundle bundle-comp; do
-    if ! cmp -s "$tmp/scale-flat.out" "$tmp/scale-$variant.out"; then
-        echo "FAIL: $variant batch output diverged from the flat run at 100k:" >&2
-        diff "$tmp/scale-flat.out" "$tmp/scale-$variant.out" >&2 || true
-        exit 1
-    fi
-done
+if ! cmp -s "$tmp/scale-text.out" "$tmp/scale-bundle.out"; then
+    echo "FAIL: bundle batch output diverged from the text run at 100k:" >&2
+    diff "$tmp/scale-text.out" "$tmp/scale-bundle.out" >&2 || true
+    exit 1
+fi
 
 echo "CI gate passed: offline build + tests green, lint clean, checked-mode, fault/degraded and 100k substrate smokes verified."
