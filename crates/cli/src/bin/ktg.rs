@@ -46,7 +46,8 @@ fn main() {
             eprintln!("           [--max-inflight N]");
             eprintln!("  serve    --edges FILE [--keywords FILE] [--bind ADDR] [--workers N]");
             eprintln!("           [--conn-deadline-ms N] [--wal FILE [--wal-sync always|batch]");
-            eprintln!("           [--checkpoint-every N]] (plus the batch engine/cache flags)");
+            eprintln!("           [--checkpoint-every N]] (plus the batch engine/cache flags;");
+            eprintln!("           --threads is accepted and ignored: lines run on the --workers pool)");
             eprintln!("  serve    --connect ADDR [--workload FILE] [--stats] [--shutdown]");
             eprintln!("           [--retry N] [--retry-base-ms MS]");
             eprintln!("stats/query/dktg/batch/serve take --bundle FILE in place of --edges/--keywords;");

@@ -276,12 +276,11 @@ fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
     let stats = session.stats();
     writeln!(
         out,
-        "served: {} answers from cache, {} fresh; {} conflict-row hits; {} stale reclaimed; {} subset-seeded; epoch {}",
+        "served: {} answers from cache, {} fresh; {} conflict-row hits; {} stale reclaimed; epoch {}",
         stats.result_hits,
         stats.result_misses,
         stats.row_hits,
         stats.result_reclaimed,
-        stats.subset_hits,
         stats.epoch
     )?;
     if degraded + failed + shed > 0 {

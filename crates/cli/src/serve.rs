@@ -761,7 +761,9 @@ fn maybe_checkpoint(session: &ServeSession, st: &mut WalState) {
 /// atomic-rename protocol, then truncates the log. Caller holds the
 /// session lock (read or write) and the WAL mutex, in that order. A
 /// crash between the rename and the truncate is benign: replaying the
-/// whole old log onto the checkpointed state is a no-op fixpoint.
+/// whole old log onto the checkpointed state is a no-op fixpoint. The
+/// directory sync between them keeps a power cut from persisting the
+/// truncate without the rename (old bundle, empty log).
 fn checkpoint(session: &ServeSession, st: &mut WalState) -> Result<u64> {
     let Some(bundle) = st.bundle.clone() else {
         return Err(KtgError::input(
@@ -786,6 +788,7 @@ fn checkpoint(session: &ServeSession, st: &mut WalState) -> Result<u64> {
     file.sync_data()?;
     drop(file);
     std::fs::rename(&tmp, &bundle)?;
+    ktg_index::wal::sync_parent_dir(&bundle)?;
     st.writer.truncate()?;
     st.last_checkpoint_seq = st.writer.seq();
     st.since_checkpoint = 0;
@@ -900,7 +903,6 @@ fn stats_line(shared: &Shared) -> String {
         ("result_hits", session_stats.result_hits),
         ("result_misses", session_stats.result_misses),
         ("result_reclaimed", session_stats.result_reclaimed),
-        ("subset_hits", session_stats.subset_hits),
         ("row_hits", session_stats.row_hits),
         ("row_misses", session_stats.row_misses),
         ("row_evictions", session_stats.row_evictions),
@@ -1275,18 +1277,35 @@ mod tests {
             "\"requests\":", "\"degraded\":", "\"overloaded\":1", "\"failed\":",
             "\"write_failures\":0",
             "\"result_hits\":", "\"result_misses\":", "\"result_reclaimed\":",
-            "\"subset_hits\":", "\"row_hits\":",
-            "\"row_misses\":", "\"row_evictions\":", "\"epoch\":1", "\"inflight\":0",
+            "\"row_hits\":", "\"row_misses\":", "\"row_evictions\":", "\"epoch\":1",
+            "\"inflight\":0",
             "\"latency_samples\":", "\"p50_ns\":", "\"p95_ns\":", "\"p99_ns\":",
         ] {
             assert!(line.contains(field), "missing {field} in {line}");
         }
+        assert!(!line.contains("subset_hits"), "retired field still reported: {line}");
         // Unknown control lines are in-band errors, not disconnects.
         let block = request(&mut reader, &mut writer, "/nope");
         assert!(block[0].starts_with("error: unknown control"), "{block:?}");
         // Shutdown acknowledges, then the server exits.
         let block = request(&mut reader, &mut writer, "/shutdown");
         assert_eq!(block, vec!["shutting down".to_string()]);
+        handle.join().unwrap();
+    }
+
+    /// A huge `N` is answered in a response block without sizing any
+    /// allocation by `N` (an allocation failure aborts the whole server,
+    /// past any `catch_unwind`), and the connection keeps serving.
+    #[test]
+    fn huge_result_count_is_answered_and_the_connection_survives() {
+        let opts = ServeOptions { threads: 1, ..ServeOptions::default() };
+        let (handle, mut reader, mut writer) = boot(opts, None);
+        let block =
+            request(&mut reader, &mut writer, "ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=1000000000000");
+        assert!(block[0].starts_with("[1] ktg:"), "{block:?}");
+        let block = request(&mut reader, &mut writer, PAPER_QUERY);
+        assert!(block[0].starts_with("[2] ktg:"), "{block:?}");
+        handle.shutdown();
         handle.join().unwrap();
     }
 

@@ -29,6 +29,9 @@
 //! * [`pool`] — mutex-guarded free lists ([`Pool`]) recycling per-worker
 //!   arenas (BFS scratch, candidate vectors, bitmap rows) so the batched
 //!   query executor serves steady-state traffic without reallocating.
+//! * [`memo`] — [`Memo`], the sharded, bounded, epoch-guarded memo with
+//!   cost-aware eviction behind both serving caches (whole answers and
+//!   `(vertex, k)` conflict rows).
 //! * [`cancel`] — cooperative [`CancelToken`]s with per-query wall-clock
 //!   deadlines, the [`CompletionStatus`] tag distinguishing exact
 //!   answers from anytime best-so-far ones, and the [`Stopwatch`]
@@ -52,6 +55,7 @@ pub mod error;
 pub mod fault;
 pub mod hash;
 pub mod id;
+pub mod memo;
 pub mod net;
 pub mod parallel;
 pub mod pool;
@@ -65,6 +69,7 @@ pub use error::{KtgError, Result};
 pub use fault::{FaultConfig, FaultSite, InjectedFault};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher64};
 pub use id::VertexId;
+pub use memo::Memo;
 pub use net::{write_line, Frame, LineReader};
 pub use pool::{Pool, PoolGuard};
 pub use rng::{SeededRng, SplitMix64};

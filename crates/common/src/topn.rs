@@ -21,16 +21,14 @@ pub struct TopN<T: Ord> {
 
 impl<T: Ord> TopN<T> {
     /// Creates an empty collection that will retain the `capacity` largest
-    /// items.
+    /// items. Storage grows with the items actually offered, so a huge
+    /// `capacity` (a query's `N`) costs nothing up front.
     ///
     /// # Panics
     /// Panics if `capacity == 0` (a top-0 query is meaningless).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TopN capacity must be positive");
-        TopN {
-            heap: BinaryHeap::with_capacity(capacity + 1),
-            capacity,
-        }
+        TopN { heap: BinaryHeap::new(), capacity }
     }
 
     /// Number of items currently held (≤ capacity).
@@ -198,6 +196,17 @@ mod tests {
         }
         assert_eq!(t.len(), 5);
         assert!(!t.is_full());
+    }
+
+    #[test]
+    fn huge_capacity_allocates_on_demand() {
+        let mut t = TopN::new(usize::MAX);
+        for x in [4, 1, 7] {
+            assert!(t.offer(x));
+        }
+        assert!(!t.is_full());
+        assert_eq!(t.threshold(), None);
+        assert_eq!(t.into_sorted_desc(), vec![7, 4, 1]);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //!   word-parallel AND-NOT instead of per-pair oracle probes.
 //! * [`sequential`] — the single-threaded DFS over candidate *indices*,
 //!   parameterized by kernel, root-branch partition, and an optional
-//!   shared pruning floor.
+//!   shared cross-worker pruning floor.
 //! * [`parallel`] — the root-level parallel driver: first-level branches
 //!   are partitioned round-robin across workers, each running the
 //!   sequential engine with its own `TopN`, publishing its N-th-best
@@ -321,14 +321,6 @@ pub fn solve(
 /// conflict kernel, then applies checked-mode verification. This is the
 /// batched executor's entry point: the executor owns pooled candidate
 /// vectors and recycled kernel rows, so nothing here may take ownership.
-///
-/// `initial_floor` pre-publishes a proven Theorem-2 pruning floor before
-/// the search starts (the serving layer's keyword-subset reuse,
-/// DESIGN.md §17). The caller asserts the floor is *sound*: at least `N`
-/// feasible groups of this exact query reach that coverage count, so
-/// tightening the bound early can never exclude a true top-N group —
-/// keyword pruning passes ties (`bound >= threshold`), and the result
-/// stays byte-identical to an unseeded solve.
 pub(crate) fn solve_with_kernel(
     net: &AttributedGraph,
     query: &KtgQuery,
@@ -336,11 +328,8 @@ pub(crate) fn solve_with_kernel(
     cands: &[Candidate],
     kernel: &ConflictKernel,
     opts: &BbOptions,
-    initial_floor: Option<u32>,
 ) -> KtgOutcome {
-    let owned = CancelToken::for_deadline_ms(opts.deadline_ms);
-    let outcome =
-        run_with_token(query, oracle, cands, kernel, opts, owned.as_ref(), initial_floor);
+    let outcome = run(query, oracle, cands, kernel, opts);
     crate::verify::enforce(net, query, &outcome.groups);
     outcome
 }
@@ -391,7 +380,7 @@ pub fn solve_with_candidates_token(
     opts: &BbOptions,
     cancel: Option<&CancelToken>,
 ) -> KtgOutcome {
-    run_with_token(query, oracle, cands, &ConflictKernel::Oracle, opts, cancel, None)
+    run_with_token(query, oracle, cands, &ConflictKernel::Oracle, opts, cancel)
 }
 
 /// Derives the outcome status from what the engines observed: a fired
@@ -424,7 +413,7 @@ fn run(
     opts: &BbOptions,
 ) -> KtgOutcome {
     let owned = CancelToken::for_deadline_ms(opts.deadline_ms);
-    run_with_token(query, oracle, cands, kernel, opts, owned.as_ref(), None)
+    run_with_token(query, oracle, cands, kernel, opts, owned.as_ref())
 }
 
 /// Dispatches to the sequential or parallel driver.
@@ -436,6 +425,10 @@ fn run(
 /// freely — their result is discovery-order independent. A deadline does
 /// *not* force sequential: if it fires, the (timing-dependent) result is
 /// flagged `Degraded`; if it never fires, the result is exact.
+///
+/// A query whose `p` exceeds the candidate count has no group of `p`
+/// distinct candidates, so it returns the empty exact answer before any
+/// per-depth state (sized by `p`) is allocated.
 fn run_with_token(
     query: &KtgQuery,
     oracle: &impl DistanceOracle,
@@ -443,22 +436,20 @@ fn run_with_token(
     kernel: &ConflictKernel,
     opts: &BbOptions,
     cancel: Option<&CancelToken>,
-    initial_floor: Option<u32>,
 ) -> KtgOutcome {
+    if query.p() > cands.len() {
+        return KtgOutcome {
+            groups: Vec::new(),
+            stats: SearchStats::default(),
+            status: CompletionStatus::Exact,
+        };
+    }
     let workers = opts.resolved_threads().min(cands.len().max(1));
     let order_dependent = opts.stop_at_coverage.is_some() || opts.node_budget.is_some();
-    // Order-dependent runs define their result by the *unseeded* DFS
-    // discovery order ("first admitted group reaching the floor", "first
-    // B nodes"); a pre-published floor would change which prefix of the
-    // tree they visit, so the seed is dropped rather than silently
-    // altering their semantics.
-    let initial_floor = initial_floor.filter(|_| !order_dependent);
     let mut outcome = if workers <= 1 || order_dependent {
-        sequential::run_sequential(query, oracle, cands, kernel, opts, cancel, initial_floor)
+        sequential::run_sequential(query, oracle, cands, kernel, opts, cancel)
     } else {
-        parallel::run_parallel(
-            query, oracle, cands, kernel, opts, workers, cancel, initial_floor,
-        )
+        parallel::run_parallel(query, oracle, cands, kernel, opts, workers, cancel)
     };
     outcome.status = completion_status(&outcome.stats, cancel);
     outcome

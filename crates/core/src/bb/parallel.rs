@@ -34,7 +34,6 @@ use ktg_index::DistanceOracle;
 /// merges the per-worker results. All workers share one `token`: the
 /// first to poll an expired deadline fires it for everyone, so the whole
 /// query — not each worker — observes a single budget.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn run_parallel(
     query: &KtgQuery,
     oracle: &impl DistanceOracle,
@@ -43,17 +42,9 @@ pub(super) fn run_parallel(
     opts: &BbOptions,
     workers: usize,
     token: Option<&CancelToken>,
-    initial_floor: Option<u32>,
 ) -> KtgOutcome {
     debug_assert!(workers > 1, "run_parallel needs at least two workers");
     let shared = SharedThreshold::new();
-    if let Some(floor) = initial_floor {
-        // A caller-proven floor (keyword-subset reuse) enters through the
-        // same monotone channel workers publish into: it tightens
-        // Theorem 2 from the first node, and soundness is the caller's
-        // contract (N feasible groups reach this coverage).
-        shared.publish(floor);
-    }
     let shared_ref = &shared;
     let worker_parts = scope_join((0..workers).map(|offset| {
         move || {

@@ -26,10 +26,6 @@ use ktg_index::DistanceOracle;
 use ktg_keywords::coverage;
 
 /// Runs the engine over the whole tree on the calling thread.
-///
-/// A caller-proven `initial_floor` (keyword-subset reuse) is delivered
-/// the same way the parallel driver delivers cross-worker floors: through
-/// a [`SharedThreshold`] the engine folds into its Theorem-2 bound.
 pub(super) fn run_sequential(
     query: &KtgQuery,
     oracle: &impl DistanceOracle,
@@ -37,15 +33,8 @@ pub(super) fn run_sequential(
     kernel: &ConflictKernel,
     opts: &BbOptions,
     token: Option<&CancelToken>,
-    initial_floor: Option<u32>,
 ) -> KtgOutcome {
-    let seeded = initial_floor.map(|floor| {
-        let shared = SharedThreshold::new();
-        shared.publish(floor);
-        shared
-    });
-    let mut engine =
-        Engine::new(query, oracle, cands, kernel, opts, seeded.as_ref(), 0, 1, token);
+    let mut engine = Engine::new(query, oracle, cands, kernel, opts, None, 0, 1, token);
     engine.run();
     let (results, stats) = engine.into_parts();
     KtgOutcome {

@@ -219,8 +219,8 @@ pub struct ServeStats {
     pub result_hits: u64,
     /// Queries that fell through to a fresh solve.
     pub result_misses: u64,
-    /// Stale-epoch result entries reclaimed (lazily on lookup, or in
-    /// bulk when an over-capacity insert purges a dead generation).
+    /// Stale result entries dropped when their cache shard was first
+    /// touched at a newer epoch.
     pub result_reclaimed: u64,
     /// Conflict rows served from the `(vertex, k)` memo.
     pub row_hits: u64,
@@ -229,8 +229,9 @@ pub struct ServeStats {
     /// Conflict rows evicted from the bounded `(vertex, k)` memo by its
     /// benefit-score policy.
     pub row_evictions: u64,
-    /// Result-cache misses that found a same-parameter keyword-superset
-    /// entry and seeded the solver's initial pruning floor from it.
+    /// Retired: counted keyword-subset floor seeds, which no longer
+    /// exist. Always 0; kept so existing readers of the struct still
+    /// build.
     pub subset_hits: u64,
     /// Current graph epoch (number of applied edge updates).
     pub epoch: u64,
@@ -310,7 +311,7 @@ impl ServeSession {
             row_hits: self.rows.hits(),
             row_misses: self.rows.misses(),
             row_evictions: self.rows.evictions(),
-            subset_hits: self.results.subset_hits(),
+            subset_hits: 0,
             epoch: self.epoch,
         }
     }
@@ -552,9 +553,9 @@ impl ServeSession {
         arena: &mut Arena,
     ) -> KtgAnswer {
         let opts = self.inner_opts();
-        let key = self.options.use_cache.then(|| CacheKey::ktg(query, &opts));
+        let key = self.options.use_cache.then(|| CacheKey::ktg(query));
         if let Some(key) = &key {
-            if let Some(CachedAnswer::Ktg(groups)) = self.results.get(key, self.epoch) {
+            if let Some(CachedAnswer::Ktg(groups)) = self.cached(key) {
                 let groups = MaskPermutation::of(query).groups_from_canonical(groups);
                 // Checked mode re-audits even cached answers: a cache bug
                 // shows up as a verification failure, not a wrong result.
@@ -562,28 +563,8 @@ impl ServeSession {
                 return KtgAnswer { groups, cached: true, status: CompletionStatus::Exact };
             }
         }
-        // Keyword-subset reuse (DESIGN.md §17): a cached answer for a
-        // same-parameter superset W' ⊇ W_Q cannot be returned verbatim —
-        // its top-N was selected under W'-projected coverage — but its
-        // groups, re-projected onto W_Q and filtered to W_Q's candidate
-        // set, are feasible groups of *this* query, so their N-th-best
-        // projected coverage is a sound initial Theorem-2 floor. Skipped
-        // for order-dependent solves (node budget / coverage early-exit),
-        // whose results are defined by unseeded discovery order.
-        let seed = if opts.node_budget.is_none() && opts.stop_at_coverage.is_none() {
-            key.as_ref().and_then(|key| match self.results.get_superset(key, self.epoch) {
-                Some((super_kw, CachedAnswer::Ktg(groups))) => Some(SubsetSeed {
-                    query_kw: key.keywords().to_vec(),
-                    super_kw,
-                    groups,
-                }),
-                _ => None,
-            })
-        } else {
-            None
-        };
         let clock = Stopwatch::start();
-        let outcome = self.solve_ktg(query, oracle, arena, &opts, seed);
+        let outcome = self.solve_ktg(query, oracle, arena, &opts);
         let solve_ns = clock.elapsed_nanos();
         // Only exact answers are cacheable: a deadline-cut result is
         // valid best-so-far but not canonical, and must not shadow the
@@ -592,15 +573,19 @@ impl ServeSession {
             if let Some(key) = key {
                 let canonical =
                     MaskPermutation::of(query).groups_to_canonical(outcome.groups.clone());
-                self.results.insert_with_cost(
-                    key,
-                    self.epoch,
-                    CachedAnswer::Ktg(canonical),
-                    solve_ns,
-                );
+                self.results.insert(key, self.epoch, CachedAnswer::Ktg(canonical), solve_ns);
             }
         }
         KtgAnswer { groups: outcome.groups, cached: false, status: outcome.status }
+    }
+
+    /// Result-cache lookup at the current epoch. The cache fault site
+    /// fires first, before any shard lock is taken, so an injected panic
+    /// can never poison (or skew) shard state: a retried lookup sees the
+    /// cache exactly as the first attempt did.
+    fn cached(&self, key: &CacheKey) -> Option<CachedAnswer> {
+        fault::inject(FaultSite::CacheLookup);
+        self.results.get(key, self.epoch)
     }
 
     /// A fresh KTG solve through the pooled arena, taking the
@@ -612,13 +597,9 @@ impl ServeSession {
         oracle: &NlrnlIndex,
         arena: &mut Arena,
         opts: &BbOptions,
-        seed: Option<SubsetSeed>,
     ) -> KtgOutcome {
         let masks = self.net.compile(query.keywords());
         candidates::collect(self.net.graph(), &masks, &mut arena.cands);
-        // The floor only tightens pruning — never what is enumerable — so
-        // seeded and unseeded solves return byte-identical groups.
-        let floor = seed.and_then(|seed| seed.floor(&arena.cands, query.n()));
         if !ConflictKernel::wants_bitmap(arena.cands.len(), opts) {
             return bb::solve_with_kernel(
                 &self.net,
@@ -627,7 +608,6 @@ impl ServeSession {
                 &arena.cands,
                 &ConflictKernel::Oracle,
                 opts,
-                floor,
             );
         }
         arena.sources.clear();
@@ -646,8 +626,7 @@ impl ServeSession {
             arena.bitmaps = kline_conflict_bitmaps(self.net.graph(), &arena.sources, query.k());
         }
         let kernel = ConflictKernel::Bitmap(std::mem::take(&mut arena.bitmaps));
-        let outcome =
-            bb::solve_with_kernel(&self.net, query, oracle, &arena.cands, &kernel, opts, floor);
+        let outcome = bb::solve_with_kernel(&self.net, query, oracle, &arena.cands, &kernel, opts);
         if let Some(rows) = kernel.into_bitmaps() {
             // Hand the rows back to the arena so the next query reuses
             // their word allocations.
@@ -663,10 +642,9 @@ impl ServeSession {
         arena: &mut Arena,
     ) -> DktgAnswer {
         let opts = self.inner_opts();
-        let key = self.options.use_cache.then(|| CacheKey::dktg(query, &opts));
+        let key = self.options.use_cache.then(|| CacheKey::dktg(query));
         if let Some(key) = &key {
-            if let Some(CachedAnswer::Dktg { groups, diversity, min_qkc, score }) =
-                self.results.get(key, self.epoch)
+            if let Some(CachedAnswer::Dktg { groups, diversity, min_qkc, score }) = self.cached(key)
             {
                 let groups =
                     MaskPermutation::of(query.base()).groups_from_canonical(groups);
@@ -683,9 +661,7 @@ impl ServeSession {
         }
         // Same code path as `dktg::solve_with_options`, minus the
         // candidate-vector allocation: greedy rounds consume the pooled
-        // vector in place. No subset seeding here: DKTG's greedy rounds
-        // are defined by discovery order, which a pre-published floor
-        // would perturb.
+        // vector in place.
         let clock = Stopwatch::start();
         let masks = self.net.compile(query.base().keywords());
         candidates::collect(self.net.graph(), &masks, &mut arena.cands);
@@ -695,7 +671,7 @@ impl ServeSession {
         if let Some(key) = key.filter(|_| outcome.status.is_exact()) {
             let canonical =
                 MaskPermutation::of(query.base()).groups_to_canonical(outcome.groups.clone());
-            self.results.insert_with_cost(
+            self.results.insert(
                 key,
                 self.epoch,
                 CachedAnswer::Dktg {
@@ -715,65 +691,6 @@ impl ServeSession {
             cached: false,
             status: outcome.status,
         }
-    }
-}
-
-/// A superset cache entry selected for keyword-subset floor seeding:
-/// the probing query's canonical (sorted) keyword ids, the cached
-/// superset's, and the cached groups with masks in the superset's
-/// canonical bit order.
-struct SubsetSeed {
-    query_kw: Vec<u32>,
-    super_kw: Vec<u32>,
-    groups: Vec<Group>,
-}
-
-impl SubsetSeed {
-    /// N-th-best projected coverage over the seed groups that are valid
-    /// groups of the subset query, or `None` when fewer than `n` qualify.
-    ///
-    /// Validity needs only one check beyond what the cached entry already
-    /// guarantees (same epoch ⇒ identical distances; same `p`/`k` in the
-    /// parameter signature ⇒ identical size and tenuity constraints):
-    /// every member must be a candidate of the *subset* query, because
-    /// the engine only enumerates candidate groups and a member covering
-    /// only `W' \ W_Q` keywords is unreachable here. Projection commutes
-    /// with the per-member mask union (`W_Q ⊆ W'`), so a surviving
-    /// group's projected mask equals the mask a fresh subset solve would
-    /// assign it — which is also why re-projected masks pass the
-    /// checked-mode audit.
-    fn floor(&self, cands: &[Candidate], n: usize) -> Option<u32> {
-        // Bit `s'` of a canonical-W' mask maps to bit `s` of the
-        // canonical-W_Q mask when keyword `super_kw[s']` is in `W_Q`.
-        let proj: Vec<Option<u32>> = self
-            .super_kw
-            .iter()
-            .map(|id| self.query_kw.binary_search(id).ok().map(|s| s as u32))
-            .collect();
-        let mut members: Vec<VertexId> = cands.iter().map(|c| c.v).collect();
-        members.sort_unstable();
-        let mut counts: Vec<u32> = self
-            .groups
-            .iter()
-            .filter_map(|g| {
-                if !g.members().iter().all(|m| members.binary_search(m).is_ok()) {
-                    return None;
-                }
-                let mask = proj.iter().enumerate().fold(0u64, |acc, (sp, s)| match s {
-                    Some(s) if (g.mask() >> sp) & 1 == 1 => acc | (1u64 << s),
-                    _ => acc,
-                });
-                // Members are candidates, so each covers ≥ 1 subset-query
-                // keyword and the projected mask is provably nonzero; the
-                // guard is defense in depth against a malformed entry.
-                (mask != 0).then(|| mask.count_ones())
-            })
-            .collect();
-        if counts.len() < n {
-            return None;
-        }
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        counts.get(n - 1).copied().filter(|&floor| floor > 0)
     }
 }
 
@@ -1151,72 +1068,43 @@ ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
         assert_eq!(item_session.epoch(), epoch);
     }
 
+    /// `p` and `N` are workload input: values far beyond the graph must
+    /// be answered exactly, never sized into an allocation.
     #[test]
-    fn superset_hit_seeds_floor_without_changing_answers() {
+    fn huge_p_and_n_are_answered_exactly() {
         let net = fixtures::figure1();
-        // Superset first, subset after: the subset query's cache miss
-        // probes the superset entry and seeds the engine's initial floor.
-        let workload = parse_workload(
-            "\
-ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
-ktg terms=SN,QP,DQ p=3 k=1 n=2
-",
-            &net,
-        )
-        .unwrap();
-        let mut seeded = ServeSession::new(net.clone(), sequential());
-        let out = seeded.run(&workload);
-        assert_eq!(
-            seeded.stats().subset_hits,
-            1,
-            "the subset miss must find the same-parameter superset entry"
-        );
-        // Byte-identical to a session with the cache off, which never
-        // seeds (debug builds re-audit every returned group, so the
-        // re-projected masks also pass the checked-mode verifier here).
-        let mut plain = ServeSession::new(
-            net.clone(),
-            ServeOptions { threads: 1, use_cache: false, ..ServeOptions::default() },
-        );
-        assert_eq!(out, plain.run(&workload));
-        assert_eq!(plain.stats().subset_hits, 0);
-        // And byte-identical to a fresh sequential solve of the subset
-        // query; the seeded path never fabricates a cache hit.
-        let query = KtgQuery::new(net.query_keywords(["SN", "QP", "DQ"]).unwrap(), 3, 1, 2)
-            .unwrap();
-        let oracle = BfsOracle::new(net.graph());
-        let fresh = bb::solve(&net, &query, &oracle, &BbOptions::vkc_deg());
-        let ItemOutcome::Ktg(sub) = &out[1] else { panic!("expected ktg") };
-        assert_eq!(sub.groups, fresh.groups);
-        assert!(!sub.cached, "subset reuse seeds the search, it is not a hit");
-    }
+        let huge = 1_000_000_000_000usize;
+        let mut session = ServeSession::new(net.clone(), sequential());
+        let mut answer = |line: String| {
+            session.run(&parse_workload(&line, &net).unwrap()).remove(0)
+        };
+        let ktg = |p: usize, n: usize| format!("ktg terms=SN,QP,DQ,GQ,GD p={p} k=1 n={n}");
+        let dktg =
+            |n: usize| format!("dktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n={n} gamma=0.5");
 
-    #[test]
-    fn subset_seed_floor_projects_masks_exactly() {
-        // Exercise SubsetSeed::floor directly: W' = {0, 2, 5}, W_Q = {0, 5}.
-        // Canonical W' bit 1 (keyword 2) is outside W_Q and must vanish;
-        // bits 0 and 2 map to W_Q bits 0 and 1.
-        let mk = |v: u32, mask: u64| Candidate {
-            v: VertexId(v),
-            mask,
-            degree: 1,
+        // No group of `p` distinct candidates exists.
+        let ItemOutcome::Ktg(none) = answer(ktg(huge, 2)) else { panic!("expected ktg") };
+        assert!(none.groups.is_empty());
+        assert_eq!(none.status, CompletionStatus::Exact);
+
+        // Huge `N` returns every feasible group: exactly what `N` set to
+        // that count returns.
+        let ItemOutcome::Ktg(all) = answer(ktg(3, huge)) else { panic!("expected ktg") };
+        assert!(all.groups.len() > 2, "figure1 has more than two feasible groups");
+        assert_eq!(all.status, CompletionStatus::Exact);
+        let ItemOutcome::Ktg(exact) = answer(ktg(3, all.groups.len())) else {
+            panic!("expected ktg")
         };
-        let cands = vec![mk(1, 0b01), mk(3, 0b10), mk(7, 0b11)];
-        let seed = SubsetSeed {
-            query_kw: vec![0, 5],
-            super_kw: vec![0, 2, 5],
-            groups: vec![
-                // Covers all three W' keywords → projects to 0b11 (2).
-                Group::new(vec![VertexId(1), VertexId(7)], 0b111),
-                // Covers {0, 2} → keyword 2 drops out → 0b01 (1).
-                Group::new(vec![VertexId(1), VertexId(3)], 0b011),
-                // Contains a non-candidate member → filtered out entirely.
-                Group::new(vec![VertexId(1), VertexId(9)], 0b111),
-            ],
+        assert_eq!(all.groups, exact.groups);
+
+        let ItemOutcome::Dktg(panels) = answer(dktg(huge)) else { panic!("expected dktg") };
+        assert!(!panels.groups.is_empty());
+        assert_eq!(panels.status, CompletionStatus::Exact);
+        let ItemOutcome::Dktg(exact) = answer(dktg(panels.groups.len())) else {
+            panic!("expected dktg")
         };
-        assert_eq!(seed.floor(&cands, 1), Some(2));
-        assert_eq!(seed.floor(&cands, 2), Some(1));
-        assert_eq!(seed.floor(&cands, 3), None, "only two groups survive the filter");
+        assert_eq!(panels.groups, exact.groups);
+        assert_eq!(panels.score.to_bits(), exact.score.to_bits());
     }
 
     #[test]

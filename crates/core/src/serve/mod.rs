@@ -7,12 +7,14 @@
 //!
 //! * [`workload`] — the line-oriented workload format (KTG/DKTG queries
 //!   plus `insert`/`remove` edge updates) and its parser.
-//! * [`cache`] — [`ResultCache`], the sharded, bounded, epoch-guarded
-//!   whole-answer memo keyed on the canonical [`CacheKey`].
+//! * [`cache`] — [`ResultCache`], the whole-answer memo keyed on the
+//!   canonical [`CacheKey`].
 //! * [`executor`] — [`ServeSession`], which replays workloads with
 //!   worker fan-out, pooled per-worker scratch arenas, the result cache,
 //!   and cross-query `(vertex, k)` conflict-row reuse through
-//!   [`ktg_index::NeighborhoodCache`].
+//!   [`ktg_index::NeighborhoodCache`]. Both caches are instances of
+//!   [`ktg_common::Memo`], one sharded, bounded, epoch-guarded type with
+//!   cost-aware eviction.
 //!
 //! The contract throughout: every outcome is byte-identical to a fresh
 //! sequential solve against the session's current graph. Caches
@@ -55,17 +57,16 @@ pub struct ServeOptions {
     /// `1` serves sequentially. Individual solves always run
     /// single-threaded — parallelism lives at the workload level.
     pub threads: usize,
-    /// Master switch for the result cache, its keyword-subset floor
-    /// seeding (DESIGN.md §17), and the conflict-row memo. Off, every
-    /// query is a fresh solve (the baseline the `qps` bench compares
-    /// against).
+    /// Master switch for the result cache and the conflict-row memo.
+    /// Off, every query is a fresh solve (the baseline the `qps` bench
+    /// compares against).
     pub use_cache: bool,
-    /// Capacity (in entries) of the result cache and of the conflict-row
-    /// memo. Ignored when `use_cache` is off.
+    /// Capacity (in entries) of each of the two caches: the result cache
+    /// and the conflict-row memo. Ignored when `use_cache` is off.
     pub cache_entries: usize,
-    /// Inner engine configuration. The `threads` field is overridden to
-    /// `1` per solve; the result-affecting fields (ordering, pruning
-    /// toggles, bitmap threshold) are folded into every cache key.
+    /// Inner engine configuration, fixed for the session's lifetime
+    /// (which is why cache keys hold only the query). The `threads`
+    /// field is overridden to `1` per solve.
     pub engine: BbOptions,
     /// Admission bound: at most this many *query* items are solved per
     /// [`ServeSession::run`] call; the excess is shed unsolved as

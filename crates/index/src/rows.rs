@@ -9,207 +9,47 @@
 //! query's private candidate index space instead of re-running one
 //! bounded BFS per candidate per query.
 //!
-//! The cache is sharded (fixed stripe array, hashed by `(vertex, k)`) so
-//! executor workers do not serialize on one lock, bounded (benefit-score
-//! eviction per shard — see below) so a long-running server cannot grow
-//! without limit, and **epoch-stamped**: every entry records the graph
-//! epoch it was computed at, and a lookup under a different epoch is a
-//! miss that drops the stale generation. The executor bumps its epoch on
-//! every edge update, which makes stale conflict rows unreachable by
-//! construction.
-//!
-//! **Eviction policy.** Each entry carries a deterministic cost proxy
-//! (its ball length — the frontier work a recomputation would pay) and
-//! the shard-local logical tick of its last hit. A full shard evicts the
-//! entry with the minimum *benefit score* — cost halved once per
-//! [`HALF_LIFE`] ticks of disuse — with the insertion sequence number as
-//! a total-order tie break. Clocks are purely logical (access counters,
-//! never wall time, per lint L4), so the retained set is a pure function
-//! of the access sequence.
+//! The memo is a [`ktg_common::Memo`], the same sharded, bounded,
+//! epoch-guarded type as the serving layer's result cache: the executor
+//! bumps its epoch on every edge update, which makes stale conflict rows
+//! unreachable by construction.
 
 #[cfg(test)]
 use crate::batch::kline_conflict_bitmaps;
-use ktg_common::{FixedBitSet, FxHashMap, VertexId};
+use ktg_common::{FixedBitSet, Memo, VertexId};
 use ktg_graph::bfs::{bfs_levels, BfsScratch};
 use ktg_graph::csr::Adjacency;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-/// Number of cache stripes; a small power of two keeps the shard pick a
-/// multiply + shift while letting a handful of workers proceed in
-/// parallel.
-const ROW_SHARDS: usize = 16;
+/// The `(vertex, k)` conflict-row memo: one [`Memo`] instance keyed by
+/// `(vertex id, k)`. A row is the key vertex's within-`k` ball — every
+/// vertex at hop distance `1..=k`, in BFS discovery order, in graph-space
+/// ids (query independent by design). Its eviction cost is the ball
+/// length + 1, a deterministic proxy for the frontier work a
+/// recomputation would pay.
+pub type NeighborhoodCache = Memo<(u32, u32), Arc<Vec<VertexId>>>;
 
-/// Recency half-life in shard ticks: an entry's benefit score halves for
-/// every `HALF_LIFE` shard accesses since it was last hit, so a large
-/// ball that stopped being referenced eventually loses to small but live
-/// rows.
-const HALF_LIFE: u64 = 64;
-
-/// Benefit of keeping an entry: what recomputing it would cost, decayed
-/// by how long it has gone unreferenced.
-fn benefit_score(cost: u64, age: u64) -> u64 {
-    cost >> (age / HALF_LIFE).min(63)
-}
-
-/// A `(vertex, k)` ball: every vertex at hop distance `1..=k` of the
-/// key vertex, in BFS discovery order. Graph-space ids — query
-/// independent by design.
-type Row = Arc<Vec<VertexId>>;
-
-struct RowEntry {
-    row: Row,
-    /// Recomputation-cost proxy: ball length + 1 (deterministic, unlike
-    /// the BFS nanos it stands in for).
-    cost: u64,
-    /// Shard tick of the last hit (or the insert).
-    last_touch: u64,
-    /// Insertion sequence number; unique per shard, so eviction's
-    /// `(score, seq)` minimum is always a single entry.
-    seq: u64,
-}
-
-struct RowShard {
-    /// Graph epoch this shard's entries were computed at.
+/// Returns the within-`k` ball of `v` at graph `epoch`: from the memo
+/// when a same-epoch row is resident, otherwise by a bounded BFS run
+/// outside any lock (concurrent misses in one stripe do not serialize
+/// their BFS work; a racing duplicate insert stores an identical row).
+fn row<A: Adjacency>(
+    cache: &NeighborhoodCache,
+    graph: &A,
+    v: VertexId,
+    k: u32,
     epoch: u64,
-    map: FxHashMap<(u32, u32), RowEntry>,
-    /// Logical access clock: bumped once per lookup.
-    tick: u64,
-    /// Insertion counter feeding [`RowEntry::seq`].
-    seq: u64,
-}
-
-/// A bounded, sharded, epoch-guarded memo of per-`(vertex, k)` conflict
-/// rows shared by every query the executor serves.
-pub struct NeighborhoodCache {
-    shards: Vec<Mutex<RowShard>>,
-    per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl NeighborhoodCache {
-    /// Creates a cache holding at most `capacity` rows in total
-    /// (rounded up to a multiple of the stripe count; a zero capacity
-    /// still admits one row per stripe).
-    pub fn new(capacity: usize) -> Self {
-        NeighborhoodCache {
-            shards: (0..ROW_SHARDS)
-                .map(|_| {
-                    Mutex::new(RowShard {
-                        epoch: 0,
-                        map: FxHashMap::default(),
-                        tick: 0,
-                        seq: 0,
-                    })
-                })
-                .collect(),
-            per_shard_capacity: capacity.div_ceil(ROW_SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+    scratch: &mut BfsScratch,
+) -> Arc<Vec<VertexId>> {
+    if let Some(row) = cache.get(&(v.0, k), epoch) {
+        return row;
     }
-
-    /// Rows served from the memo so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Rows computed by a fresh bounded BFS so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Rows displaced by benefit-score eviction so far (epoch drops and
-    /// stale-generation clears do not count).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    fn shard(&self, v: VertexId, k: u32) -> MutexGuard<'_, RowShard> {
-        let idx = Self::shard_index(v, k);
-        // Entries are immutable Arcs inserted whole, so a panicking
-        // borrower cannot leave a shard half-written: recover the lock.
-        match self.shards[idx].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Returns the within-`k` ball of `v` at graph `epoch`, serving it
-    /// from the memo when a same-epoch entry exists and computing (and
-    /// caching) it by bounded BFS otherwise.
-    ///
-    /// An epoch change invalidates lazily: the first access under the new
-    /// epoch drops the shard's previous generation wholesale. The caller
-    /// must pass a monotonically nondecreasing epoch for a given graph
-    /// state (the executor's update path guarantees this).
-    pub fn row<A: Adjacency>(
-        &self,
-        graph: &A,
-        v: VertexId,
-        k: u32,
-        epoch: u64,
-        scratch: &mut BfsScratch,
-    ) -> Row {
-        {
-            let mut shard = self.shard(v, k);
-            shard.tick += 1;
-            let tick = shard.tick;
-            if shard.epoch != epoch {
-                shard.map.clear();
-                shard.epoch = epoch;
-            } else if let Some(entry) = shard.map.get_mut(&(v.0, k)) {
-                entry.last_touch = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.row);
-            }
-        }
-        // Compute outside the lock so concurrent misses in one stripe do
-        // not serialize their BFS work (a racing duplicate is benign: the
-        // later insert overwrites with an identical row).
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        scratch.fit(graph.num_vertices());
-        let mut ball = Vec::new();
-        bfs_levels(graph, v, k as usize, scratch, |w, _| ball.push(w));
-        let row: Row = Arc::new(ball);
-        let mut shard = self.shard(v, k);
-        if shard.epoch == epoch && !shard.map.contains_key(&(v.0, k)) {
-            if shard.map.len() >= self.per_shard_capacity {
-                let tick = shard.tick;
-                // An empty shard (capacity clamps to >= 1, so this only
-                // happens if capacity were 0) needs no eviction.
-                let victim = shard
-                    .map
-                    .iter()
-                    .map(|(&key, e)| {
-                        (benefit_score(e.cost, tick.saturating_sub(e.last_touch)), e.seq, key)
-                    })
-                    .min();
-                if let Some((_, _, key)) = victim {
-                    shard.map.remove(&key);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            shard.tick += 1;
-            shard.seq += 1;
-            let (tick, seq) = (shard.tick, shard.seq);
-            shard.map.insert(
-                (v.0, k),
-                RowEntry { row: Arc::clone(&row), cost: row.len() as u64 + 1, last_touch: tick, seq },
-            );
-        }
-        row
-    }
-
-    /// Shard index a key hashes to (also used by tests that need to
-    /// co-locate keys in one stripe).
-    fn shard_index(v: VertexId, k: u32) -> usize {
-        let key = ((v.0 as u64) << 32 | k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (key >> 60) as usize % ROW_SHARDS
-    }
+    scratch.fit(graph.num_vertices());
+    let mut ball = Vec::new();
+    bfs_levels(graph, v, k as usize, scratch, |w, _| ball.push(w));
+    let row = Arc::new(ball);
+    cache.insert((v.0, k), epoch, Arc::clone(&row), row.len() as u64 + 1);
+    row
 }
 
 /// Reusable per-worker scratch for [`conflict_bitmaps_cached`]: the BFS
@@ -260,8 +100,8 @@ pub fn conflict_bitmaps_cached<A: Adjacency>(
     }
     for (i, (src, bitmap)) in sources.iter().zip(out.iter_mut()).enumerate() {
         bitmap.reset(m);
-        let row = cache.row(graph, *src, k, epoch, &mut scratch.bfs);
-        for w in row.iter() {
+        let ball = row(cache, graph, *src, k, epoch, &mut scratch.bfs);
+        for w in ball.iter() {
             let j = scratch.index_of[w.index()];
             if j != u32::MAX {
                 debug_assert!(j as usize != i, "BFS never reports its source");
@@ -352,7 +192,7 @@ mod tests {
             .filter(|&u| {
                 let mut s = BfsScratch::new(64);
                 let before = cache.hits();
-                cache.row(&g, VertexId(u), 2, 1, &mut s);
+                row(&cache, &g, VertexId(u), 2, 1, &mut s);
                 cache.hits() > before
             })
             .count();
@@ -361,62 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn benefit_score_decays_with_age() {
-        assert_eq!(benefit_score(1024, 0), 1024);
-        assert_eq!(benefit_score(1024, HALF_LIFE - 1), 1024);
-        assert_eq!(benefit_score(1024, HALF_LIFE), 512);
-        assert_eq!(benefit_score(1024, 10 * HALF_LIFE), 1);
-        assert_eq!(benefit_score(1024, 64 * HALF_LIFE), 0, "shift clamps at 63");
-        assert_eq!(benefit_score(u64::MAX, u64::MAX), 1, "no overflow at extremes");
-    }
-
-    #[test]
-    fn eviction_keeps_the_expensive_row_and_drops_the_oldest_cheap_one() {
-        // Star: the hub's k=1 ball is every leaf (expensive to rebuild);
-        // a leaf's ball is just the hub (cheap).
-        let n = 128u32;
-        let edges: Vec<(u32, u32)> = (1..n).map(|v| (0, v)).collect();
-        let g = CsrGraph::from_edges(n as usize, &edges).unwrap();
-
-        // Leaves co-located with the hub's (0, k=1) key in one stripe.
-        let hub_stripe = NeighborhoodCache::shard_index(VertexId(0), 1);
-        let stripe_leaves: Vec<u32> = (1..n)
-            .filter(|&v| NeighborhoodCache::shard_index(VertexId(v), 1) == hub_stripe)
-            .collect();
-        assert!(stripe_leaves.len() >= 4, "fixture must co-locate enough keys");
-
-        // Capacity 64 → 4 rows per stripe.
-        let cache = NeighborhoodCache::new(64);
-        let mut scratch = BfsScratch::new(n as usize);
-        cache.row(&g, VertexId(0), 1, 0, &mut scratch); // cost 128
-        for &v in &stripe_leaves[..3] {
-            cache.row(&g, VertexId(v), 1, 0, &mut scratch); // cost 2 each
-        }
-        assert_eq!(cache.evictions(), 0);
-
-        // Fifth key in a full stripe: the victim is the minimum
-        // (benefit, seq) — the *first-inserted cheap leaf*, never the
-        // expensive hub row even though the hub is the oldest insert.
-        cache.row(&g, VertexId(stripe_leaves[3]), 1, 0, &mut scratch);
-        assert_eq!(cache.evictions(), 1);
-
-        let hits_before = cache.hits();
-        cache.row(&g, VertexId(0), 1, 0, &mut scratch);
-        assert_eq!(cache.hits(), hits_before + 1, "hub row survived");
-        let misses_before = cache.misses();
-        cache.row(&g, VertexId(stripe_leaves[0]), 1, 0, &mut scratch);
-        assert_eq!(cache.misses(), misses_before + 1, "oldest cheap row was evicted");
-        assert_eq!(cache.evictions(), 2, "its re-insert displaced the next-oldest leaf");
-    }
-
-    #[test]
     fn rows_exclude_the_source() {
         let g = random_graph(12, 0.3, 9);
         let cache = NeighborhoodCache::new(64);
         let mut scratch = BfsScratch::new(12);
         for u in 0..12 {
-            let row = cache.row(&g, VertexId(u), 3, 0, &mut scratch);
-            assert!(!row.contains(&VertexId(u)));
+            let ball = row(&cache, &g, VertexId(u), 3, 0, &mut scratch);
+            assert!(!ball.contains(&VertexId(u)));
         }
     }
 }

@@ -57,7 +57,12 @@
 //! the rename and the truncate is benign: replaying the whole old log
 //! onto the post-log state is a fixpoint (each update line sets the
 //! presence of one specific edge, so the final state after replay
-//! equals the state the checkpoint captured).
+//! equals the state the checkpoint captured). The reverse order must
+//! never reach the disk: a durable truncate with a lost rename would
+//! bring the old bundle back with an empty log. The checkpoint therefore
+//! syncs the bundle's directory ([`sync_parent_dir`]) between the rename
+//! and the truncate, and [`WalWriter::create`] syncs the log's directory
+//! so a new log's directory entry is durable too.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -276,6 +281,7 @@ impl WalWriter {
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
         write_header(&mut file, base_seq)?;
         file.sync_data()?;
+        sync_parent_dir(path)?;
         Ok(WalWriter { file, seq: base_seq, sync, unsynced: 0 })
     }
 
@@ -355,6 +361,18 @@ impl WalWriter {
         self.unsynced = 0;
         Ok(())
     }
+}
+
+/// Fsyncs the directory holding `path`, making a create or rename of
+/// `path` durable (a file's own sync does not cover its directory
+/// entry). A bare file name syncs the current directory.
+pub fn sync_parent_dir(path: &Path) -> Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 fn write_header(file: &mut File, base_seq: u64) -> Result<()> {
@@ -523,6 +541,16 @@ mod tests {
         bytes[..8].copy_from_slice(MAGIC);
         bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
         assert!(replay_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn sync_parent_dir_syncs_existing_and_rejects_missing_directories() {
+        sync_parent_dir(&temp_path("any-file")).unwrap();
+        sync_parent_dir(Path::new("relative-name")).unwrap();
+        let mut missing = temp_path("no-such-dir");
+        missing.push("log.wal");
+        let err = sync_parent_dir(&missing).unwrap_err();
+        assert!(matches!(err, KtgError::Io(_)), "{err:?}");
     }
 
     #[test]

@@ -22,7 +22,6 @@ use ktg_core::{bb, dktg, verify, AttributedGraph, DktgQuery, Group, KtgQuery};
 use ktg_graph::DynamicGraph;
 use ktg_index::{persist, BfsOracle, NlrnlIndex};
 use ktg_integration_tests::{random_network, random_query};
-use ktg_keywords::QueryKeywords;
 
 /// Thread counts to sweep; `0` resolves to the machine's worker count
 /// (CI pins it via `KTG_THREADS=4`).
@@ -246,56 +245,6 @@ fn serving_matches_sequential_across_dynamic_updates() {
         }
         assert_serve_matches_reference(&format!("dynamic case {case} (n={n})"), &net, &workload);
     }
-}
-
-/// A workload engineered to exercise keyword-subset reuse: one broad
-/// superset query first, then repeated narrower queries whose keyword
-/// sets it contains (same p/k/N, so the cached answer is
-/// seeding-eligible), with an edge update partway through to cross an
-/// epoch boundary.
-fn superset_then_subsets_workload(net: &AttributedGraph, seed: u64) -> Vec<WorkloadItem> {
-    let broad = random_query(net, 5, seed);
-    let ids = broad.ids().to_vec();
-    let mut items = vec![WorkloadItem::Ktg(KtgQuery::new(broad, 3, 2, 3).expect("valid"))];
-    for pick in [[0usize, 1, 2], [1, 2, 3], [2, 3, 4], [0, 2, 4]] {
-        let kws = QueryKeywords::new(pick.map(|i| ids[i])).expect("validated size");
-        items.push(WorkloadItem::Ktg(KtgQuery::new(kws, 3, 2, 3).expect("valid")));
-    }
-    items.push(WorkloadItem::Insert(VertexId(0), VertexId(3)));
-    let narrow = QueryKeywords::new([ids[1], ids[3], ids[4]]).expect("validated size");
-    items.push(WorkloadItem::Ktg(KtgQuery::new(narrow, 3, 2, 3).expect("valid")));
-    items
-}
-
-/// Keyword-subset floor seeding is a pure amortization: across thread
-/// counts and an epoch-crossing update, seeded serving is byte-identical
-/// to the query-at-a-time reference. Debug builds audit every answer in
-/// checked mode, so a subset-seeded solve that somehow mis-projected a
-/// coverage mask would fail here, not just diverge. This is the only
-/// end-to-end guard that seeding actually fires.
-#[test]
-fn subset_seeding_matches_reference_across_threads() {
-    let mut rng = SeededRng::seed_from_u64(0xCA5E);
-    let mut subset_seeded = false;
-    for case in 0..3 {
-        let n = rng.gen_range(18..34usize);
-        let seed = rng.gen_range(0u64..1000);
-        let net = random_network(n, 0.22, 8, 4, seed);
-        let workload = superset_then_subsets_workload(&net, seed ^ 0xB0B);
-        let expected = reference_replay(&net, &workload);
-        for threads in [1usize, 4] {
-            let options = ServeOptions { threads, ..ServeOptions::default() };
-            let mut session = ServeSession::new(net.clone(), options);
-            let outcomes = session.run(&workload);
-            assert_eq!(
-                expected,
-                strip(&outcomes),
-                "case {case}: threads={threads} diverged from the reference"
-            );
-            subset_seeded |= session.stats().subset_hits > 0;
-        }
-    }
-    assert!(subset_seeded, "no subset query was ever floor-seeded");
 }
 
 #[test]

@@ -17,6 +17,14 @@ export RUSTFLAGS="-D warnings"
 echo "== offline release build (deny warnings) =="
 cargo build --release --offline
 
+echo "== perfbench builds against the current crates =="
+# The benchmark driver (perfbench/, its own workspace) compiles these
+# crates by path, so a crate-API change that breaks it fails here rather
+# than in a benchmark run. Same command and target directory as
+# perfbench/run.py, which does not set RUSTFLAGS.
+env -u RUSTFLAGS CARGO_TARGET_DIR=.bench_build \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== offline test suite =="
 cargo test -q --offline
 
