@@ -1,30 +1,31 @@
 //! Randomized tests: every branch-and-bound variant is **exact**.
 //!
 //! On arbitrary attributed networks, each algorithm configuration must
-//! return groups with the same top-N coverage multiset as brute force,
-//! and every returned group must be feasible (size p, every pairwise
-//! distance over k, every member covering ≥ 1 query keyword). Cases come
-//! from a fixed-seed RNG so failures reproduce exactly.
+//! return exactly brute force's groups (members, masks and canonical tie
+//! order), and every returned group must be feasible (size p, every
+//! pairwise distance over k, every member covering ≥ 1 query keyword).
+//! Cases come from a fixed-seed RNG so failures reproduce exactly.
 
 use ktg_common::SeededRng;
 use ktg_core::{bb, brute, KtgQuery, MemberOrdering};
 use ktg_index::{DistanceOracle, ExactOracle};
 use ktg_integration_tests::{random_network, random_query};
 
-fn coverage_counts(groups: &[ktg_core::Group]) -> Vec<u32> {
-    groups.iter().map(|g| g.coverage_count()).collect()
-}
-
+/// Brute force against every ordering, over the axes that decide which
+/// tied branches the engine may cut: group size up to 5, `N` up to 7,
+/// one worker and `threads = 0` (auto: `KTG_THREADS` sets the worker
+/// count, so the shared floor meets the local cut), and both conflict
+/// kernels.
 #[test]
 fn bb_matches_brute_force() {
     let mut rng = SeededRng::seed_from_u64(0xB8);
-    for case in 0..64 {
+    for case in 0..2000 {
         let n = rng.gen_range(4..18usize);
         let density = rng.gen_range(0.05..0.5);
         let seed = rng.gen_range(0u64..1000);
-        let p = rng.gen_range(2..4usize);
+        let p = rng.gen_range(2..6usize);
         let k = rng.gen_range(0u32..4);
-        let top_n = rng.gen_range(1..4usize);
+        let top_n = rng.gen_range(1..8usize);
         let wq = rng.gen_range(2..5usize);
         let net = random_network(n, density, 6, 3, seed);
         let query = KtgQuery::new(random_query(&net, wq, seed), p, k, top_n).expect("valid");
@@ -37,13 +38,20 @@ fn bb_matches_brute_force() {
             MemberOrdering::VkcDeg,
             MemberOrdering::VkcDegDesc,
         ] {
-            let out =
-                bb::solve(&net, &query, &oracle, &bb::BbOptions::vkc().with_ordering(ordering));
-            assert_eq!(
-                coverage_counts(&out.groups),
-                coverage_counts(&reference.groups),
-                "case {case}: ordering {ordering:?} diverged from brute force"
-            );
+            for threads in [1usize, 0] {
+                for bitmap_threshold in [bb::DEFAULT_BITMAP_THRESHOLD, 0] {
+                    let opts = bb::BbOptions::vkc()
+                        .with_ordering(ordering)
+                        .with_threads(threads)
+                        .with_bitmap_threshold(bitmap_threshold);
+                    let out = bb::solve(&net, &query, &oracle, &opts);
+                    assert_eq!(
+                        out.groups, reference.groups,
+                        "case {case}: ordering {ordering:?} threads {threads} \
+                         bitmap_threshold {bitmap_threshold} diverged from brute force"
+                    );
+                }
+            }
         }
     }
 }
@@ -51,7 +59,7 @@ fn bb_matches_brute_force() {
 #[test]
 fn pruning_toggles_stay_exact() {
     let mut rng = SeededRng::seed_from_u64(0x9121);
-    for case in 0..64 {
+    for case in 0..2000 {
         let n = rng.gen_range(4..16usize);
         let density = rng.gen_range(0.05..0.5);
         let seed = rng.gen_range(0u64..1000);
@@ -67,11 +75,7 @@ fn pruning_toggles_stay_exact() {
                 ..bb::BbOptions::vkc_deg()
             };
             let out = bb::solve(&net, &query, &oracle, &opts);
-            assert_eq!(
-                coverage_counts(&out.groups),
-                coverage_counts(&reference.groups),
-                "case {case}: kp={kp} kf={kf}"
-            );
+            assert_eq!(out.groups, reference.groups, "case {case}: kp={kp} kf={kf}");
         }
     }
 }
