@@ -3,11 +3,16 @@
 //! KTG queries return the N best groups by keyword coverage. [`TopN`] keeps
 //! the running N best in a min-heap so that:
 //!
-//! * the current N-th best (the pruning threshold `C_max` of the paper's
-//!   Theorem 2) is an O(1) peek, and
-//! * an item whose score merely **equals** the current N-th best does *not*
+//! * the current N-th best is an O(1) peek: the branch-and-bound engine
+//!   reads its coverage as the pruning threshold `C_max` of the paper's
+//!   Theorem 2, and its member list to cut tied branches that cannot win
+//!   on canonical order, and
+//! * an item that merely **equals** the current N-th best does *not*
 //!   displace an incumbent — matching the paper's worked examples, where
-//!   groups tied at coverage 0.8 "can not update the result groups".
+//!   groups tied at coverage 0.8 "can not update the result groups". The
+//!   engine's ranked groups order equal coverage by member list, so a
+//!   group tied on coverage enters only when its members are canonically
+//!   smaller.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -104,17 +109,6 @@ impl<T: Ord> TopN<T> {
         retained
     }
 
-    /// Whether an item with the given value *would* be retained, without
-    /// inserting it. This is the keyword-pruning test: a branch whose upper
-    /// bound would not be admitted cannot improve the result.
-    #[inline]
-    pub fn would_admit(&self, item: &T) -> bool {
-        match self.threshold() {
-            None => true,
-            Some(min) => item > min,
-        }
-    }
-
     /// Consumes the collection, returning items in descending order.
     pub fn into_sorted_desc(self) -> Vec<T> {
         let mut items: Vec<T> = self.heap.into_iter().map(|r| r.0).collect();
@@ -176,16 +170,6 @@ mod tests {
         assert!(!t.offer(5), "equal item must not displace incumbent");
         assert!(t.offer(6));
         assert_eq!(t.into_sorted_desc(), vec![6]);
-    }
-
-    #[test]
-    fn would_admit_matches_offer() {
-        let mut t = TopN::new(2);
-        assert!(t.would_admit(&0));
-        t.offer(3);
-        t.offer(4);
-        assert!(!t.would_admit(&3));
-        assert!(t.would_admit(&5));
     }
 
     #[test]

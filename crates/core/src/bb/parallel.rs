@@ -15,9 +15,14 @@
 //! ranked at least as high as the final N-th best is provably explored by
 //! whichever worker owns its root branch, and merging the per-worker
 //! heaps through one more `TopN` selects the same N groups in the same
-//! order no matter how the workers interleaved. The merged output is
-//! byte-identical to the sequential engine's. Stats, by contrast, are
-//! honest aggregates of work performed and do vary with thread count.
+//! order no matter how the workers interleaved. The floor a worker
+//! imports from the others is a coverage count, so it cuts only branches
+//! whose bound falls strictly below it. The tie cut compares member lists
+//! with the worker's *own* N-th best, whose N groups are all in the merge:
+//! a group the worker cuts ranks at or below it, and so outside the merged
+//! top N. The merged output is byte-identical to the sequential engine's.
+//! Stats, by contrast, are honest aggregates of work performed and do
+//! vary with thread count.
 
 use super::kernel::ConflictKernel;
 use super::sequential::Engine;

@@ -6,14 +6,20 @@
 //! of the first-level branches), and an optional [`SharedThreshold`] that
 //! imports other workers' N-th-best coverage into the Theorem-2 bound.
 //!
-//! Keyword pruning cuts a branch only when its upper bound falls
-//! *strictly below* the threshold. A branch that merely ties must be
-//! explored: under the canonical result ranking a tied group can still
-//! displace an incumbent with a lexicographically larger member list, and
-//! exploring ties is exactly what makes the result a pure function of the
-//! feasible-group set (see DESIGN.md §12). The bound is non-increasing as
-//! the loop advances through the ordered `S_R`, so a failed bound ends
-//! the whole node, not just the branch.
+//! Keyword pruning cuts a branch whose upper bound falls *strictly below*
+//! the threshold. A branch whose bound only ties this engine's own N-th
+//! best can at best produce a tied group, and under the canonical result
+//! ranking a tied group enters only if its sorted member list is
+//! lexicographically smaller than the N-th's. The smallest completion of
+//! `S_I` from `ord[i..]` (`S_I` plus the `need` smallest ids left, sorted)
+//! is elementwise no larger than any other, so when even it does not win,
+//! the tied branch is cut too. Every cut group therefore ranks at or
+//! below the N-th best at the moment of the cut; the N-th best only
+//! rises, so the engine admits the same groups in the same order as a
+//! search that entered every tie, and the result stays a pure function of
+//! the feasible-group set (see DESIGN.md §12). Both the bound and the
+//! smallest completion only worsen as the loop advances through the
+//! ordered `S_R`, so a cut ends the whole node, not just the branch.
 
 use super::kernel::ConflictKernel;
 use super::{top_vkc_sum_masks, BbOptions, KtgOutcome};
@@ -74,6 +80,12 @@ pub(super) struct Engine<'a, O: DistanceOracle> {
     /// into `avail[d + 1]` by one word-parallel AND-NOT. Empty unless the
     /// kernel is bitmap-backed and eager filtering is on.
     avail: Vec<FixedBitSet>,
+    /// Per-depth tables for the tie cut, filled by [`fill_completions`]
+    /// the first time a node's bound ties the local N-th best, and
+    /// cleared when the next node at that depth starts: `S_I` sorted,
+    /// then one row of `need` sorted ids per suffix, where row `r` holds
+    /// the smallest ids of `ord[ord.len() - need - r..]`.
+    completions: Vec<Vec<VertexId>>,
 }
 
 impl<'a, O: DistanceOracle> Engine<'a, O> {
@@ -110,6 +122,7 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
             members: Vec::with_capacity(query.p()),
             member_idx: Vec::with_capacity(query.p()),
             avail,
+            completions: vec![Vec::new(); query.p()],
         }
     }
 
@@ -143,21 +156,39 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
         }
     }
 
-    /// Theorem 2: can `covered` plus the best `need` remaining VKC values
-    /// still reach the threshold? Ties pass — a tied group may still
-    /// enter the result on canonical order.
-    fn upper_bound_admissible(&self, covered: u64, tail: &[u32], need: usize) -> bool {
-        let Some(threshold) = self.threshold() else { return true };
-        let base = coverage::covered_count(covered);
+    /// Keyword pruning: can no group completing `S_I` from `ord[i..]`
+    /// enter the result? Theorem 2 bounds its coverage by `covered` plus
+    /// the best `need` remaining VKC values. A bound below the threshold
+    /// cuts outright. A bound equal to the local N-th best's count cuts
+    /// when even the smallest completion is not canonically smaller than
+    /// the N-th's members. The shared floor is a count only: when it lies
+    /// above the local N-th best, no bound that passes it can tie locally.
+    fn keyword_prunes(&mut self, covered: u64, ord: &[u32], i: usize, need: usize) -> bool {
+        let Some(threshold) = self.threshold() else { return false };
         let cands = self.cands;
-        let bound = base
+        let bound = coverage::covered_count(covered)
             + top_vkc_sum_masks(
                 covered,
-                tail.iter().map(|&ci| cands[ci as usize].mask),
+                ord[i..].iter().map(|&ci| cands[ci as usize].mask),
                 need,
                 self.opts.ordering.vkc_sorted(),
             );
-        bound >= threshold
+        if bound < threshold {
+            return true;
+        }
+        let Some(nth) = self.results.threshold() else { return false };
+        if nth.count != bound {
+            return false;
+        }
+        let depth = self.members.len();
+        let table = &mut self.completions[depth];
+        if table.is_empty() {
+            fill_completions(table, &self.members, self.cands, &ord[i..], need);
+        }
+        let (base, rows) = table.split_at(depth);
+        let row = ord.len() - need - i;
+        let smallest = &rows[row * need..(row + 1) * need];
+        !union_precedes(base, smallest, nth.group.members())
     }
 
     fn offer(&mut self, covered: u64) {
@@ -223,6 +254,7 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
         let depth = self.members.len();
         let need = self.query.p() - depth;
         let kernel = self.kernel;
+        self.completions[depth].clear();
 
         for i in 0..ord.len() {
             let ci = ord[i] as usize;
@@ -244,11 +276,9 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
                 self.stats.feasibility_cuts += 1;
                 return;
             }
-            // The remaining pool only shrinks as `i` advances, so a failed
-            // bound here fails for every later branch too: return, don't
-            // continue.
-            if self.opts.keyword_pruning && !self.upper_bound_admissible(covered, &ord[i..], need)
-            {
+            // The remaining pool only shrinks as `i` advances, so a cut
+            // here cuts every later branch too: return, don't continue.
+            if self.opts.keyword_pruning && self.keyword_prunes(covered, ord, i, need) {
                 self.stats.keyword_pruned += 1;
                 return;
             }
@@ -320,4 +350,50 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
             self.member_idx.pop();
         }
     }
+}
+
+/// Fills a tie-cut table for a node with members `s_i`: `s_i` sorted,
+/// then, for every suffix of `tail` from the shortest with `need` ids up
+/// to `tail` itself, its `need` smallest ids, sorted. One backward pass
+/// keeps the `need` smallest ids seen so far.
+fn fill_completions(
+    table: &mut Vec<VertexId>,
+    s_i: &[VertexId],
+    cands: &[Candidate],
+    tail: &[u32],
+    need: usize,
+) {
+    table.extend_from_slice(s_i);
+    table.sort_unstable();
+    let mut smallest: Vec<VertexId> = Vec::with_capacity(need);
+    for &ci in tail.iter().rev() {
+        let v = cands[ci as usize].v;
+        let pos = smallest.partition_point(|&x| x < v);
+        if pos < need {
+            smallest.insert(pos, v);
+            smallest.truncate(need);
+        }
+        if smallest.len() == need {
+            table.extend_from_slice(&smallest);
+        }
+    }
+}
+
+/// Whether the sorted union of the disjoint sorted lists `a` and `b` is
+/// lexicographically smaller than `other`, which has their total length.
+fn union_precedes(a: &[VertexId], b: &[VertexId], other: &[VertexId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    for &o in other {
+        let next = if j == b.len() || (i < a.len() && a[i] < b[j]) {
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        if next != o {
+            return next < o;
+        }
+    }
+    false
 }

@@ -30,7 +30,9 @@
 //!   fresh BFS bounded at depth `k`;
 //! * the group's claimed coverage mask equals the re-unioned member
 //!   masks (Def. 6);
-//! * groups arrive in non-increasing coverage order (top-`N` contract);
+//! * groups arrive in non-increasing coverage order (top-`N` contract),
+//!   and groups of equal coverage in strictly ascending member order (the
+//!   canonical tie order, which also rules out a group listed twice);
 //! * DKTG only: panels are pairwise member-disjoint (greedy invariant).
 
 use crate::group::Group;
@@ -117,6 +119,15 @@ pub enum Violation {
         /// Its own coverage count.
         cur: u32,
     },
+    /// A group tying its predecessor's coverage whose member list is not
+    /// lexicographically greater than the predecessor's: ties must come in
+    /// canonical order, and no group may appear twice.
+    TieOrderViolation {
+        /// Index of the out-of-order group.
+        group: usize,
+        /// The coverage count both groups share.
+        count: u32,
+    },
     /// Two DKTG panels sharing a member (greedy panels are disjoint).
     MembersNotDisjoint {
         /// Index of the earlier group.
@@ -162,6 +173,13 @@ impl fmt::Display for Violation {
                 write!(
                     f,
                     "group {group}: coverage {cur} exceeds predecessor's {prev} — result not sorted"
+                )
+            }
+            Violation::TieOrderViolation { group, count } => {
+                write!(
+                    f,
+                    "group {group}: ties its predecessor at coverage {count} but its members \
+                     do not follow the predecessor's in canonical order"
                 )
             }
             Violation::MembersNotDisjoint { group_a, group_b, v } => {
@@ -307,21 +325,23 @@ pub fn audit_results(net: &AttributedGraph, query: &KtgQuery, groups: &[Group]) 
     if groups.len() > query.n() {
         report.violations.push(Violation::TooManyGroups { got: groups.len(), n: query.n() });
     }
-    let mut prev_count: Option<u32> = None;
+    let mut prev: Option<(u32, &Group)> = None;
     for (idx, group) in groups.iter().enumerate() {
         report.groups_checked += 1;
         audit_group(net, query, idx, group, &mut scratch, &mut report);
         let count = recompute_count(net, query, group);
-        if let Some(prev) = prev_count {
-            if count > prev {
+        if let Some((prev_count, prev_group)) = prev {
+            if count > prev_count {
                 report.violations.push(Violation::OrderingViolation {
                     group: idx,
-                    prev,
+                    prev: prev_count,
                     cur: count,
                 });
+            } else if count == prev_count && group.members() <= prev_group.members() {
+                report.violations.push(Violation::TieOrderViolation { group: idx, count });
             }
         }
-        prev_count = Some(count);
+        prev = Some((count, group));
     }
     report
 }
@@ -534,6 +554,23 @@ mod tests {
                 .any(|v| matches!(v, Violation::OrderingViolation { .. })),
             "{report}"
         );
+    }
+
+    #[test]
+    fn tie_order_violations_flagged() {
+        let (net, query, groups) = solved(2);
+        let count = groups[0].coverage_count();
+        assert_eq!(groups[1].coverage_count(), count, "figure 1's top two groups tie");
+        let swapped = vec![groups[1].clone(), groups[0].clone()];
+        let duplicated = vec![groups[0].clone(), groups[0].clone()];
+        for bad in [swapped, duplicated] {
+            let report = audit_results(&net, &query, &bad);
+            assert_eq!(
+                report.violations,
+                vec![Violation::TieOrderViolation { group: 1, count }],
+                "{report}"
+            );
+        }
     }
 
     #[test]

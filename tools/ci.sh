@@ -32,6 +32,13 @@ echo "== parallel differential gate (KTG_THREADS=4, checked mode) =="
 KTG_THREADS=4 KTG_VERIFY=1 cargo test -q --offline \
     -p ktg-integration-tests --test parallel_diff
 
+echo "== parallel exactness gate (KTG_THREADS=4 workers vs brute force, checked mode) =="
+# parallel_diff compares the engine with itself; here the threads = 0
+# axis of exactness.rs runs 4 workers, where the shared floor and each
+# worker's tie cut meet the brute-force reference.
+KTG_THREADS=4 KTG_VERIFY=1 cargo test -q --offline \
+    -p ktg-integration-tests --test exactness
+
 echo "== serving differential gate (KTG_THREADS=4, checked mode) =="
 KTG_THREADS=4 KTG_VERIFY=1 cargo test -q --offline \
     -p ktg-integration-tests --test serve_diff
