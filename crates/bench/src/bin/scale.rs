@@ -1,13 +1,8 @@
 //! Scale bench: the substrate-level numbers behind the 10M-vertex story.
 //!
 //! Two series over a seeded block-diagonal SBM (chunked generators, so
-//! the instance is built the same way a 10M-vertex run would be) plus
-//! the figure-9 index comparison ported off the legacy cargo-bench
-//! target:
+//! the instance is built the same way a 10M-vertex run would be):
 //!
-//! * `fig9 nl_build` / `nlrnl_build` — NL vs NLRNL construction per
-//!   dataset profile (Fig 9b), with the Fig 9a space comparison printed
-//!   once per profile (bytes are deterministic).
 //! * `nlrnl_build_threads` — partitioned parallel NLRNL construction
 //!   across worker counts. With ≥ 4 hardware threads and full sampling,
 //!   4 workers must beat 1 by ≥ 1.5× (the partition merge is cheap).
@@ -15,15 +10,15 @@
 //!   (graph + keywords + NLRNL), the O(1)-ish load path that replaces
 //!   rebuild-on-start. The loaded bundle must equal what was saved.
 //!
-//! Like `bb_scaling` and `qps`, the JSON sink stays on in quick mode
-//! (`--test` / `KTG_BENCH_FAST=1`): CI's smoke run seeds the perf
-//! trajectory.
+//! The per-profile NL vs NLRNL comparison (Fig 9) is `experiments fig9`.
+//!
+//! Like `bb_scaling`, the JSON sink stays on in quick mode (`--test` /
+//! `KTG_BENCH_FAST=1`): CI's smoke run checks the records it writes.
 
 use ktg_bench::harness::BenchGroup;
 use ktg_datasets::keywords::{assign_zipf_chunked, KeywordModel};
 use ktg_datasets::sbm::{planted_partition_chunked, SbmParams};
-use ktg_datasets::DatasetProfile;
-use ktg_index::{persist, NlIndex, NlrnlIndex};
+use ktg_index::{persist, NlrnlIndex};
 use std::time::Duration;
 
 const SEED: u64 = 0x5CA1_AB1E;
@@ -33,32 +28,13 @@ const CHUNK: usize = 1 << 16;
 fn main() {
     let quick = std::env::args().any(|a| a == "--test")
         || std::env::var("KTG_BENCH_FAST").is_ok_and(|v| v != "0");
-    let (profile_scale, n, blocks) = if quick { (60, 12_000, 120) } else { (200, 48_000, 480) };
+    let (n, blocks) = if quick { (12_000, 120) } else { (48_000, 480) };
 
     let mut group = BenchGroup::new("scale");
     group.sample_size(if quick { 1 } else { 5 }).warm_up_time(Duration::from_millis(
         if quick { 0 } else { 300 },
     ));
     group.write_in_quick_mode();
-
-    // Figure 9 (ported from the retired cargo-bench target): NL vs NLRNL
-    // construction time per dataset profile, space printed once since
-    // bytes are deterministic. Expected shape: NLRNL stores less (half
-    // storage + skips the widest level) but takes longer to build.
-    for profile in DatasetProfile::PRIMARY {
-        let net = profile.instantiate(profile_scale, 42);
-        let graph = net.graph();
-        let nl = NlIndex::build(graph);
-        let nlrnl = NlrnlIndex::build(graph);
-        eprintln!(
-            "scale fig9a space {}: NL = {} bytes, NLRNL = {} bytes",
-            profile,
-            nl.space().total_bytes(),
-            nlrnl.space().total_bytes()
-        );
-        group.bench("nl_build", profile.name(), || NlIndex::build(graph));
-        group.bench("nlrnl_build", profile.name(), || NlrnlIndex::build(graph));
-    }
 
     // The scale instance: block-diagonal SBM (p_out = 0) through the
     // chunked builder — components stay block-sized, so NLRNL's

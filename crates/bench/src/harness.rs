@@ -33,9 +33,6 @@ pub struct Summary {
     pub param: String,
     /// Number of timed samples.
     pub samples: usize,
-    /// Logical operations (e.g. queries) performed per sample; 1 for
-    /// plain [`BenchGroup::bench`] calls.
-    pub items: usize,
     /// Fastest sample.
     pub min: Duration,
     /// Arithmetic mean.
@@ -49,27 +46,15 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Best observed throughput in operations per second: `items`
-    /// divided by the **fastest** sample. Sub-nanosecond samples are
-    /// saturated to 1 ns instead of dividing by zero, so trivially fast
-    /// closures report a huge-but-finite rate rather than panicking.
-    pub fn ops_per_sec(&self) -> f64 {
-        let nanos = (self.min.as_nanos() as u64).max(1);
-        self.items as f64 * 1e9 / nanos as f64
-    }
-
     /// The measurement as one JSON object on a single line.
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"group\":\"{}\",\"bench\":\"{}\",\"param\":\"{}\",\"samples\":{},\
-             \"items\":{},\"ops_per_sec\":{:.3},\
              \"min_ns\":{},\"mean_ns\":{},\"median_ns\":{},\"p95_ns\":{},\"max_ns\":{}}}",
             escape(&self.group),
             escape(&self.bench),
             escape(&self.param),
             self.samples,
-            self.items,
-            self.ops_per_sec(),
             self.min.as_nanos(),
             self.mean.as_nanos(),
             self.median.as_nanos(),
@@ -140,9 +125,10 @@ impl BenchGroup {
 
     /// Keeps the JSON-lines file sink active even in quick mode.
     ///
-    /// Benches whose smoke run seeds the perf trajectory (e.g. the CI
-    /// qps smoke) opt in; the ablation benches keep the default of writing
-    /// only full runs so one-shot smoke numbers never pollute plots.
+    /// Benches whose smoke run must leave records behind (the CI `scale`
+    /// smoke counts them) opt in; the ablation benches keep the default
+    /// of writing only full runs so one-shot smoke numbers never pollute
+    /// plots.
     pub fn write_in_quick_mode(&mut self) -> &mut Self {
         self.write_quick = true;
         self
@@ -157,20 +143,6 @@ impl BenchGroup {
         &mut self,
         bench: impl Into<String>,
         param: impl Display,
-        f: impl FnMut() -> R,
-    ) -> Summary {
-        self.bench_items(bench, param, 1, f)
-    }
-
-    /// Like [`BenchGroup::bench`], for closures that perform `items`
-    /// logical operations per invocation (e.g. a whole query workload):
-    /// the summary carries `items` so [`Summary::ops_per_sec`] reports
-    /// per-operation throughput instead of per-batch.
-    pub fn bench_items<R>(
-        &mut self,
-        bench: impl Into<String>,
-        param: impl Display,
-        items: usize,
         mut f: impl FnMut() -> R,
     ) -> Summary {
         let (samples, warmup) =
@@ -195,7 +167,6 @@ impl BenchGroup {
             bench: bench.into(),
             param: param.to_string(),
             samples,
-            items: items.max(1),
             min: times[0],
             mean: total / samples as u32,
             median: times[samples / 2],
@@ -280,7 +251,6 @@ mod tests {
             bench: "na\"me".into(),
             param: "7".into(),
             samples: 3,
-            items: 1,
             min: Duration::from_nanos(10),
             mean: Duration::from_nanos(20),
             median: Duration::from_nanos(15),
@@ -293,43 +263,6 @@ mod tests {
         assert!(line.contains("\"bench\":\"na\\\"me\""));
         assert!(line.contains("\"median_ns\":15"));
         assert!(line.contains("\"p95_ns\":30"));
-        assert!(line.contains("\"items\":1"));
-        assert!(line.contains("\"ops_per_sec\":"));
-    }
-
-    #[test]
-    fn ops_per_sec_counts_items_and_saturates_zero_durations() {
-        let mut s = Summary {
-            group: "g".into(),
-            bench: "b".into(),
-            param: "1".into(),
-            samples: 1,
-            items: 8,
-            min: Duration::from_micros(2),
-            mean: Duration::from_micros(2),
-            median: Duration::from_micros(2),
-            p95: Duration::from_micros(2),
-            max: Duration::from_micros(2),
-        };
-        // 8 items in 2 µs → 4 M ops/s.
-        assert!((s.ops_per_sec() - 4_000_000.0).abs() < 1e-6);
-        // A zero-duration sample saturates to 1 ns instead of dividing
-        // by zero: finite, huge, and not a panic.
-        s.min = Duration::ZERO;
-        assert!(s.ops_per_sec().is_finite());
-        assert!((s.ops_per_sec() - 8e9).abs() < 1e-3);
-    }
-
-    #[test]
-    fn bench_items_records_item_count() {
-        let mut g = quiet_group("test_items");
-        g.quick = true;
-        let s = g.bench_items("batch", 4, 17, || 0);
-        assert_eq!(s.items, 17);
-        assert!(s.ops_per_sec().is_finite());
-        // Plain bench() defaults to one item per sample.
-        let s1 = g.bench("single", 4, || 0);
-        assert_eq!(s1.items, 1);
     }
 
     #[test]

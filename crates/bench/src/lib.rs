@@ -2,10 +2,12 @@
 //!
 //! Benchmark harness reproducing the paper's evaluation (§VII): every
 //! figure has a sweep command in the `experiments` binary that prints
-//! the same rows/series the paper plots, and the ablation and serving
+//! the same rows/series the paper plots, and the ablation and `scale`
 //! benches run on the hand-rolled timing harness in [`harness`] (warmup,
 //! fixed sample count, min/mean/median/p95, one JSON line per
-//! measurement — the offline `criterion` replacement). Table I's
+//! measurement — the offline `criterion` replacement). Serving speed
+//! (`ktg batch`, `ktg serve`) is measured end to end by `perfbench/`,
+//! a separate workspace, not here. Table I's
 //! parameter grid lives in [`params`]; the shared machinery (dataset
 //! instantiation, index construction, per-algorithm query execution,
 //! latency aggregation) in [`runner`]; plain-text/CSV emission in

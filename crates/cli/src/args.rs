@@ -80,11 +80,12 @@ const QUERY_FLAGS: &[&str] = &[
     "p", "k", "n", "terms", "random-terms", "seed", "oracle", "algo", "threads",
     "bitmap-threshold", "deadline-ms", "node-budget", "authors", "explain",
 ];
-/// The serving-session flags shared by `batch` and the server.
-const SESSION_FLAGS: &[&str] = &[
-    "threads", "no-cache", "cache-entries", "algo", "bitmap-threshold", "deadline-ms",
-    "node-budget", "max-inflight",
-];
+/// The serving-session flags shared by `batch` and the server. Sessions
+/// always run the default engine (VKC-DEG, bitmap kernel up to
+/// `DEFAULT_BITMAP_THRESHOLD` candidates); only `query`/`dktg` choose
+/// `--algo` and `--bitmap-threshold`.
+const SESSION_FLAGS: &[&str] =
+    &["threads", "no-cache", "cache-entries", "deadline-ms", "node-budget", "max-inflight"];
 const SERVER_FLAGS: &[&str] =
     &["bind", "workers", "conn-deadline-ms", "wal", "wal-sync", "checkpoint-every"];
 const CLIENT_FLAGS: &[&str] =
@@ -240,8 +241,9 @@ mod tests {
 
     #[test]
     fn flags_a_command_does_not_read_are_rejected() {
-        // Only `query`/`dktg` read `--oracle` (sessions always run
-        // NLRNL); `--cache-entires` is a misspelling. Retired flags —
+        // Only `query`/`dktg` read `--oracle`, `--algo` and
+        // `--bitmap-threshold` (sessions always run the default engine
+        // over NLRNL); `--cache-entires` is a misspelling. Retired flags —
         // `index --out`, `query --index`/`--parallel`, the graph layout
         // flag (spelled in two pieces so its name appears in the tree
         // only as this rejected case) — must fail naming the flag.
@@ -253,6 +255,8 @@ mod tests {
             &["batch", "--workload", "w.txt", concat!("--graph", "-format"), "flat"][..],
             &["batch", "--workload", "w.txt", "--oracle", "nlrnl"][..],
             &["serve", "--bind", "127.0.0.1:0", "--oracle", "nlrnl"][..],
+            &["batch", "--workload", "w.txt", "--algo", "vkc"][..],
+            &["serve", "--bind", "127.0.0.1:0", "--bitmap-threshold", "0"][..],
             &["batch", "--workload", "w.txt", "--cache-entires", "64"][..],
             &["query", "--terms", "a", "--gamma", "0.5"][..],
         ] {

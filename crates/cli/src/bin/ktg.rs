@@ -37,16 +37,15 @@ fn main() {
             eprintln!("  index    --edges FILE [--keywords FILE] --bundle FILE [--threads N]");
             eprintln!("  query    --edges FILE [--keywords FILE] (--terms a,b,c | --random-terms N)");
             eprintln!("           [-p N] [-k N] [-n N] [--algo qkc|vkc|vkc-deg]");
-            eprintln!("           [--oracle bfs|nl|nlrnl] [--threads N] [--authors 1,2]");
-            eprintln!("           [--explain true] [--deadline-ms N] [--node-budget N]");
+            eprintln!("           [--oracle bfs|nl|nlrnl] [--threads N] [--bitmap-threshold N]");
+            eprintln!("           [--authors 1,2] [--explain true] [--deadline-ms N] [--node-budget N]");
             eprintln!("  dktg     (query flags) [--gamma F]");
             eprintln!("  batch    --workload FILE --edges FILE [--keywords FILE] [--threads N]");
-            eprintln!("           [--cache-entries N] [--no-cache] [--algo NAME]");
-            eprintln!("           [--bitmap-threshold N] [--deadline-ms N] [--node-budget N]");
-            eprintln!("           [--max-inflight N]");
+            eprintln!("           [--cache-entries N] [--no-cache] [--deadline-ms N]");
+            eprintln!("           [--node-budget N] [--max-inflight N]");
             eprintln!("  serve    --edges FILE [--keywords FILE] [--bind ADDR] [--workers N]");
             eprintln!("           [--conn-deadline-ms N] [--wal FILE [--wal-sync always|batch]");
-            eprintln!("           [--checkpoint-every N]] (plus the batch engine/cache flags;");
+            eprintln!("           [--checkpoint-every N]] (plus the batch cache/budget flags;");
             eprintln!("           --threads is accepted and ignored: lines run on the --workers pool)");
             eprintln!("  serve    --connect ADDR [--workload FILE] [--stats] [--shutdown]");
             eprintln!("           [--retry N] [--retry-base-ms MS]");

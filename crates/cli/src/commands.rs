@@ -233,12 +233,13 @@ fn index_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
 }
 
 /// `ktg batch --workload FILE --edges FILE [--keywords FILE] [--threads N]
-/// [--cache-entries N] [--no-cache] [--algo NAME] [--bitmap-threshold N]
-/// [--deadline-ms N] [--node-budget N] [--max-inflight N]`
+/// [--cache-entries N] [--no-cache] [--deadline-ms N] [--node-budget N]
+/// [--max-inflight N]`
 ///
 /// Replays a workload file (see `ktg_core::serve::workload` for the
-/// format) through a [`ServeSession`]: queries fan out across worker
-/// threads, repeated queries hit the epoch-guarded result cache, and
+/// format) through a [`ServeSession`] running the default engine
+/// ([`ServeOptions::default`]): queries fan out across worker threads,
+/// repeated queries hit the epoch-guarded result cache, and
 /// `insert`/`remove` lines mutate the graph between query runs. Answers
 /// are byte-identical to running each query individually.
 fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
@@ -359,15 +360,13 @@ pub fn write_outcome(
     Ok(())
 }
 
-/// Builds [`ServeOptions`] from the engine/cache flags shared by
+/// Builds [`ServeOptions`] from the session flags shared by
 /// `ktg batch` and the `ktg serve` server mode: `--threads`,
-/// `--no-cache`, `--cache-entries`, `--algo`, `--bitmap-threshold`,
-/// `--deadline-ms`, `--node-budget`, `--max-inflight`.
+/// `--no-cache`, `--cache-entries`, `--deadline-ms`, `--node-budget`,
+/// `--max-inflight`. The engine is [`ServeOptions::default`]'s, plus
+/// the two budgets.
 pub(crate) fn serve_options_from_flags(args: &ParsedArgs) -> Result<ServeOptions> {
-    let mut engine = bb::BbOptions::vkc()
-        .with_ordering(ordering_flag(args)?)
-        .with_bitmap_threshold(args.num_or("bitmap-threshold", bb::DEFAULT_BITMAP_THRESHOLD)?)
-        .with_deadline_ms(deadline_flag(args)?);
+    let mut engine = ServeOptions::default().engine.with_deadline_ms(deadline_flag(args)?);
     engine.node_budget = node_budget_flag(args)?;
     Ok(ServeOptions {
         threads: args.num_or("threads", 0)?,

@@ -277,6 +277,15 @@ pub struct RecoveryInfo {
     pub torn_tail: bool,
 }
 
+/// Why [`Shared::try_admit`] refused a query.
+#[derive(Debug)]
+enum Shed {
+    /// `/drain` is in effect until `/resume`.
+    Draining,
+    /// `--max-inflight` queries are already executing.
+    Inflight,
+}
+
 /// State shared between the listener, the worker pool, and connection
 /// handlers.
 struct Shared {
@@ -314,19 +323,20 @@ impl Shared {
         }
     }
 
-    /// Tries to claim an admission slot for one query. Refused while
-    /// draining or when `max_inflight` queries are already executing.
-    fn try_admit(&self) -> bool {
+    /// Tries to claim an admission slot for one query, naming the
+    /// reason when it refuses: draining, or `max_inflight` queries
+    /// already executing.
+    fn try_admit(&self) -> std::result::Result<(), Shed> {
         if self.draining.load(Ordering::Relaxed) {
-            return false;
+            return Err(Shed::Draining);
         }
         if self.max_inflight == 0 {
-            return true;
+            return Ok(());
         }
         let mut current = self.inflight.load(Ordering::Relaxed);
         loop {
             if current >= self.max_inflight {
-                return false;
+                return Err(Shed::Inflight);
             }
             match self.inflight.compare_exchange(
                 current,
@@ -334,7 +344,7 @@ impl Shared {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return true,
+                Ok(_) => return Ok(()),
                 Err(actual) => current = actual,
             }
         }
@@ -674,15 +684,28 @@ fn handle_line(
     *items_seen += 1;
     let lineno = *items_seen;
     let outcome = if item.is_query() {
-        if !shared.try_admit() {
-            shared.stats.record_shed();
-            ItemOutcome::Overloaded
-        } else {
-            let timer = Stopwatch::start();
-            let outcome = shared.read_session().answer_query(&item);
-            shared.release_admission();
-            shared.stats.record(timer.elapsed_nanos(), &outcome);
-            outcome
+        match shared.try_admit() {
+            // A drain shed names the drain: the batch's rendering names
+            // the `--max-inflight` bound, which did not refuse it.
+            Err(Shed::Draining) => {
+                shared.stats.record_shed();
+                let msg = format!(
+                    "[{lineno}] {}",
+                    KtgError::overloaded("shed while draining, until /resume")
+                );
+                return respond(&shared.stats, writer, &[msg.as_str()]);
+            }
+            Err(Shed::Inflight) => {
+                shared.stats.record_shed();
+                ItemOutcome::Overloaded
+            }
+            Ok(()) => {
+                let timer = Stopwatch::start();
+                let outcome = shared.read_session().answer_query(&item);
+                shared.release_admission();
+                shared.stats.record(timer.elapsed_nanos(), &outcome);
+                outcome
+            }
         }
     } else {
         // Edge update: the cross-connection serialization point. The
@@ -1123,30 +1146,22 @@ fn run_client_once(
     Ok(())
 }
 
-/// Reads one response block (through the `.` terminator), echoing its
-/// lines to `out` and folding response markers into the run status:
+/// Reads one response block through its `.` terminator, then echoes
+/// its lines to `out` and folds response markers into the run status:
 /// `overloaded` responses win over `degraded`/`failed` ones, matching
-/// the batch exit-code precedence.
+/// the batch exit-code precedence. A block cut off mid-way is neither
+/// echoed nor counted, so a retry that resends its request prints the
+/// answer once.
 fn read_block(
     reader: &mut LineReader<TcpStream>,
     out: &mut dyn Write,
     status: &mut RunStatus,
 ) -> Result<()> {
+    let mut block = Vec::new();
     loop {
         match reader.read_frame()? {
-            Frame::Line(line) if line == "." => return Ok(()),
-            Frame::Line(line) => {
-                if line.contains("] overloaded:") {
-                    *status = RunStatus::Overloaded;
-                } else if *status == RunStatus::Complete
-                    && (line.contains(" [degraded(")
-                        || line.contains("] failed:")
-                        || line.starts_with("error:"))
-                {
-                    *status = RunStatus::Degraded;
-                }
-                writeln!(out, "{line}")?;
-            }
+            Frame::Line(line) if line == "." => break,
+            Frame::Line(line) => block.push(line),
             Frame::Overlong { bytes } => {
                 return Err(KtgError::input(format!(
                     "oversized response line ({bytes} bytes) from server"
@@ -1159,6 +1174,19 @@ fn read_block(
             }
         }
     }
+    for line in &block {
+        if line.contains("] overloaded:") {
+            *status = RunStatus::Overloaded;
+        } else if *status == RunStatus::Complete
+            && (line.contains(" [degraded(")
+                || line.contains("] failed:")
+                || line.starts_with("error:"))
+        {
+            *status = RunStatus::Degraded;
+        }
+        writeln!(out, "{line}")?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1257,12 +1285,16 @@ mod tests {
         let (handle, mut reader, mut writer) = boot(opts, None);
         let answered = request(&mut reader, &mut writer, PAPER_QUERY);
         assert!(answered[0].starts_with("[1] ktg:"), "{answered:?}");
-        // Drain: queries shed with the batch's overloaded line; updates
-        // still apply (dropping them would fork the graph state).
+        // Drain: queries shed with an overloaded line that names the
+        // drain, not the in-flight bound; updates still apply (dropping
+        // them would fork the graph state).
         let block = request(&mut reader, &mut writer, "/drain");
         assert!(block[0].starts_with("draining"), "{block:?}");
         let shed = request(&mut reader, &mut writer, PAPER_QUERY);
-        assert_eq!(shed, vec!["[2] overloaded: shed by --max-inflight 4".to_string()]);
+        assert_eq!(
+            shed,
+            vec!["[2] overloaded: shed while draining, until /resume".to_string()]
+        );
         let upd = request(&mut reader, &mut writer, "insert 0 5");
         assert_eq!(upd, vec!["[3] update: applied".to_string()]);
         let block = request(&mut reader, &mut writer, "/resume");
@@ -1649,6 +1681,52 @@ mod tests {
         assert!(out.contains("\"state\":\"serving\""), "{out}");
         assert!(out.contains("shutting down"), "{out}");
         handle.join().unwrap();
+    }
+
+    /// A connection that closes mid-block and answers in full on the
+    /// reconnect: the retrying client prints only the whole block, and
+    /// the cut-off block's `[degraded(..)]` marker does not count.
+    #[test]
+    fn client_retry_prints_only_whole_blocks() {
+        const QUERY: &str = "ktg terms=SN,QP p=3 k=1 n=1";
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut queries = 0;
+            while queries < 2 {
+                let (stream, _) = listener.accept().unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = LineReader::new(stream, READER_CAP);
+                let Frame::Line(line) = reader.read_frame().unwrap() else {
+                    continue;
+                };
+                let reply: &[&str] = if line == "/health" {
+                    &[r#"health: {"state":"serving"}"#, "."]
+                } else {
+                    queries += 1;
+                    assert_eq!(line, QUERY);
+                    if queries == 1 {
+                        // Half a block, then the connection drops.
+                        &["[1] ktg: 1 groups [degraded(deadline)]"]
+                    } else {
+                        &["[1] ktg: 1 groups", "    #1: [0, 1, 2] — QKC 2", "."]
+                    }
+                };
+                for reply_line in reply {
+                    write_line(&mut writer, reply_line).unwrap();
+                }
+                writer.flush().unwrap();
+            }
+        });
+        let mut out = Vec::new();
+        let status = client_replay(&addr, &[QUERY.to_string()], 3, 1, &mut out);
+        server.join().unwrap();
+        let out = String::from_utf8(out).unwrap();
+        assert!(matches!(status, Ok(RunStatus::Complete)), "{status:?}: {out}");
+        assert_eq!(out.matches("[1] ktg:").count(), 1, "{out}");
+        assert!(!out.contains("[degraded("), "{out}");
+        assert!(out.contains("retry: attempt 1/3"), "{out}");
+        assert!(out.ends_with("[1] ktg: 1 groups\n    #1: [0, 1, 2] — QKC 2\n"), "{out}");
     }
 
     /// An injected `wal` fault is absorbed by the append's retry: the

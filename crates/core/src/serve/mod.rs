@@ -58,8 +58,9 @@ pub struct ServeOptions {
     /// single-threaded — parallelism lives at the workload level.
     pub threads: usize,
     /// Master switch for the result cache and the conflict-row memo.
-    /// Off, every query is a fresh solve (the baseline the `qps` bench
-    /// compares against).
+    /// Off, every query is a fresh solve: the baseline that `--no-cache`
+    /// selects, that perfbench's in-process reference replays, and that
+    /// CI's cache smoke times the cache against.
     pub use_cache: bool,
     /// Capacity (in entries) of each of the two caches: the result cache
     /// and the conflict-row memo. Ignored when `use_cache` is off.

@@ -37,4 +37,4 @@ pub mod validate;
 pub mod workload;
 
 pub use profile::DatasetProfile;
-pub use workload::{zipf_indices, QueryGen};
+pub use workload::QueryGen;

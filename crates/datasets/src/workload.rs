@@ -78,34 +78,6 @@ impl QueryGen {
     }
 }
 
-/// Expands a pool of `pool_len` distinct queries into a serving-workload
-/// index sequence of length `len` whose repeat frequencies follow a
-/// Zipf law: pool index `i` is drawn with probability ∝ `1/(i+1)^s`.
-///
-/// Real query streams are heavily skewed — a few hot queries dominate —
-/// which is exactly the regime a result cache exploits. The qps bench
-/// maps these indices back onto its distinct query pool.
-///
-/// # Panics
-/// Panics if `pool_len` is 0 or `exponent` is not finite.
-pub fn zipf_indices(pool_len: usize, len: usize, exponent: f64, seed: u64) -> Vec<usize> {
-    assert!(pool_len > 0, "zipf_indices needs a non-empty pool");
-    assert!(exponent.is_finite(), "zipf exponent must be finite");
-    let mut cumulative = Vec::with_capacity(pool_len);
-    let mut acc = 0.0;
-    for i in 0..pool_len {
-        acc += (i as f64 + 1.0).powf(-exponent);
-        cumulative.push(acc);
-    }
-    let mut rng = SeededRng::seed_from_u64(seed);
-    (0..len)
-        .map(|_| {
-            let x = rng.gen_range(0.0..acc);
-            cumulative.partition_point(|&c| c <= x).min(pool_len - 1)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,38 +127,5 @@ mod tests {
         let net = net();
         assert!(QueryGen::new(&net, 0).query(0).is_err());
         assert!(QueryGen::new(&net, 0).query(65).is_err());
-    }
-
-    #[test]
-    fn zipf_indices_are_deterministic_and_in_range() {
-        let a = zipf_indices(10, 200, 1.1, 3);
-        let b = zipf_indices(10, 200, 1.1, 3);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 200);
-        assert!(a.iter().all(|&i| i < 10));
-        let c = zipf_indices(10, 200, 1.1, 4);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn zipf_indices_skew_toward_the_head() {
-        let draws = zipf_indices(16, 2000, 1.2, 9);
-        let head = draws.iter().filter(|&&i| i == 0).count();
-        let tail = draws.iter().filter(|&&i| i == 15).count();
-        assert!(
-            head > 4 * tail.max(1),
-            "head index should dominate ({head} vs {tail})"
-        );
-        // Skew implies repeats: far fewer distinct values than draws.
-        let mut distinct = draws.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert!(distinct.len() <= 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty pool")]
-    fn zipf_empty_pool_panics() {
-        zipf_indices(0, 5, 1.0, 1);
     }
 }

@@ -21,7 +21,7 @@ use ktg_cli::serve::{start, ServeConfig, ServerHandle, WalConfig};
 use ktg_common::fault::{self, FaultConfig, FaultSite};
 use ktg_common::net::{write_line, Frame, LineReader};
 use ktg_common::SeededRng;
-use ktg_core::serve::{parse_workload, ServeOptions, ServeSession};
+use ktg_core::serve::{parse_workload, ServeOptions, ServeSession, ServeStats};
 use ktg_core::{bb, AttributedGraph};
 use ktg_index::wal::WalSync;
 use ktg_integration_tests::{random_network, random_query};
@@ -77,7 +77,12 @@ fn wire_script(net: &AttributedGraph, seed: u64) -> Vec<String> {
 /// What `ktg batch` prints for this script's items (minus the batch
 /// header/summary lines the server has no equivalent of): a fresh
 /// single-threaded session replay through the shared outcome renderer.
-fn batch_rendering(net: &AttributedGraph, script: &[String], options: &ServeOptions) -> String {
+/// Also returns that session's cache counters.
+fn batch_rendering(
+    net: &AttributedGraph,
+    script: &[String],
+    options: &ServeOptions,
+) -> (String, ServeStats) {
     let text = script.join("\n");
     let items = parse_workload(&text, net).expect("script parses");
     let mut session = ServeSession::new(net.clone(), options.clone());
@@ -87,7 +92,7 @@ fn batch_rendering(net: &AttributedGraph, script: &[String], options: &ServeOpti
         ktg_cli::commands::write_outcome(&mut out, i + 1, outcome, options.max_inflight)
             .expect("render outcome");
     }
-    String::from_utf8(out).expect("renderer emits UTF-8")
+    (String::from_utf8(out).expect("renderer emits UTF-8"), session.stats())
 }
 
 fn boot(net: &AttributedGraph, workers: usize, options: ServeOptions) -> ServerHandle {
@@ -120,6 +125,14 @@ fn request(writer: &mut TcpStream, reader: &mut LineReader<TcpStream>, line: &st
     }
 }
 
+/// One counter out of a `/stats` response block.
+fn stat(stats: &str, name: &str) -> u64 {
+    let tag = format!("\"{name}\":");
+    let start = stats.find(&tag).unwrap_or_else(|| panic!("no {name} in {stats:?}")) + tag.len();
+    let digits: String = stats[start..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("numeric counter")
+}
+
 /// Replays the whole script over one sequential connection, returning
 /// the concatenated response text.
 fn replay(handle: &ServerHandle, script: &[String]) -> String {
@@ -135,7 +148,9 @@ fn replay(handle: &ServerHandle, script: &[String]) -> String {
 /// a sequential TCP replay's bytes equal the batch renderer's bytes for
 /// the same script — `[cached]` markers included, because a sequential
 /// connection and a single-threaded batch replay hit the cache at
-/// exactly the same positions.
+/// exactly the same positions. The server's `/stats` then counts one
+/// result hit per `[cached]` marker and the batch session's row misses;
+/// with the cache off it counts no hits at all.
 #[test]
 fn tcp_responses_match_batch_rendering_across_configs() {
     let _guard = fault_lock().lock().unwrap();
@@ -145,7 +160,7 @@ fn tcp_responses_match_batch_rendering_across_configs() {
         for workers in [1usize, 4] {
             let options =
                 ServeOptions { threads: 1, use_cache, ..ServeOptions::default() };
-            let expected = batch_rendering(&net, &script, &options);
+            let (expected, batch_stats) = batch_rendering(&net, &script, &options);
             let handle = boot(&net, workers, options);
             let got = replay(&handle, &script);
             assert_eq!(
@@ -153,8 +168,20 @@ fn tcp_responses_match_batch_rendering_across_configs() {
                 "cache={use_cache}, workers={workers}: TCP replay diverged \
                  from the batch rendering"
             );
+            let (mut writer, mut reader) = connect(&handle);
+            let stats = request(&mut writer, &mut reader, "/stats");
+            let label = format!("cache={use_cache}, workers={workers}");
             if use_cache {
-                assert!(got.contains("[cached]"), "repeat-bearing script never hit");
+                let cached = got.matches(" [cached]").count() as u64;
+                assert!(cached > 0, "repeat-bearing script never hit");
+                assert_eq!(stat(&stats, "result_hits"), cached, "{label}: {stats}");
+                assert_eq!(
+                    stat(&stats, "row_misses"),
+                    batch_stats.row_misses,
+                    "{label}: {stats}"
+                );
+            } else {
+                assert_eq!(stat(&stats, "result_hits"), 0, "{label}: {stats}");
             }
             handle.shutdown();
             handle.join().expect("server thread");
@@ -179,7 +206,7 @@ fn tcp_responses_are_byte_identical_under_injected_faults() {
     let options = ServeOptions { threads: 1, ..ServeOptions::default() };
 
     fault::set_config(None);
-    let expected = batch_rendering(&net, &script, &options);
+    let (expected, _) = batch_rendering(&net, &script, &options);
     let sites: Vec<FaultSite> = fault::ALL_SITES
         .iter()
         .copied()
@@ -212,7 +239,7 @@ fn degraded_answers_render_identically_over_tcp() {
     let mut engine = bb::BbOptions::vkc_deg();
     engine.node_budget = Some(1);
     let options = ServeOptions { threads: 1, engine, ..ServeOptions::default() };
-    let expected = batch_rendering(&net, &script, &options);
+    let (expected, _) = batch_rendering(&net, &script, &options);
     assert!(expected.contains("[degraded("), "one-node budget degraded nothing");
     let handle = boot(&net, 2, options);
     let got = replay(&handle, &script);
@@ -221,10 +248,11 @@ fn degraded_answers_render_identically_over_tcp() {
     handle.join().expect("server thread");
 }
 
-/// Overloaded axis: a draining server sheds queries with exactly the
-/// batch's `overloaded` line (same admission bound in the message, same
-/// lineno numbering), keeps applying updates, and resumes answering
-/// after `/resume`. `/stats` reports the shed count.
+/// Overloaded axis: a draining server sheds queries with an
+/// `overloaded` line that names the drain (with or without an admission
+/// bound, with the same lineno numbering as a shed batch item), keeps
+/// applying updates, and resumes answering after `/resume`. `/stats`
+/// reports the shed count.
 #[test]
 fn drained_server_sheds_with_the_batch_overloaded_line() {
     let _guard = fault_lock().lock().unwrap();
@@ -235,44 +263,50 @@ fn drained_server_sheds_with_the_batch_overloaded_line() {
         .find(|l| l.starts_with("ktg "))
         .expect("script has a ktg line")
         .clone();
-    let options = ServeOptions { threads: 1, max_inflight: 2, ..ServeOptions::default() };
-    let handle = boot(&net, 2, options);
-    let (mut writer, mut reader) = connect(&handle);
+    for max_inflight in [2usize, 0] {
+        let options = ServeOptions { threads: 1, max_inflight, ..ServeOptions::default() };
+        let handle = boot(&net, 2, options);
+        let (mut writer, mut reader) = connect(&handle);
 
-    // A sequential connection never exceeds one in-flight query, so the
-    // gauge alone cannot shed here: answered normally.
-    let block = request(&mut writer, &mut reader, &query);
-    assert!(block.starts_with("[1] ktg:"), "{block:?}");
-    // Normalize: guarantee edge 0–9 is absent so the drained insert
-    // below is deterministically `applied`.
-    let block = request(&mut writer, &mut reader, "remove 0 9");
-    assert!(block.starts_with("[2] update:"), "{block:?}");
+        // A sequential connection never exceeds one in-flight query, so
+        // the gauge alone cannot shed here: answered normally.
+        let block = request(&mut writer, &mut reader, &query);
+        assert!(block.starts_with("[1] ktg:"), "{block:?}");
+        // Normalize: guarantee edge 0–9 is absent so the drained insert
+        // below is deterministically `applied`.
+        let block = request(&mut writer, &mut reader, "remove 0 9");
+        assert!(block.starts_with("[2] update:"), "{block:?}");
 
-    let block = request(&mut writer, &mut reader, "/drain");
-    assert!(block.starts_with("draining"), "{block:?}");
-    // Shed responses are the batch renderer's overloaded line verbatim,
-    // and still consume item positions, exactly like a shed batch item.
-    let block = request(&mut writer, &mut reader, &query);
-    assert_eq!(block, "[3] overloaded: shed by --max-inflight 2\n");
-    let block = request(&mut writer, &mut reader, "insert 0 9");
-    assert_eq!(block, "[4] update: applied\n", "updates must not be shed");
-    let block = request(&mut writer, &mut reader, &query);
-    assert_eq!(block, "[5] overloaded: shed by --max-inflight 2\n");
+        let block = request(&mut writer, &mut reader, "/drain");
+        assert!(block.starts_with("draining"), "{block:?}");
+        // Shed responses still consume item positions, exactly like a
+        // shed batch item, and the client's exit code 4 keys on
+        // `] overloaded:`.
+        let block = request(&mut writer, &mut reader, &query);
+        assert_eq!(block, "[3] overloaded: shed while draining, until /resume\n");
+        let block = request(&mut writer, &mut reader, "insert 0 9");
+        assert_eq!(block, "[4] update: applied\n", "updates must not be shed");
+        let block = request(&mut writer, &mut reader, &query);
+        assert_eq!(block, "[5] overloaded: shed while draining, until /resume\n");
 
-    let block = request(&mut writer, &mut reader, "/resume");
-    assert!(block.starts_with("resumed"), "{block:?}");
-    let block = request(&mut writer, &mut reader, &query);
-    assert!(block.starts_with("[6] ktg:"), "post-resume answer expected: {block:?}");
+        let block = request(&mut writer, &mut reader, "/resume");
+        assert!(block.starts_with("resumed"), "{block:?}");
+        let block = request(&mut writer, &mut reader, &query);
+        assert!(block.starts_with("[6] ktg:"), "post-resume answer expected: {block:?}");
 
-    // The stats line is one flat JSON object counting the shed items.
-    let block = request(&mut writer, &mut reader, "/stats");
-    assert!(block.starts_with("stats: {"), "{block:?}");
-    for field in ["\"overloaded\":2", "\"requests\":6", "\"p95_ns\":", "\"epoch\":"] {
-        assert!(block.contains(field), "missing {field} in {block:?}");
+        // The stats line is one flat JSON object counting the shed items.
+        let block = request(&mut writer, &mut reader, "/stats");
+        assert!(block.starts_with("stats: {"), "{block:?}");
+        for field in ["\"overloaded\":2", "\"requests\":6", "\"p95_ns\":", "\"epoch\":"] {
+            assert!(
+                block.contains(field),
+                "max_inflight={max_inflight}: missing {field} in {block:?}"
+            );
+        }
+
+        handle.shutdown();
+        handle.join().expect("server thread");
     }
-
-    handle.shutdown();
-    handle.join().expect("server thread");
 }
 
 /// Durability axis: a WAL-backed server that dies abruptly halfway
@@ -305,7 +339,7 @@ fn recovered_server_serves_byte_identically_after_a_crash() {
     // Phase 1: serve the first half, then die with no farewell — every
     // accepted update was WAL-appended (and fsynced) before it was
     // applied, so the log alone carries the state forward.
-    let expected = batch_rendering(&net, &script[..half], &options);
+    let (expected, _) = batch_rendering(&net, &script[..half], &options);
     let cfg = ServeConfig {
         workers: 2,
         options: options.clone(),

@@ -57,51 +57,6 @@ if [ "$bb_records" -lt 8 ]; then
     exit 1
 fi
 
-echo "== qps smoke (serving throughput: 8 records, cache-on beats cache-off) =="
-# The binary itself asserts answer determinism across all configurations
-# and the cache-on > cache-off throughput win at one thread (plus thread
-# scaling when the machine has >= 4 hardware threads); the checks below
-# re-verify the written records so a silent no-op run cannot pass.
-qps_log="$bench_out/qps.run.log"
-KTG_BENCH_FAST=1 KTG_BENCH_OUT="$bench_out" \
-    cargo run -q --release --offline -p ktg-bench --bin qps 2>"$qps_log" \
-    || { cat "$qps_log" >&2; exit 1; }
-cat "$qps_log" >&2
-qps_records="$(wc -l < "$bench_out/qps.jsonl")"
-if [ "$qps_records" -lt 8 ]; then
-    echo "FAIL: qps wrote $qps_records JSON-lines records, expected >= 8 (cache on/off x 4 thread counts)" >&2
-    exit 1
-fi
-
-on_ns="$(grep '"bench":"cache_on","param":"1"' "$bench_out/qps.jsonl" \
-    | sed 's/.*"min_ns":\([0-9]*\).*/\1/' | head -n1)"
-off_ns="$(grep '"bench":"cache_off","param":"1"' "$bench_out/qps.jsonl" \
-    | sed 's/.*"min_ns":\([0-9]*\).*/\1/' | head -n1)"
-if [ -z "$on_ns" ] || [ -z "$off_ns" ] || [ "$on_ns" -gt "$off_ns" ]; then
-    echo "FAIL: cache-on (${on_ns:-?} ns) should not be slower than cache-off (${off_ns:-?} ns) at 1 thread" >&2
-    exit 1
-fi
-
-echo "== net_qps smoke (TCP serving throughput over loopback: >= 13 records) =="
-# The binary self-asserts block framing and the cache-on > cache-off win
-# at one connection (re-measuring once against loopback jitter, which
-# appends fresh records — hence tail -n1 below reads the final word).
-# 8 closed-loop + 2 open-arrival + the 5-point paced offered-load sweep.
-KTG_BENCH_FAST=1 KTG_BENCH_OUT="$bench_out" \
-    cargo run -q --release --offline -p ktg-bench --bin net_qps
-net_records="$(wc -l < "$bench_out/net_qps.jsonl")"
-if [ "$net_records" -lt 13 ]; then
-    echo "FAIL: net_qps wrote $net_records JSON-lines records, expected >= 13" >&2
-    exit 1
-fi
-net_on_ns="$(grep '"bench":"closed_cache_on","param":"1"' "$bench_out/net_qps.jsonl" \
-    | sed 's/.*"min_ns":\([0-9]*\).*/\1/' | tail -n1)"
-net_off_ns="$(grep '"bench":"closed_cache_off","param":"1"' "$bench_out/net_qps.jsonl" \
-    | sed 's/.*"min_ns":\([0-9]*\).*/\1/' | tail -n1)"
-if [ -z "$net_on_ns" ] || [ -z "$net_off_ns" ] || [ "$net_on_ns" -gt "$net_off_ns" ]; then
-    echo "FAIL: cache-on (${net_on_ns:-?} ns) should not be slower than cache-off (${net_off_ns:-?} ns) at 1 connection" >&2
-    exit 1
-fi
 echo "== scale smoke (substrate bench: >= 6 records, bundle round-trip self-asserted) =="
 # The binary asserts a clean bundle round-trip (graph, keywords and
 # index all reload); the record-count check below catches a silent
@@ -113,28 +68,6 @@ if [ "$scale_records" -lt 6 ]; then
     echo "FAIL: scale wrote $scale_records JSON-lines records, expected >= 6" >&2
     exit 1
 fi
-
-echo "== bench summarizer (BENCH_<group>.json: latest record per configuration) =="
-KTG_BENCH_OUT="$bench_out" cargo run -q --release --offline -p ktg-bench \
-    --bin summarize "$bench_out"
-grep -q '"cache_speedup_1t":' "$bench_out/BENCH_qps.json" || {
-    echo "FAIL: BENCH_qps.json lacks the derived cache_speedup_1t ratio" >&2
-    exit 1
-}
-grep -q '"build_speedup_4t":' "$bench_out/BENCH_scale.json" || {
-    echo "FAIL: BENCH_scale.json lacks the derived build_speedup_4t ratio" >&2
-    exit 1
-}
-grep -q '"net_open_knee_ratio":' "$bench_out/BENCH_net_qps.json" || {
-    echo "FAIL: BENCH_net_qps.json lacks the derived net_open_knee_ratio" >&2
-    exit 1
-}
-for g in bb_scaling net_qps; do
-    [ -s "$bench_out/BENCH_$g.json" ] || {
-        echo "FAIL: summarizer did not fold $g.jsonl into BENCH_$g.json" >&2
-        exit 1
-    }
-done
 rm -rf "$bench_out"
 
 echo "== static analysis (ktg-lint L1-L10, fingerprint ratchet vs tools/lint-baseline.txt) =="
@@ -380,6 +313,109 @@ for _ in $(seq 1 150); do
 done
 if kill -0 "$server_pid" 2>/dev/null; then
     echo "FAIL: recovered server still running after /shutdown" >&2
+    exit 1
+fi
+trap 'rm -rf "$tmp"' EXIT
+
+echo "== cache smoke (ktg batch and ktg serve: cache on beats cache off, same answers) =="
+# Four cheap queries, each repeated 15 times: with the cache on, every
+# repeat is one lookup instead of a search. Run through the shipped
+# binary (not `cargo run`, whose start-up would blur the clock), each
+# configuration must print the same answers, and the cached one must
+# finish first: in process through `ktg batch`, then over loopback
+# against two `ktg serve` processes, one of them `--no-cache`.
+ktg_bin="$root/target/release/ktg"
+for _ in $(seq 1 15); do
+    cat <<'QEOF'
+ktg terms=t30,t45,t60 p=3 k=2 n=3
+dktg terms=t31,t47,t88 p=3 k=2 n=2 gamma=0.5
+ktg terms=t40,t52 p=3 k=1 n=2
+ktg terms=t33,t70,t99 p=3 k=2 n=2
+QEOF
+done > "$tmp/repeat-workload.txt"
+repeat_input=(--edges "$tmp/data/edges.txt" --keywords "$tmp/data/keywords.txt")
+# Times one command in milliseconds; its stdout goes to file $1.
+time_ms() {
+    local out="$1" start end
+    shift
+    start="$(date +%s%N)"
+    "$@" > "$out"
+    end="$(date +%s%N)"
+    echo $(( (end - start) / 1000000 ))
+}
+batch_on_ms="$(time_ms "$tmp/batch-on.out" "$ktg_bin" batch \
+    --workload "$tmp/repeat-workload.txt" "${repeat_input[@]}" --threads 1)"
+batch_off_ms="$(time_ms "$tmp/batch-off.out" "$ktg_bin" batch \
+    --workload "$tmp/repeat-workload.txt" "${repeat_input[@]}" --threads 1 --no-cache)"
+echo "ktg batch --threads 1: cache on ${batch_on_ms} ms, cache off ${batch_off_ms} ms"
+grep -v '^batch: \|^served: ' "$tmp/batch-on.out" > "$tmp/batch-on-body.out"
+grep -v '^batch: \|^served: ' "$tmp/batch-off.out" > "$tmp/batch-off-body.out"
+grep -q ' \[cached\]' "$tmp/batch-on-body.out" || {
+    echo "FAIL: the cache-on batch answered no repeat from the cache" >&2
+    exit 1
+}
+if ! cmp -s <(sed 's/ \[cached\]//' "$tmp/batch-on-body.out") "$tmp/batch-off-body.out"; then
+    echo "FAIL: cache-on and cache-off batch answers differ:" >&2
+    diff <(sed 's/ \[cached\]//' "$tmp/batch-on-body.out") "$tmp/batch-off-body.out" >&2 || true
+    exit 1
+fi
+if [ "$batch_on_ms" -ge "$batch_off_ms" ]; then
+    echo "FAIL: ktg batch with the cache on (${batch_on_ms} ms) did not beat --no-cache (${batch_off_ms} ms)" >&2
+    exit 1
+fi
+cores="$(nproc)"
+if [ "$cores" -ge 4 ]; then
+    batch_off4_ms="$(time_ms "$tmp/batch-off4.out" "$ktg_bin" batch \
+        --workload "$tmp/repeat-workload.txt" "${repeat_input[@]}" --threads 4 --no-cache)"
+    echo "ktg batch --no-cache: ${batch_off_ms} ms at 1 thread, ${batch_off4_ms} ms at 4"
+    if [ "$batch_off4_ms" -ge "$batch_off_ms" ]; then
+        echo "FAIL: 4 threads (${batch_off4_ms} ms) did not beat 1 (${batch_off_ms} ms) with the cache off" >&2
+        exit 1
+    fi
+else
+    echo "thread-scaling check skipped: $cores hardware thread(s), a 4-thread win needs 4"
+fi
+cache_serve=("${repeat_input[@]}" --bind 127.0.0.1:0 --workers 2 --threads 1)
+"$ktg_bin" serve "${cache_serve[@]}" > "$tmp/cache-on-serve.log" 2>&1 &
+on_pid=$!
+"$ktg_bin" serve "${cache_serve[@]}" --no-cache > "$tmp/cache-off-serve.log" 2>&1 &
+off_pid=$!
+trap 'kill "$on_pid" "$off_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+on_addr="$(scrape_addr "$tmp/cache-on-serve.log" "$on_pid")"
+off_addr="$(scrape_addr "$tmp/cache-off-serve.log" "$off_pid")"
+serve_on_ms="$(time_ms "$tmp/serve-on.out" "$ktg_bin" serve --connect "$on_addr" \
+    --workload "$tmp/repeat-workload.txt" --stats)"
+serve_off_ms="$(time_ms "$tmp/serve-off.out" "$ktg_bin" serve --connect "$off_addr" \
+    --workload "$tmp/repeat-workload.txt" --stats)"
+on_p50="$(sed -n 's/^stats: .*"p50_ns":\([0-9]*\).*/\1/p' "$tmp/serve-on.out")"
+off_p50="$(sed -n 's/^stats: .*"p50_ns":\([0-9]*\).*/\1/p' "$tmp/serve-off.out")"
+echo "ktg serve replay: cache on ${serve_on_ms} ms (p50 ${on_p50:-?} ns), cache off ${serve_off_ms} ms (p50 ${off_p50:-?} ns)"
+# One sequential connection hits the cache exactly where the
+# single-threaded batch did, so each body is its batch twin's bytes.
+for mode in on off; do
+    if ! cmp -s <(grep -v '^stats: ' "$tmp/serve-$mode.out") "$tmp/batch-$mode-body.out"; then
+        echo "FAIL: cache-$mode TCP responses diverged from the cache-$mode batch answers:" >&2
+        diff <(grep -v '^stats: ' "$tmp/serve-$mode.out") "$tmp/batch-$mode-body.out" >&2 || true
+        exit 1
+    fi
+done
+if [ "$serve_on_ms" -ge "$serve_off_ms" ]; then
+    echo "FAIL: the cache-on server replay (${serve_on_ms} ms) did not beat --no-cache (${serve_off_ms} ms)" >&2
+    exit 1
+fi
+if [ -z "$on_p50" ] || [ -z "$off_p50" ] || [ "$on_p50" -ge "$off_p50" ]; then
+    echo "FAIL: cache-on /stats p50 (${on_p50:-?} ns) is not below cache-off (${off_p50:-?} ns)" >&2
+    exit 1
+fi
+for addr in "$on_addr" "$off_addr"; do
+    "$ktg_bin" serve --connect "$addr" --shutdown > /dev/null
+done
+for _ in $(seq 1 150); do
+    kill -0 "$on_pid" 2>/dev/null || kill -0 "$off_pid" 2>/dev/null || break
+    sleep 0.2
+done
+if kill -0 "$on_pid" 2>/dev/null || kill -0 "$off_pid" 2>/dev/null; then
+    echo "FAIL: a cache-smoke server still runs after /shutdown" >&2
     exit 1
 fi
 trap 'rm -rf "$tmp"' EXIT
