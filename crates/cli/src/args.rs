@@ -85,9 +85,10 @@ const QUERY_FLAGS: &[&str] = &[
 /// `DEFAULT_BITMAP_THRESHOLD` candidates); only `query`/`dktg` choose
 /// `--algo` and `--bitmap-threshold`.
 const SESSION_FLAGS: &[&str] =
-    &["threads", "no-cache", "cache-entries", "deadline-ms", "node-budget", "max-inflight"];
-const SERVER_FLAGS: &[&str] =
-    &["bind", "workers", "conn-deadline-ms", "wal", "wal-sync", "checkpoint-every"];
+    &["threads", "no-cache", "cache-entries", "deadline-ms", "node-budget"];
+const SERVER_FLAGS: &[&str] = &[
+    "bind", "workers", "max-inflight", "conn-deadline-ms", "wal", "wal-sync", "checkpoint-every",
+];
 const CLIENT_FLAGS: &[&str] =
     &["connect", "workload", "stats", "shutdown", "retry", "retry-base-ms"];
 
@@ -258,6 +259,7 @@ mod tests {
             &["batch", "--workload", "w.txt", "--algo", "vkc"][..],
             &["serve", "--bind", "127.0.0.1:0", "--bitmap-threshold", "0"][..],
             &["batch", "--workload", "w.txt", "--cache-entires", "64"][..],
+            &["batch", "--workload", "w.txt", "--max-inflight", "1"][..],
             &["query", "--terms", "a", "--gamma", "0.5"][..],
         ] {
             // Each case ends in `--flag value`.

@@ -2,10 +2,10 @@
 //!
 //! Exit codes: `0` — success, every answer exact; `3` — the command ran
 //! but at least one answer was degraded (deadline/budget best-so-far)
-//! or failed; `4` — at least one query was shed unsolved by the
-//! `--max-inflight` admission bound (shedding wins over degradation so
-//! load problems are never misread as answer-quality problems); `2` —
-//! usage or runtime error.
+//! or failed; `4` — `ktg serve --connect` saw at least one query shed
+//! unsolved by the server's admission gauge (`--max-inflight`, or a
+//! drain; shedding wins over degradation so load problems are never
+//! misread as answer-quality problems); `2` — usage or runtime error.
 
 fn main() {
     // Under fault injection every injected panic is caught and retried
@@ -42,9 +42,10 @@ fn main() {
             eprintln!("  dktg     (query flags) [--gamma F]");
             eprintln!("  batch    --workload FILE --edges FILE [--keywords FILE] [--threads N]");
             eprintln!("           [--cache-entries N] [--no-cache] [--deadline-ms N]");
-            eprintln!("           [--node-budget N] [--max-inflight N]");
+            eprintln!("           [--node-budget N]");
             eprintln!("  serve    --edges FILE [--keywords FILE] [--bind ADDR] [--workers N]");
-            eprintln!("           [--conn-deadline-ms N] [--wal FILE [--wal-sync always|batch]");
+            eprintln!("           [--max-inflight N] [--conn-deadline-ms N]");
+            eprintln!("           [--wal FILE [--wal-sync always|batch]");
             eprintln!("           [--checkpoint-every N]] (plus the batch cache/budget flags;");
             eprintln!("           --threads is accepted and ignored: lines run on the --workers pool)");
             eprintln!("  serve    --connect ADDR [--workload FILE] [--stats] [--shutdown]");

@@ -233,22 +233,21 @@ fn index_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
 }
 
 /// `ktg batch --workload FILE --edges FILE [--keywords FILE] [--threads N]
-/// [--cache-entries N] [--no-cache] [--deadline-ms N] [--node-budget N]
-/// [--max-inflight N]`
+/// [--cache-entries N] [--no-cache] [--deadline-ms N] [--node-budget N]`
 ///
 /// Replays a workload file (see `ktg_core::serve::workload` for the
 /// format) through a [`ServeSession`] running the default engine
 /// ([`ServeOptions::default`]): queries fan out across worker threads,
-/// repeated queries hit the epoch-guarded result cache, and
-/// `insert`/`remove` lines mutate the graph between query runs. Answers
-/// are byte-identical to running each query individually.
+/// repeated queries hit the result cache, and `insert`/`remove` lines
+/// edit the graph between query runs (clearing both caches). Every
+/// query is solved; answers are byte-identical to running each query
+/// individually.
 fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
     let (net, preloaded) = load_network_ex(args)?;
     let text = std::fs::read_to_string(args.required("workload")?)?;
     let items = serve::parse_workload(&text, &net)?;
 
     let options = serve_options_from_flags(args)?;
-    let max_inflight = options.max_inflight;
     writeln!(
         out,
         "batch: {} items, {} threads, cache {}",
@@ -263,16 +262,16 @@ fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
 
     let mut session = ServeSession::with_index(net, options, preloaded);
     let outcomes = session.run(&items);
-    let (mut degraded, mut failed, mut shed) = (0usize, 0usize, 0usize);
+    let (mut degraded, mut failed) = (0usize, 0usize);
     for (i, outcome) in outcomes.iter().enumerate() {
         match outcome {
             ItemOutcome::Ktg(ans) => degraded += usize::from(!ans.status.is_exact()),
             ItemOutcome::Dktg(ans) => degraded += usize::from(!ans.status.is_exact()),
             ItemOutcome::Failed { .. } => failed += 1,
-            ItemOutcome::Overloaded => shed += 1,
-            ItemOutcome::Update { .. } => {}
+            // Only a server's admission gauge sheds; a session never does.
+            ItemOutcome::Update { .. } | ItemOutcome::Overloaded => {}
         }
-        write_outcome(out, i + 1, outcome, max_inflight)?;
+        write_outcome(out, i + 1, outcome, 0)?;
     }
     let stats = session.stats();
     writeln!(
@@ -284,20 +283,18 @@ fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
         stats.result_reclaimed,
         stats.epoch
     )?;
-    if degraded + failed + shed > 0 {
-        writeln!(out, "partial: {degraded} degraded, {failed} failed, {shed} overloaded")?;
-        // Shedding wins over degradation: exit 4 says "retry against an
-        // idle server", exit 3 says "the answers themselves are partial"
-        // — conflating them (the old behavior folded shed runs into the
-        // degraded exit) made load problems look like quality problems.
-        return Ok(if shed > 0 { RunStatus::Overloaded } else { RunStatus::Degraded });
+    if degraded + failed > 0 {
+        writeln!(out, "partial: {degraded} degraded, {failed} failed")?;
+        return Ok(RunStatus::Degraded);
     }
     Ok(RunStatus::Complete)
 }
 
 /// Writes the canonical rendering of one workload outcome — the shared
 /// answer text of `ktg batch` and of every `ktg serve` TCP response
-/// (the differential suite holds the two byte-identical).
+/// (the differential suite holds the two byte-identical). `max_inflight`
+/// is the server's admission bound, named in a shed line; callers that
+/// never shed pass 0.
 pub fn write_outcome(
     out: &mut dyn Write,
     lineno: usize,
@@ -362,9 +359,8 @@ pub fn write_outcome(
 
 /// Builds [`ServeOptions`] from the session flags shared by
 /// `ktg batch` and the `ktg serve` server mode: `--threads`,
-/// `--no-cache`, `--cache-entries`, `--deadline-ms`, `--node-budget`,
-/// `--max-inflight`. The engine is [`ServeOptions::default`]'s, plus
-/// the two budgets.
+/// `--no-cache`, `--cache-entries`, `--deadline-ms`, `--node-budget`.
+/// The engine is [`ServeOptions::default`]'s, plus the two budgets.
 pub(crate) fn serve_options_from_flags(args: &ParsedArgs) -> Result<ServeOptions> {
     let mut engine = ServeOptions::default().engine.with_deadline_ms(deadline_flag(args)?);
     engine.node_budget = node_budget_flag(args)?;
@@ -373,7 +369,6 @@ pub(crate) fn serve_options_from_flags(args: &ParsedArgs) -> Result<ServeOptions
         use_cache: args.optional("no-cache").is_none(),
         cache_entries: args.num_or("cache-entries", 4096)?,
         engine,
-        max_inflight: args.num_or("max-inflight", 0)?,
     })
 }
 
@@ -881,28 +876,20 @@ ktg terms=t0,t2,t3 p=2 k=1 n=2
             "--keywords", keywords.to_str().unwrap(),
             "--threads", "1",
         ];
-        // Regression: a shed run must report Overloaded (exit 4), not
-        // fold into the generic Degraded exit — shedding is a capacity
-        // decision, and scripts retrying on exit 4 must be able to tell
-        // it apart from partial answers.
+        // Batch solves every query: the admission bound is the server's
+        // alone, and batch refuses the flag (exit 2) naming it.
         let mut capped = base.to_vec();
         capped.extend(["--max-inflight", "1"]);
-        let (status, text) = run_with_status(&capped).unwrap();
-        assert_eq!(status, RunStatus::Overloaded);
-        assert!(text.contains("[2] overloaded: shed by --max-inflight 1"), "{text}");
-        assert!(text.contains("partial: 0 degraded, 0 failed, 2 overloaded"), "{text}");
+        match run_with_status(&capped) {
+            Err(KtgError::InvalidInput(msg)) => assert!(msg.contains("--max-inflight"), "{msg}"),
+            other => panic!("batch must refuse --max-inflight, got {other:?}"),
+        }
         let mut budgeted = base.to_vec();
         budgeted.extend(["--node-budget", "1"]);
         let (status, text) = run_with_status(&budgeted).unwrap();
         assert_eq!(status, RunStatus::Degraded);
         assert!(text.contains("[degraded(node-budget)]"), "{text}");
-        assert!(text.contains("partial: 3 degraded, 0 failed, 0 overloaded"), "{text}");
-        // Shed + degraded together: shedding takes precedence.
-        let mut both = base.to_vec();
-        both.extend(["--max-inflight", "1", "--node-budget", "1"]);
-        let (status, text) = run_with_status(&both).unwrap();
-        assert_eq!(status, RunStatus::Overloaded);
-        assert!(text.contains("partial: 1 degraded, 0 failed, 2 overloaded"), "{text}");
+        assert!(text.contains("partial: 3 degraded, 0 failed"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -41,8 +41,9 @@ pub enum RunStatus {
     /// code 3 so scripts can tell "valid but partial" from success (0)
     /// and error (2).
     Degraded,
-    /// At least one query was shed unsolved by the `--max-inflight`
-    /// admission bound. The binary maps this to exit code 4 — distinct
+    /// At least one query was shed unsolved by a server's admission
+    /// gauge (`ktg serve --max-inflight`, or a drain), as seen by
+    /// `ktg serve --connect`. The binary maps this to exit code 4 — distinct
     /// from 3 because shedding is a capacity decision, not an answer
     /// quality one, and a retry against an idle server would succeed.
     /// Shedding takes precedence over degradation when both occur.

@@ -16,8 +16,9 @@
 //!   responses byte-identical to a batch replay of the same script.
 //! * **Control lines start with `/`:** `/stats` (one-line JSON of cache,
 //!   latency percentile, and outcome counters), `/health` (one-line JSON
-//!   of serving state, epoch, and WAL/checkpoint sequences), `/checkpoint`
-//!   (rewrite the bundle, truncate the log), `/drain` (shed all new
+//!   of serving state, applied-update count, and WAL/checkpoint
+//!   sequences), `/checkpoint` (rewrite the bundle, truncate the log;
+//!   refused while recovering), `/drain` (shed all new
 //!   queries as `overloaded` until `/resume`), `/resume`, `/shutdown`.
 //!
 //! ## Durability
@@ -29,9 +30,11 @@
 //! startup the log is replayed over the loaded network (tolerating one
 //! torn tail record; mid-log corruption is a typed startup error), and
 //! the listener accepts connections immediately while a recovery task
-//! re-applies the surviving records — workload lines are refused with
-//! an in-band error until the `/health` state leaves `recovering`.
-//! `/checkpoint` (or `--checkpoint-every N` appends) rewrites the
+//! re-applies the surviving records — workload lines and `/checkpoint`
+//! are refused with an in-band error until the `/health` state leaves
+//! `recovering` (a checkpoint of a half-replayed session would truncate
+//! the log past records it never saved). `/checkpoint` (or
+//! `--checkpoint-every N` appends) rewrites the
 //! bundle under a temp-file + atomic-rename protocol and truncates the
 //! log. `KTG_CRASH_AFTER=<n>` aborts the process after `n` appends —
 //! the crash-injection harness the recovery tests drive.
@@ -47,12 +50,13 @@
 //! "updates are serialization points" semantics the batch executor has,
 //! extended across connections.
 //!
-//! Admission control is a global in-flight gauge: when `--max-inflight`
-//! queries are already executing (or the server is draining), a new
-//! query is refused with a structured `overloaded` response — the
-//! connection stays open and the client can retry — never by dropping
-//! the connection. Per-connection wall-clock deadlines ride on the
-//! existing [`CancelToken`], polled between requests.
+//! Admission control is a global in-flight gauge, counted always and
+//! reported as `/stats` `inflight`: when `--max-inflight` queries are
+//! already executing (or the server is draining), a new query is refused
+//! with a structured `overloaded` response — the connection stays open
+//! and the client can retry — never by dropping the connection.
+//! Per-connection wall-clock deadlines ride on the existing
+//! [`CancelToken`], polled between requests.
 //!
 //! Shutdown is cooperative: the flag flips, the condvar wakes the pool,
 //! a loopback self-connect unblocks `accept`, and every socket carries a
@@ -229,13 +233,17 @@ pub struct ServeConfig {
     /// Connection-serving worker threads; `0` = auto
     /// ([`worker_count`], honoring `KTG_THREADS`).
     pub workers: usize,
+    /// Admission bound: at most this many queries execute at once across
+    /// all connections; the excess is shed as [`ItemOutcome::Overloaded`]
+    /// (edge updates are never shed — dropping one would silently fork
+    /// the graph state). `0` means unbounded.
+    pub max_inflight: usize,
     /// Per-connection wall-clock deadline in milliseconds, polled
     /// between requests; `None` = connections live until EOF.
     pub conn_deadline_ms: Option<u64>,
     /// Write-ahead logging; `None` = updates die with the process.
     pub wal: Option<WalConfig>,
-    /// Session options: cache, engine, and the `max_inflight` admission
-    /// bound (here enforced globally across connections).
+    /// Session options: cache and engine.
     pub options: ServeOptions,
 }
 
@@ -244,6 +252,7 @@ impl Default for ServeConfig {
         ServeConfig {
             bind: "127.0.0.1:0".to_string(),
             workers: 0,
+            max_inflight: 0,
             conn_deadline_ms: None,
             wal: None,
             options: ServeOptions::default(),
@@ -296,7 +305,8 @@ struct Shared {
     shutdown: AtomicBool,
     draining: AtomicBool,
     /// True while the startup recovery task is still replaying WAL
-    /// records; workload lines are refused in-band until it clears.
+    /// records; workload lines and `/checkpoint` are refused in-band
+    /// until it clears.
     recovering: AtomicBool,
     /// Durable update log (`--wal`); see [`WalState`] for lock order.
     wal: Option<Mutex<WalState>>,
@@ -325,17 +335,15 @@ impl Shared {
 
     /// Tries to claim an admission slot for one query, naming the
     /// reason when it refuses: draining, or `max_inflight` queries
-    /// already executing.
+    /// already executing. The gauge counts every admitted query, bounded
+    /// or not, so `/stats` always reports what is executing.
     fn try_admit(&self) -> std::result::Result<(), Shed> {
         if self.draining.load(Ordering::Relaxed) {
             return Err(Shed::Draining);
         }
-        if self.max_inflight == 0 {
-            return Ok(());
-        }
         let mut current = self.inflight.load(Ordering::Relaxed);
         loop {
-            if current >= self.max_inflight {
+            if self.max_inflight != 0 && current >= self.max_inflight {
                 return Err(Shed::Inflight);
             }
             match self.inflight.compare_exchange(
@@ -351,9 +359,7 @@ impl Shared {
     }
 
     fn release_admission(&self) {
-        if self.max_inflight != 0 {
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
-        }
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 
     fn begin_shutdown(&self) {
@@ -470,7 +476,6 @@ pub fn start_with_index(
         0 => worker_count(),
         w => w,
     };
-    let max_inflight = cfg.options.max_inflight;
     let shared = Arc::new(Shared {
         session: RwLock::new(ServeSession::with_index(net, cfg.options, index)),
         stats: ServerStats::new(),
@@ -481,7 +486,7 @@ pub fn start_with_index(
         recovering: AtomicBool::new(!recovery.is_empty()),
         wal: wal_state,
         inflight: AtomicUsize::new(0),
-        max_inflight,
+        max_inflight: cfg.max_inflight,
         conn_deadline_ms: cfg.conn_deadline_ms,
         addr,
     });
@@ -661,11 +666,7 @@ fn handle_line(
         // Half-recovered state must never answer or mutate; the line
         // consumes no item slot so a retrying client's numbering is
         // unaffected. `/health` reports `recovering` for poll loops.
-        return respond(
-            &shared.stats,
-            writer,
-            &["error: server is recovering from its write-ahead log, retry shortly"],
-        );
+        return respond(&shared.stats, writer, &[RECOVERING]);
     }
     let parsed = {
         let session = shared.read_session();
@@ -818,6 +819,10 @@ fn checkpoint(session: &ServeSession, st: &mut WalState) -> Result<u64> {
     Ok(st.last_checkpoint_seq)
 }
 
+/// The in-band refusal of a workload line or `/checkpoint` while the
+/// startup recovery task is still replaying the log.
+const RECOVERING: &str = "error: server is recovering from its write-ahead log, retry shortly";
+
 /// Handles a `/control` line.
 fn handle_control(shared: &Shared, writer: &mut impl Write, control: &str) -> LineOutcome {
     match control {
@@ -837,6 +842,13 @@ fn handle_control(shared: &Shared, writer: &mut impl Write, control: &str) -> Li
                     &["error: checkpoint requires the server to run with --wal"],
                 );
             };
+            // A half-replayed session must not be saved: the truncate
+            // would drop the acknowledged records not yet re-applied.
+            // The flag only ever clears, and it clears after the last
+            // record applies, so a checkpoint that passes it sees them all.
+            if shared.recovering.load(Ordering::SeqCst) {
+                return respond(&shared.stats, writer, &[RECOVERING]);
+            }
             // Same order as the update path: session lock, then WAL.
             // The read lock freezes updates for the bundle rewrite
             // while letting queries flow.
@@ -965,6 +977,7 @@ pub(crate) fn serve_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunSta
     let cfg = ServeConfig {
         bind: args.optional("bind").unwrap_or("127.0.0.1:0").to_string(),
         workers: args.num_or("workers", 0)?,
+        max_inflight: args.num_or("max-inflight", 0)?,
         conn_deadline_ms,
         wal,
         options,
@@ -975,7 +988,7 @@ pub(crate) fn serve_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunSta
     } else {
         "off".to_string()
     };
-    let max_inflight = cfg.options.max_inflight;
+    let max_inflight = cfg.max_inflight;
     let handle = start_with_index(net, cfg, preloaded)?;
     if let Some(info) = handle.recovered() {
         // Greppable recovery report for scripts and the CI crash smoke.
@@ -1200,12 +1213,10 @@ mod tests {
         options: ServeOptions,
         conn_deadline_ms: Option<u64>,
     ) -> (ServerHandle, LineReader<TcpStream>, TcpStream) {
-        let cfg = ServeConfig {
-            workers: 2,
-            conn_deadline_ms,
-            options,
-            ..ServeConfig::default()
-        };
+        boot_cfg(ServeConfig { workers: 2, conn_deadline_ms, options, ..ServeConfig::default() })
+    }
+
+    fn boot_cfg(cfg: ServeConfig) -> (ServerHandle, LineReader<TcpStream>, TcpStream) {
         let handle = start(fixtures::figure1(), cfg).unwrap();
         let stream = TcpStream::connect(handle.addr()).unwrap();
         let writer = stream.try_clone().unwrap();
@@ -1230,6 +1241,22 @@ mod tests {
     }
 
     const PAPER_QUERY: &str = "ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2";
+
+    /// The in-flight gauge counts on an unbounded server too: `/stats`
+    /// reports the queries executing, not a constant 0.
+    #[test]
+    fn unbounded_gauge_counts_admitted_queries() {
+        let opts = ServeOptions { threads: 1, ..ServeOptions::default() };
+        let (handle, mut reader, mut writer) = boot(opts, None);
+        assert!(handle.shared.try_admit().is_ok());
+        let block = request(&mut reader, &mut writer, "/stats");
+        assert!(block[0].contains("\"inflight\":1,"), "{block:?}");
+        handle.shared.release_admission();
+        let block = request(&mut reader, &mut writer, "/stats");
+        assert!(block[0].contains("\"inflight\":0,"), "{block:?}");
+        handle.shutdown();
+        handle.join().unwrap();
+    }
 
     /// TCP responses are the batch renderer's bytes for the same item.
     #[test]
@@ -1280,9 +1307,12 @@ mod tests {
 
     #[test]
     fn stats_drain_resume_and_shutdown_controls() {
-        let opts =
-            ServeOptions { threads: 1, max_inflight: 4, ..ServeOptions::default() };
-        let (handle, mut reader, mut writer) = boot(opts, None);
+        let (handle, mut reader, mut writer) = boot_cfg(ServeConfig {
+            workers: 2,
+            max_inflight: 4,
+            options: ServeOptions { threads: 1, ..ServeOptions::default() },
+            ..ServeConfig::default()
+        });
         let answered = request(&mut reader, &mut writer, PAPER_QUERY);
         assert!(answered[0].starts_with("[1] ktg:"), "{answered:?}");
         // Drain: queries shed with an overloaded line that names the
@@ -1347,8 +1377,11 @@ mod tests {
         // Deadline 0: expired before the first request completes the
         // poll — deterministic without sleeping.
         let (handle, mut reader, mut writer) = boot(opts, Some(0));
-        write_line(&mut writer, PAPER_QUERY).unwrap();
-        writer.flush().unwrap();
+        // The server may answer the expired deadline and close before
+        // this request lands, so the write itself may fail (EPIPE): the
+        // in-band error line is what this test checks.
+        let _ = write_line(&mut writer, PAPER_QUERY);
+        let _ = writer.flush();
         // The handler may serve the first request before its next
         // deadline poll, but must emit the deadline error and close
         // within a frame or two.
@@ -1544,6 +1577,52 @@ mod tests {
             Err(other) => panic!("expected a typed input error, got {other}"),
             Ok(_) => panic!("corrupt wal must fail startup"),
         }
+    }
+
+    /// A self-loop update is a parse error: answered in-band, never
+    /// logged, so it cannot reach a replay.
+    #[test]
+    fn self_loop_update_is_refused_and_never_logged() {
+        let dir = wal_dir("self-loop");
+        let wal = dir.join("updates.wal");
+        let (handle, mut reader, mut writer) = boot_wal(wal_cfg(wal.clone()));
+        let block = request(&mut reader, &mut writer, "insert 3 3");
+        assert_eq!(
+            block,
+            vec!["error: invalid input: workload line 1: self-loop at vertex 3".to_string()]
+        );
+        let health = request(&mut reader, &mut writer, "/health");
+        assert!(health[0].contains("\"wal_seq\":0"), "{health:?}");
+        request(&mut reader, &mut writer, "/shutdown");
+        handle.join().unwrap();
+        assert!(ktg_index::wal::replay(&wal).unwrap().records.is_empty());
+    }
+
+    /// While recovery still replays the log, `/checkpoint` is refused:
+    /// saving the half-replayed session and truncating the log would
+    /// lose the acknowledged records not yet re-applied.
+    #[test]
+    fn checkpoint_is_refused_while_recovering() {
+        let dir = wal_dir("recovering-checkpoint");
+        let wal = dir.join("updates.wal");
+        let bundle = dir.join("net.bundle");
+        std::fs::write(&bundle, b"the last checkpoint").unwrap();
+        let cfg = WalConfig { bundle: Some(bundle.clone()), ..wal_cfg(wal.clone()) };
+        let (handle, mut reader, mut writer) = boot_wal(cfg);
+        request(&mut reader, &mut writer, "insert 0 5");
+        request(&mut reader, &mut writer, "insert 0 6");
+        handle.shared.recovering.store(true, Ordering::SeqCst);
+        let block = request(&mut reader, &mut writer, "/checkpoint");
+        assert_eq!(block, vec![RECOVERING.to_string()]);
+        let health = request(&mut reader, &mut writer, "/health");
+        assert!(health[0].contains("\"state\":\"recovering\""), "{health:?}");
+        assert_eq!(std::fs::read(&bundle).unwrap(), b"the last checkpoint");
+        let lines: Vec<String> =
+            ktg_index::wal::replay(&wal).unwrap().records.into_iter().map(|r| r.line).collect();
+        assert_eq!(lines, ["insert 0 5", "insert 0 6"]);
+        handle.shared.recovering.store(false, Ordering::SeqCst);
+        request(&mut reader, &mut writer, "/shutdown");
+        handle.join().unwrap();
     }
 
     /// `/checkpoint` rewrites the bundle and truncates the log; a

@@ -1,4 +1,4 @@
-//! The sharded, bounded, epoch-guarded memo behind both serving caches.
+//! The sharded, bounded memo behind both serving caches.
 //!
 //! A serving session memoizes two things across queries: whole answers
 //! (the result cache, keyed on the canonical query) and `(vertex, k)`
@@ -10,13 +10,12 @@
 //!   `capacity.div_ceil(16).max(1)` entries, so concurrent workers do not
 //!   serialize on one lock and a long-running session cannot grow without
 //!   limit.
-//! * **One generation per shard.** Every access carries the caller's
-//!   graph epoch. The first access to a shard at a newer epoch drops the
-//!   shard's whole previous generation (each dropped entry counts as
-//!   [`reclaimed`](Memo::reclaimed)); a lookup at an older epoch misses
-//!   and an insert stamped older than the shard's epoch is discarded. A
-//!   post-update lookup therefore never observes a pre-update value, and
-//!   stale entries never compete with live ones for capacity.
+//! * **Invalidation by clearing.** A value is valid until the state it
+//!   was computed from changes. The owner calls [`Memo::clear`] then,
+//!   which takes `&mut self`: the borrow checker proves no lookup or
+//!   insert is in flight, so no pre-change value can be read or stored
+//!   afterwards. Each dropped entry counts as
+//!   [`reclaimed`](Memo::reclaimed).
 //! * **Cost eviction with recency decay.** Each entry records the cost
 //!   its caller reports for recomputing it and the shard-local tick of its
 //!   last hit. A full shard evicts the entry with the lowest
@@ -61,8 +60,6 @@ struct Entry<V> {
 }
 
 struct Shard<K, V> {
-    /// The one generation this shard holds (monotone).
-    epoch: u64,
     map: FxHashMap<K, Entry<V>>,
     /// Logical access clock: bumped once per lookup or insert.
     tick: u64,
@@ -70,29 +67,16 @@ struct Shard<K, V> {
     seq: u64,
 }
 
-impl<K, V> Shard<K, V> {
-    /// Moves the shard to `epoch` when it is newer, dropping the previous
-    /// generation. Returns how many entries were dropped.
-    fn advance(&mut self, epoch: u64) -> u64 {
-        if epoch <= self.epoch {
-            return 0;
-        }
-        self.epoch = epoch;
-        let dropped = self.map.len() as u64;
-        self.map.clear();
-        dropped
-    }
-}
-
-/// A bounded, sharded, epoch-guarded memo with cost-aware eviction (see
-/// the module docs for the policy).
+/// A bounded, sharded memo with cost-aware eviction (see the module
+/// docs for the policy).
 pub struct Memo<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     per_shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    reclaimed: AtomicU64,
+    /// Written only by [`Memo::clear`], under `&mut self`.
+    reclaimed: u64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
@@ -102,15 +86,13 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     pub fn new(capacity: usize) -> Self {
         Memo {
             shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard { epoch: 0, map: FxHashMap::default(), tick: 0, seq: 0 })
-                })
+                .map(|_| Mutex::new(Shard { map: FxHashMap::default(), tick: 0, seq: 0 }))
                 .collect(),
             per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            reclaimed: AtomicU64::new(0),
+            reclaimed: 0,
         }
     }
 
@@ -129,13 +111,12 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Entries dropped with their shard's previous generation so far.
+    /// Entries dropped by [`Memo::clear`] so far.
     pub fn reclaimed(&self) -> u64 {
-        self.reclaimed.load(Ordering::Relaxed)
+        self.reclaimed
     }
 
-    /// Entries currently resident (all shards; a shard not touched since
-    /// an epoch bump still holds its previous generation).
+    /// Entries currently resident (all shards).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|shard| lock(shard).map.len()).sum()
     }
@@ -155,22 +136,29 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
         lock(&self.shards[Self::shard_index(key)])
     }
 
-    fn reclaim(&self, dropped: u64) {
-        if dropped > 0 {
-            self.reclaimed.fetch_add(dropped, Ordering::Relaxed);
+    /// Drops every resident entry, adding each to
+    /// [`reclaimed`](Memo::reclaimed). Exclusive access means no lock is
+    /// taken and no concurrent lookup or insert can straddle the clear.
+    /// Shard clocks keep running, so eviction stays a pure function of
+    /// the access sequence.
+    pub fn clear(&mut self) {
+        for shard in &mut self.shards {
+            // Same poison recovery as `lock`; the map is emptied anyway.
+            let shard = match shard.get_mut() {
+                Ok(shard) => shard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            self.reclaimed += shard.map.len() as u64;
+            shard.map.clear();
         }
     }
 
-    /// Returns the value cached for `key` at `epoch`, if any. Callers
-    /// pass a nondecreasing epoch for a given state (the serving session
-    /// bumps it only under exclusive access, so no lookup races a bump).
-    pub fn get(&self, key: &K, epoch: u64) -> Option<V> {
+    /// Returns the value cached for `key`, if any.
+    pub fn get(&self, key: &K) -> Option<V> {
         let mut shard = self.shard(key);
-        self.reclaim(shard.advance(epoch));
         shard.tick += 1;
         let tick = shard.tick;
-        let hit = if epoch == shard.epoch { shard.map.get_mut(key) } else { None };
-        match hit {
+        match shard.map.get_mut(key) {
             Some(entry) => {
                 entry.last_touch = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -183,18 +171,13 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
         }
     }
 
-    /// Stores `value` for `key` at `epoch`, recording what recomputing it
-    /// costs (clamped to at least 1). An insert stamped older than the
-    /// shard's epoch is discarded; a new key in a full shard evicts the
+    /// Stores `value` for `key`, recording what recomputing it costs
+    /// (clamped to at least 1). A new key in a full shard evicts the
     /// lowest-scoring entry, unless `cost` is below that score, in which
     /// case the insert itself is refused.
-    pub fn insert(&self, key: K, epoch: u64, value: V, cost: u64) {
+    pub fn insert(&self, key: K, value: V, cost: u64) {
         let cost = cost.max(1);
         let mut shard = self.shard(&key);
-        self.reclaim(shard.advance(epoch));
-        if epoch < shard.epoch {
-            return;
-        }
         shard.tick += 1;
         let tick = shard.tick;
         if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_capacity {
@@ -244,9 +227,9 @@ mod tests {
             .collect()
     }
 
-    fn is_hit(memo: &Memo<u64, u64>, key: u64, epoch: u64) -> bool {
+    fn is_hit(memo: &Memo<u64, u64>, key: u64) -> bool {
         let before = memo.hits();
-        memo.get(&key, epoch);
+        memo.get(&key);
         memo.hits() != before
     }
 
@@ -261,59 +244,61 @@ mod tests {
     }
 
     #[test]
-    fn epoch_change_invalidates() {
-        let memo: Memo<u64, u32> = Memo::new(64);
-        memo.insert(7, 1, 42, 1);
-        assert_eq!(memo.get(&7, 2), None, "post-update lookups must miss");
-        assert_eq!(memo.reclaimed(), 1, "the old generation is dropped on first touch");
-        // A stale insert (computed before the bump) must be discarded.
-        memo.insert(7, 1, 42, 1);
-        assert_eq!(memo.get(&7, 2), None);
-        memo.insert(7, 2, 43, 1);
-        assert_eq!(memo.get(&7, 2), Some(43));
-        // A lookup at an older epoch never sees the newer generation.
-        assert_eq!(memo.get(&7, 1), None);
-        assert_eq!((memo.hits(), memo.misses()), (1, 3));
+    fn clear_drops_every_entry_and_counts_it() {
+        let mut memo: Memo<u64, u32> = Memo::new(64);
+        memo.insert(7, 42, 1);
+        memo.insert(8, 43, 1);
+        assert_eq!(memo.get(&7), Some(42));
+        memo.clear();
+        assert_eq!(memo.reclaimed(), 2, "both entries are counted as reclaimed");
+        assert!(memo.is_empty());
+        assert_eq!(memo.get(&7), None, "a cleared value is never served again");
+        memo.insert(7, 44, 1);
+        assert_eq!(memo.get(&7), Some(44));
+        memo.clear();
+        memo.clear();
+        assert_eq!(memo.reclaimed(), 3, "clearing an empty memo reclaims nothing");
+        assert_eq!((memo.hits(), memo.misses()), (2, 1));
     }
 
     #[test]
     fn capacity_is_bounded() {
         let memo: Memo<u64, u64> = Memo::new(16);
         for key in 1..200u64 {
-            memo.insert(key, 1, key, 1);
+            memo.insert(key, key, 1);
         }
         assert!(memo.len() <= 16, "resident {} exceeds capacity", memo.len());
         // Rows report their ball length as cost: unequal costs keep the
         // bound too (cheap inserts are refused instead of evicting).
         let rows: Memo<(u32, u32), u64> = Memo::new(16);
         for v in 0..64u32 {
-            rows.insert((v, 2), 1, u64::from(v), u64::from(v % 7) + 1);
+            rows.insert((v, 2), u64::from(v), u64::from(v % 7) + 1);
         }
         assert!(rows.len() <= 16, "resident {} exceeds capacity", rows.len());
     }
 
-    /// A shard never holds two generations: the first access at a newer
-    /// epoch drops the old one, so a new generation arriving without any
-    /// lookup of the old one never evicts a live entry to make room.
+    /// A cleared shard frees its whole capacity: entries computed after a
+    /// clear never evict anything to make room.
     #[test]
-    fn stale_generations_are_purged_before_live_eviction() {
+    fn cleared_entries_never_compete_with_live_ones() {
         let keys = same_shard_keys(8);
         // Capacity 64 ⇒ four entries per shard.
-        let memo: Memo<u64, u64> = Memo::new(64);
+        let mut memo: Memo<u64, u64> = Memo::new(64);
         for &key in &keys[..4] {
-            memo.insert(key, 1, key, 1);
+            memo.insert(key, key, 1);
         }
         assert_eq!(memo.len(), 4);
+        memo.clear();
         for &key in &keys[4..] {
-            memo.insert(key, 2, key, 1);
+            memo.insert(key, key, 1);
         }
-        assert_eq!(memo.reclaimed(), 4, "the whole epoch-1 generation is reclaimed");
+        assert_eq!(memo.reclaimed(), 4, "the whole full shard is reclaimed");
         assert_eq!(memo.evictions(), 0, "no live entry was evicted to make room");
         for &key in &keys[4..] {
-            assert!(is_hit(&memo, key, 2), "live entry {key} must be resident");
+            assert!(is_hit(&memo, key), "live entry {key} must be resident");
         }
         for &key in &keys[..4] {
-            assert!(!is_hit(&memo, key, 2), "stale entry {key} survived and hit");
+            assert!(!is_hit(&memo, key), "cleared entry {key} survived and hit");
         }
     }
 
@@ -329,20 +314,20 @@ mod tests {
             let memo: Memo<u64, usize> = Memo::new(64);
             let costs = [100u64, 10, 1000, 50];
             for (i, cost) in costs.iter().enumerate() {
-                memo.insert(keys[i], 1, i, *cost);
+                memo.insert(keys[i], i, *cost);
             }
             // Fifth key: the victim is the cheapest resident (cost 10).
-            memo.insert(keys[4], 1, 4, 500);
-            assert_eq!(memo.get(&keys[1], 1), None, "cheapest entry evicted");
+            memo.insert(keys[4], 4, 500);
+            assert_eq!(memo.get(&keys[1]), None, "cheapest entry evicted");
             for i in [0usize, 2, 3, 4] {
-                assert_eq!(memo.get(&keys[i], 1), Some(i), "survivor {i}");
+                assert_eq!(memo.get(&keys[i]), Some(i), "survivor {i}");
             }
             // Admission floor: cheaper than the current minimum benefit
             // (cost 50) ⇒ rejected outright, residents untouched.
-            memo.insert(keys[5], 1, 5, 5);
-            assert_eq!(memo.get(&keys[5], 1), None, "below-floor insert rejected");
+            memo.insert(keys[5], 5, 5);
+            assert_eq!(memo.get(&keys[5]), None, "below-floor insert rejected");
             for i in [0usize, 2, 3, 4] {
-                assert_eq!(memo.get(&keys[i], 1), Some(i), "survivor {i} after rejection");
+                assert_eq!(memo.get(&keys[i]), Some(i), "survivor {i} after rejection");
             }
             assert_eq!(memo.evictions(), 1);
         }
@@ -354,19 +339,19 @@ mod tests {
     fn cost_eviction_decays_unused_entries() {
         let keys = same_shard_keys(5);
         let memo: Memo<u64, usize> = Memo::new(64);
-        memo.insert(keys[0], 1, 0, 1_000_000); // expensive, then cold
+        memo.insert(keys[0], 0, 1_000_000); // expensive, then cold
         for (i, &key) in keys.iter().enumerate().take(4).skip(1) {
-            memo.insert(key, 1, i, 10);
+            memo.insert(key, i, 10);
         }
         // ~30 half-lives of hits on the cheap entries: the cold entry's
         // score decays to zero while the hot ones stay at full cost.
         for _ in 0..(30 * HALF_LIFE) {
-            assert_eq!(memo.get(&keys[1], 1), Some(1));
+            assert_eq!(memo.get(&keys[1]), Some(1));
         }
-        memo.insert(keys[4], 1, 4, 10);
-        assert_eq!(memo.get(&keys[0], 1), None, "decayed expensive entry evicted");
+        memo.insert(keys[4], 4, 10);
+        assert_eq!(memo.get(&keys[0]), None, "decayed expensive entry evicted");
         for (i, key) in keys.iter().enumerate().take(5).skip(1) {
-            assert_eq!(memo.get(key, 1), Some(i), "hot survivor {i}");
+            assert_eq!(memo.get(key), Some(i), "hot survivor {i}");
         }
     }
 
@@ -378,64 +363,61 @@ mod tests {
         let (hub, leaves) = (keys[0], &keys[1..]);
         // Capacity 64 → 4 rows per stripe.
         let memo: Memo<u64, u64> = Memo::new(64);
-        memo.insert(hub, 0, hub, 128);
+        memo.insert(hub, hub, 128);
         for &leaf in &leaves[..3] {
-            memo.insert(leaf, 0, leaf, 2);
+            memo.insert(leaf, leaf, 2);
         }
         assert_eq!(memo.evictions(), 0);
 
         // Fifth key in a full stripe: the victim is the minimum
         // (benefit, seq) — the *first-inserted cheap leaf*, never the
         // expensive hub row even though the hub is the oldest insert.
-        memo.insert(leaves[3], 0, leaves[3], 2);
+        memo.insert(leaves[3], leaves[3], 2);
         assert_eq!(memo.evictions(), 1);
-        assert!(is_hit(&memo, hub, 0), "hub row survived");
-        assert!(!is_hit(&memo, leaves[0], 0), "oldest cheap row was evicted");
-        memo.insert(leaves[0], 0, leaves[0], 2);
+        assert!(is_hit(&memo, hub), "hub row survived");
+        assert!(!is_hit(&memo, leaves[0]), "oldest cheap row was evicted");
+        memo.insert(leaves[0], leaves[0], 2);
         assert_eq!(memo.evictions(), 2, "its re-insert displaced the next-oldest leaf");
-        assert!(!is_hit(&memo, leaves[1], 0));
-        assert!(is_hit(&memo, leaves[0], 0));
+        assert!(!is_hit(&memo, leaves[1]));
+        assert!(is_hit(&memo, leaves[0]));
     }
 
-    /// Seeded model check: random gets, inserts (current and stale
-    /// epochs, random costs) and epoch bumps against a plain map of the
-    /// last value inserted per key. Eviction may turn any hit into a miss,
-    /// but a hit must return exactly the model's current-epoch value.
+    /// Seeded model check: random gets, inserts (random costs) and
+    /// clears against a plain map of the last value inserted per key
+    /// since the last clear. Eviction may turn any hit into a miss, but a
+    /// hit must return exactly the model's value.
     #[test]
     fn random_operations_agree_with_a_plain_map_model() {
         for seed in 0..8u64 {
             let mut rng = SeededRng::seed_from_u64(0x3e30 ^ seed);
             let capacity = [16usize, 32, 48][seed as usize % 3];
-            let memo: Memo<u32, u64> = Memo::new(capacity);
-            // key -> (epoch it was inserted at, value)
-            let mut model: FxHashMap<u32, (u64, u64)> = FxHashMap::default();
-            let (mut epoch, mut next_value) = (0u64, 0u64);
+            let mut memo: Memo<u32, u64> = Memo::new(capacity);
+            let mut model: FxHashMap<u32, u64> = FxHashMap::default();
+            let mut next_value = 0u64;
             for step in 0..4000 {
                 let key = rng.gen_range(0..96u32);
                 match rng.gen_range(0..100u32) {
                     0..=54 => {
-                        if let Some(got) = memo.get(&key, epoch) {
-                            let want = model.get(&key).filter(|(at, _)| *at == epoch);
+                        if let Some(got) = memo.get(&key) {
                             assert_eq!(
                                 Some(got),
-                                want.map(|(_, v)| *v),
-                                "seed {seed} step {step}: key {key} at epoch {epoch}"
+                                model.get(&key).copied(),
+                                "seed {seed} step {step}: key {key}"
                             );
                         }
                     }
-                    55..=94 => {
+                    55..=96 => {
                         next_value += 1;
                         let cost = rng.gen_range(1..2000u64);
-                        memo.insert(key, epoch, next_value, cost);
-                        model.insert(key, (epoch, next_value));
+                        memo.insert(key, next_value, cost);
+                        model.insert(key, next_value);
                     }
-                    95..=97 => epoch += 1,
-                    _ if epoch > 0 => {
-                        // A value computed before the last bump.
-                        next_value += 1;
-                        memo.insert(key, epoch - 1, next_value, 1_000_000);
+                    _ => {
+                        let (resident, before) = (memo.len() as u64, memo.reclaimed());
+                        memo.clear();
+                        model.clear();
+                        assert_eq!(memo.reclaimed(), before + resident, "seed {seed} step {step}");
                     }
-                    _ => {}
                 }
                 assert!(
                     memo.len() <= capacity,

@@ -40,21 +40,19 @@ impl AttributedGraph {
         Self::new(graph, vocab, keywords)
     }
 
-    /// Swaps in a new topology over the same vertex set, keeping the
-    /// vocabulary, keyword arena and inverted index (edge updates change
-    /// none of them).
-    ///
-    /// # Panics
-    /// Debug-panics if `graph` has a different number of vertices.
-    pub fn set_graph(&mut self, graph: CsrGraph) {
-        debug_assert_eq!(graph.num_vertices(), self.graph.num_vertices(), "|V| changed");
-        self.graph = graph;
-    }
-
     /// The social graph.
     #[inline]
     pub fn graph(&self) -> &CsrGraph {
         &self.graph
+    }
+
+    /// Mutable access to the topology, for in-place edge updates
+    /// ([`CsrGraph::insert_edge`], [`CsrGraph::remove_edge`]). Edges do
+    /// not enter the vocabulary, keyword arena or inverted index, and the
+    /// edits never change the vertex count, so all of them stay valid.
+    #[inline]
+    pub fn graph_mut(&mut self) -> &mut CsrGraph {
+        &mut self.graph
     }
 
     /// The keyword vocabulary `κ`.

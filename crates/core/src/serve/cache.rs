@@ -5,9 +5,10 @@
 //! query-serving system sees). [`ResultCache`] memoizes whole answers
 //! keyed on the *canonicalized* query, so a repeat costs one hash lookup
 //! and a clone instead of a branch-and-bound search. It is one instance
-//! of [`ktg_common::Memo`], the sharded, bounded, epoch-guarded memo with
-//! cost-aware eviction that also holds the `(vertex, k)` conflict rows;
-//! each entry's cost is the solve nanos that produced it.
+//! of [`ktg_common::Memo`], the sharded, bounded memo with cost-aware
+//! eviction that also holds the `(vertex, k)` conflict rows; each entry's
+//! cost is the solve nanos that produced it. The session clears it on
+//! every applied edge update.
 //!
 //! [`CacheKey`] is the query's identity and nothing else: the kind (KTG
 //! or DKTG), the sorted keyword ids (the engine is insensitive to `W_Q`
@@ -26,7 +27,8 @@ use crate::query::KtgQuery;
 pub type ResultCache<V> = Memo<CacheKey, V>;
 
 /// A canonicalized query identity: two queries with the same key are
-/// guaranteed the same answer (in one session, at the same graph epoch).
+/// guaranteed the same answer (in one session, between two applied
+/// updates).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// 0 = KTG, 1 = DKTG — keeps the two query families from colliding.
@@ -97,9 +99,9 @@ mod tests {
         let net = fixtures::figure1();
         let key = paper_key(&net, ["SN", "QP", "DQ", "GQ", "GD"]);
         let cache: ResultCache<u32> = ResultCache::new(64);
-        assert_eq!(cache.get(&key, 1), None);
-        cache.insert(key.clone(), 1, 42, 1);
-        assert_eq!(cache.get(&key, 1), Some(42));
+        assert_eq!(cache.get(&key), None);
+        cache.insert(key.clone(), 42, 1);
+        assert_eq!(cache.get(&key), Some(42));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);

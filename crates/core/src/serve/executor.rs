@@ -8,8 +8,7 @@
 //!   vector, kernel scratch, bitmap rows) from a [`ktg_common::Pool`];
 //!   steady state performs no large allocations per query.
 //! * **Result caching** — whole answers are memoized in a
-//!   [`ResultCache`] keyed on the canonicalized query, guarded by the
-//!   session's graph epoch.
+//!   [`ResultCache`] keyed on the canonicalized query.
 //! * **Conflict-row reuse** — fresh solves assemble their conflict-bitmap
 //!   kernels through the [`ktg_index::NeighborhoodCache`] `(vertex, k)`
 //!   memo instead of re-running one bounded BFS per candidate per query.
@@ -18,9 +17,13 @@
 //! workload into maximal query runs separated by edge updates, fans each
 //! run out over [`ktg_common::parallel::scope_join`] workers (atomic
 //! work claiming, results merged positionally so output order equals
-//! workload order), and applies updates sequentially under `&mut self` —
-//! which is the whole invalidation story: an epoch bump cannot race a
-//! lookup, so a stale answer is unreachable by construction.
+//! workload order), and applies updates sequentially under `&mut self`.
+//! An applied update edits the session's one topology, the CSR inside
+//! its [`AttributedGraph`], in place, maintains the NLRNL index across
+//! the edit, and clears both memos. That is the whole invalidation
+//! story: the clear holds `&mut self`, so no lookup or insert can
+//! straddle it, and a stale answer or row is unreachable by
+//! construction.
 //!
 //! **Answer fidelity.** Every path — pooled, cached, parallel — returns
 //! groups and scores byte-identical to a fresh sequential
@@ -38,9 +41,7 @@
 //! returns to the pool — is retried once with fault injection
 //! suppressed, and on a second failure becomes an
 //! [`ItemOutcome::Failed`] record while the session keeps draining the
-//! rest of the run. [`ServeOptions::max_inflight`] bounds admission per
-//! [`ServeSession::run`] call, shedding the excess as
-//! [`ItemOutcome::Overloaded`]. Deadline-cut solves come back flagged
+//! rest of the run. Deadline-cut solves come back flagged
 //! [`CompletionStatus::Degraded`]; only `Exact` answers ever enter the
 //! result cache.
 
@@ -51,8 +52,8 @@ use ktg_common::fault::{self, FaultSite};
 use ktg_common::parallel::{scope_join, worker_count};
 use ktg_common::{CompletionStatus, FixedBitSet, Pool, PoolGuard, Stopwatch, VertexId};
 use ktg_index::{
-    conflict_bitmaps_cached, kline_conflict_bitmaps, DynamicNlrnl, KernelScratch,
-    NeighborhoodCache, NlrnlIndex,
+    conflict_bitmaps_cached, kline_conflict_bitmaps, KernelScratch, NeighborhoodCache,
+    NlrnlIndex,
 };
 
 use crate::bb::{self, BbOptions, ConflictKernel, KtgOutcome};
@@ -109,7 +110,8 @@ pub enum ItemOutcome {
     /// line: `applied` is `false` when the edge already existed (insert),
     /// was already absent (remove), or the endpoints were invalid.
     Update {
-        /// Whether the graph actually changed (and the epoch advanced).
+        /// Whether the graph actually changed (the update count advanced
+        /// and both memos were cleared).
         applied: bool,
     },
     /// The item's worker panicked on the solve *and* on the suppressed
@@ -119,8 +121,9 @@ pub enum ItemOutcome {
         /// Human-readable panic payload of the final attempt.
         reason: String,
     },
-    /// Shed unsolved by the [`super::ServeOptions::max_inflight`]
-    /// admission bound (see [`ktg_common::KtgError::Overloaded`]).
+    /// Shed unsolved by the network server's admission gauge
+    /// (`ktg serve --max-inflight`, or a drain; see
+    /// [`ktg_common::KtgError::Overloaded`]). A session never sheds.
     Overloaded,
 }
 
@@ -219,8 +222,8 @@ pub struct ServeStats {
     pub result_hits: u64,
     /// Queries that fell through to a fresh solve.
     pub result_misses: u64,
-    /// Stale result entries dropped when their cache shard was first
-    /// touched at a newer epoch.
+    /// Result entries dropped by applied updates (each one clears the
+    /// result cache).
     pub result_reclaimed: u64,
     /// Conflict rows served from the `(vertex, k)` memo.
     pub row_hits: u64,
@@ -233,20 +236,19 @@ pub struct ServeStats {
     /// exist. Always 0; kept so existing readers of the struct still
     /// build.
     pub subset_hits: u64,
-    /// Current graph epoch (number of applied edge updates).
+    /// Number of applied edge updates.
     pub epoch: u64,
 }
 
 /// A long-lived query-serving session over one attributed network.
 pub struct ServeSession {
+    /// The one topology: updates edit its CSR in place.
     net: AttributedGraph,
-    /// Mutable mirror of `net`'s topology plus the incrementally
-    /// maintained NLRNL index — the shared, immutable-between-updates
-    /// oracle every worker reads concurrently. Queries always run against
-    /// the frozen CSR in `net`, rebuilt from this mirror after each
-    /// applied update.
-    oracle: DynamicNlrnl,
-    /// Bumped once per applied edge update; stamps every cache entry.
+    /// NLRNL over `net`'s graph, maintained across every applied update
+    /// and immutable between them, so every worker reads it concurrently
+    /// without a lock.
+    index: NlrnlIndex,
+    /// Number of applied edge updates.
     epoch: u64,
     options: ServeOptions,
     results: ResultCache<CachedAnswer>,
@@ -268,11 +270,11 @@ impl ServeSession {
         options: ServeOptions,
         index: Option<NlrnlIndex>,
     ) -> Self {
-        let oracle = index
-            .and_then(|index| DynamicNlrnl::with_index(net.graph(), index).ok())
-            .unwrap_or_else(|| DynamicNlrnl::new(net.graph()));
+        let index = index
+            .filter(|index| index.num_vertices() == net.num_vertices())
+            .unwrap_or_else(|| NlrnlIndex::build(net.graph()));
         ServeSession {
-            oracle,
+            index,
             epoch: 0,
             results: ResultCache::new(options.cache_entries),
             rows: NeighborhoodCache::new(options.cache_entries),
@@ -288,7 +290,7 @@ impl ServeSession {
         &self.net
     }
 
-    /// The current graph epoch: the number of applied edge updates.
+    /// The number of applied edge updates.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -299,7 +301,7 @@ impl ServeSession {
     /// This is the checkpoint seam: the server persists it into the
     /// rewritten bundle so a recovery reload skips reconstruction.
     pub fn nlrnl_index(&self) -> Option<&NlrnlIndex> {
-        Some(self.oracle.index())
+        Some(&self.index)
     }
 
     /// Cache instrumentation so far.
@@ -320,13 +322,6 @@ impl ServeSession {
     /// order. Maximal runs of queries execute in parallel; updates apply
     /// sequentially between them.
     pub fn run(&mut self, workload: &[WorkloadItem]) -> Vec<ItemOutcome> {
-        // Admission budget for this call: only *query* items count
-        // against it. Edge updates always apply — shedding one would
-        // silently fork the graph state the surviving queries see.
-        let mut admit_left = match self.options.max_inflight {
-            0 => usize::MAX,
-            bound => bound,
-        };
         let mut out = Vec::with_capacity(workload.len());
         let mut i = 0;
         while i < workload.len() {
@@ -344,13 +339,7 @@ impl ServeSession {
                     while i < workload.len() && workload[i].is_query() {
                         i += 1;
                     }
-                    let run = &workload[start..i];
-                    let admitted = run.len().min(admit_left);
-                    admit_left -= admitted;
-                    self.run_queries(&run[..admitted], &mut out);
-                    // Shed, don't solve: refusals are reported in place
-                    // so outcomes stay aligned with the workload.
-                    out.extend(run[admitted..].iter().map(|_| ItemOutcome::Overloaded));
+                    self.run_queries(&workload[start..i], &mut out);
                 }
             }
         }
@@ -375,12 +364,12 @@ impl ServeSession {
             };
         }
         let mut slot: Option<PoolGuard<'_, Arena>> = None;
-        self.answer_isolated(item, self.oracle.index(), &mut slot)
+        self.answer_isolated(item, &mut slot)
     }
 
     /// Executes one item of any kind, taking `&mut self`: queries go
     /// through the same pipeline as [`ServeSession::answer_query`], edge
-    /// updates apply (bumping the epoch on a real topology change). The
+    /// updates apply (bumping the update count on a real change). The
     /// network server routes update lines here under its write lock.
     pub fn apply_item(&mut self, item: &WorkloadItem) -> ItemOutcome {
         match *item {
@@ -390,25 +379,29 @@ impl ServeSession {
         }
     }
 
-    /// Applies one edge update. On an actual topology change the epoch
-    /// advances (making every cached answer and conflict row stale) and
-    /// the frozen CSR is rebuilt; a no-op update leaves both untouched so
-    /// caches stay warm.
+    /// Applies one edge update: snapshot the index, edit the CSR in
+    /// place, maintain the index over the edited graph, then clear both
+    /// memos (every cached answer and conflict row may be stale). An
+    /// invalid edge, a duplicate insert or the removal of an absent edge
+    /// touches nothing, so caches stay warm and the two full BFS runs of
+    /// [`NlrnlIndex::prepare_update`] are paid only for real changes.
     fn apply_update(&mut self, insert: bool, u: VertexId, v: VertexId) -> ItemOutcome {
-        let changed = if insert {
-            self.oracle.insert_edge(u, v)
-        } else {
-            self.oracle.remove_edge(u, v)
-        };
         // Out-of-range/self-loop updates are reported, not fatal: a
         // workload replay keeps going (the parser already rejects them in
         // files; this arm covers programmatic workloads).
-        let applied = changed.unwrap_or(false);
-        if applied {
-            self.epoch += 1;
-            self.net.set_graph(self.oracle.graph().to_csr());
+        let graph = self.net.graph();
+        if graph.check_edge(u, v).is_err() || graph.has_edge(u, v) == insert {
+            return ItemOutcome::Update { applied: false };
         }
-        ItemOutcome::Update { applied }
+        let update = self.index.prepare_update(graph, u, v);
+        let graph = self.net.graph_mut();
+        let edited = if insert { graph.insert_edge(u, v) } else { graph.remove_edge(u, v) };
+        debug_assert!(matches!(edited, Ok(true)), "a checked edit must change the graph");
+        self.index.apply_update(self.net.graph(), update);
+        self.epoch += 1;
+        self.results.clear();
+        self.rows.clear();
+        ItemOutcome::Update { applied: true }
     }
 
     /// Answers a run of consecutive queries, fanning out across workers
@@ -425,13 +418,9 @@ impl ServeSession {
         // worker reads the same oracle lock-free — the shared-index
         // amortization that makes the fan-out actually scale (per-worker
         // memoizing oracles would redo each other's BFS work).
-        let oracle = self.oracle.index();
-
         if workers <= 1 {
             let mut slot: Option<PoolGuard<'_, Arena>> = None;
-            out.extend(
-                items.iter().map(|item| self.answer_isolated(item, oracle, &mut slot)),
-            );
+            out.extend(items.iter().map(|item| self.answer_isolated(item, &mut slot)));
             return;
         }
 
@@ -447,7 +436,7 @@ impl ServeSession {
                 loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(idx) else { break };
-                    local.push((idx, self.answer_isolated(item, oracle, &mut slot)));
+                    local.push((idx, self.answer_isolated(item, &mut slot)));
                 }
                 local
             }
@@ -476,16 +465,15 @@ impl ServeSession {
     fn answer_isolated<'p>(
         &'p self,
         item: &WorkloadItem,
-        oracle: &NlrnlIndex,
         slot: &mut Option<PoolGuard<'p, Arena>>,
     ) -> ItemOutcome {
-        match self.attempt(item, oracle, slot) {
+        match self.attempt(item, slot) {
             Ok(outcome) => outcome,
             Err(_first) => {
                 if let Some(guard) = slot.take() {
                     guard.discard();
                 }
-                match fault::suppressed(|| self.attempt(item, oracle, slot)) {
+                match fault::suppressed(|| self.attempt(item, slot)) {
                     Ok(outcome) => outcome,
                     Err(second) => {
                         if let Some(guard) = slot.take() {
@@ -507,7 +495,6 @@ impl ServeSession {
     fn attempt<'p>(
         &'p self,
         item: &WorkloadItem,
-        oracle: &NlrnlIndex,
         slot: &mut Option<PoolGuard<'p, Arena>>,
     ) -> std::thread::Result<ItemOutcome> {
         catch_unwind(AssertUnwindSafe(|| {
@@ -516,7 +503,7 @@ impl ServeSession {
                 *slot = Some(self.arenas.acquire_with(Arena::default));
             }
             match slot.as_mut() {
-                Some(arena) => self.answer(item, oracle, arena),
+                Some(arena) => self.answer(item, arena),
                 None => unreachable!("arena slot was filled just above"),
             }
         }))
@@ -529,29 +516,17 @@ impl ServeSession {
         BbOptions { threads: 1, ..self.options.engine }
     }
 
-    fn answer(
-        &self,
-        item: &WorkloadItem,
-        oracle: &NlrnlIndex,
-        arena: &mut Arena,
-    ) -> ItemOutcome {
+    fn answer(&self, item: &WorkloadItem, arena: &mut Arena) -> ItemOutcome {
         match item {
-            WorkloadItem::Ktg(query) => ItemOutcome::Ktg(self.answer_ktg(query, oracle, arena)),
-            WorkloadItem::Dktg(query) => {
-                ItemOutcome::Dktg(self.answer_dktg(query, oracle, arena))
-            }
+            WorkloadItem::Ktg(query) => ItemOutcome::Ktg(self.answer_ktg(query, arena)),
+            WorkloadItem::Dktg(query) => ItemOutcome::Dktg(self.answer_dktg(query, arena)),
             WorkloadItem::Insert(..) | WorkloadItem::Remove(..) => {
                 unreachable!("updates are split out of query runs")
             }
         }
     }
 
-    fn answer_ktg(
-        &self,
-        query: &KtgQuery,
-        oracle: &NlrnlIndex,
-        arena: &mut Arena,
-    ) -> KtgAnswer {
+    fn answer_ktg(&self, query: &KtgQuery, arena: &mut Arena) -> KtgAnswer {
         let opts = self.inner_opts();
         let key = self.options.use_cache.then(|| CacheKey::ktg(query));
         if let Some(key) = &key {
@@ -564,7 +539,7 @@ impl ServeSession {
             }
         }
         let clock = Stopwatch::start();
-        let outcome = self.solve_ktg(query, oracle, arena, &opts);
+        let outcome = self.solve_ktg(query, arena, &opts);
         let solve_ns = clock.elapsed_nanos();
         // Only exact answers are cacheable: a deadline-cut result is
         // valid best-so-far but not canonical, and must not shadow the
@@ -573,38 +548,32 @@ impl ServeSession {
             if let Some(key) = key {
                 let canonical =
                     MaskPermutation::of(query).groups_to_canonical(outcome.groups.clone());
-                self.results.insert(key, self.epoch, CachedAnswer::Ktg(canonical), solve_ns);
+                self.results.insert(key, CachedAnswer::Ktg(canonical), solve_ns);
             }
         }
         KtgAnswer { groups: outcome.groups, cached: false, status: outcome.status }
     }
 
-    /// Result-cache lookup at the current epoch. The cache fault site
-    /// fires first, before any shard lock is taken, so an injected panic
-    /// can never poison (or skew) shard state: a retried lookup sees the
-    /// cache exactly as the first attempt did.
+    /// Result-cache lookup. The cache fault site fires first, before any
+    /// shard lock is taken, so an injected panic can never poison (or
+    /// skew) shard state: a retried lookup sees the cache exactly as the
+    /// first attempt did.
     fn cached(&self, key: &CacheKey) -> Option<CachedAnswer> {
         fault::inject(FaultSite::CacheLookup);
-        self.results.get(key, self.epoch)
+        self.results.get(key)
     }
 
     /// A fresh KTG solve through the pooled arena, taking the
     /// bitmap-vs-oracle fork on exactly [`ConflictKernel::wants_bitmap`]
     /// so stats and results match [`bb::solve`] bit for bit.
-    fn solve_ktg(
-        &self,
-        query: &KtgQuery,
-        oracle: &NlrnlIndex,
-        arena: &mut Arena,
-        opts: &BbOptions,
-    ) -> KtgOutcome {
+    fn solve_ktg(&self, query: &KtgQuery, arena: &mut Arena, opts: &BbOptions) -> KtgOutcome {
         let masks = self.net.compile(query.keywords());
         candidates::collect(self.net.graph(), &masks, &mut arena.cands);
         if !ConflictKernel::wants_bitmap(arena.cands.len(), opts) {
             return bb::solve_with_kernel(
                 &self.net,
                 query,
-                oracle,
+                &self.index,
                 &arena.cands,
                 &ConflictKernel::Oracle,
                 opts,
@@ -618,7 +587,6 @@ impl ServeSession {
                 &arena.sources,
                 query.k(),
                 &self.rows,
-                self.epoch,
                 &mut arena.kernel,
                 &mut arena.bitmaps,
             );
@@ -626,7 +594,8 @@ impl ServeSession {
             arena.bitmaps = kline_conflict_bitmaps(self.net.graph(), &arena.sources, query.k());
         }
         let kernel = ConflictKernel::Bitmap(std::mem::take(&mut arena.bitmaps));
-        let outcome = bb::solve_with_kernel(&self.net, query, oracle, &arena.cands, &kernel, opts);
+        let outcome =
+            bb::solve_with_kernel(&self.net, query, &self.index, &arena.cands, &kernel, opts);
         if let Some(rows) = kernel.into_bitmaps() {
             // Hand the rows back to the arena so the next query reuses
             // their word allocations.
@@ -635,12 +604,7 @@ impl ServeSession {
         outcome
     }
 
-    fn answer_dktg(
-        &self,
-        query: &DktgQuery,
-        oracle: &NlrnlIndex,
-        arena: &mut Arena,
-    ) -> DktgAnswer {
+    fn answer_dktg(&self, query: &DktgQuery, arena: &mut Arena) -> DktgAnswer {
         let opts = self.inner_opts();
         let key = self.options.use_cache.then(|| CacheKey::dktg(query));
         if let Some(key) = &key {
@@ -665,7 +629,7 @@ impl ServeSession {
         let clock = Stopwatch::start();
         let masks = self.net.compile(query.base().keywords());
         candidates::collect(self.net.graph(), &masks, &mut arena.cands);
-        let outcome = dktg::solve_with_candidates(query, oracle, &mut arena.cands, &opts);
+        let outcome = dktg::solve_with_candidates(query, &self.index, &mut arena.cands, &opts);
         let solve_ns = clock.elapsed_nanos();
         crate::verify::enforce_dktg(&self.net, query, &outcome.groups);
         if let Some(key) = key.filter(|_| outcome.status.is_exact()) {
@@ -673,7 +637,6 @@ impl ServeSession {
                 MaskPermutation::of(query.base()).groups_to_canonical(outcome.groups.clone());
             self.results.insert(
                 key,
-                self.epoch,
                 CachedAnswer::Dktg {
                     groups: canonical,
                     diversity: outcome.diversity,
@@ -887,16 +850,40 @@ ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
         assert_eq!(outcomes[4], ItemOutcome::Update { applied: true });
         let ItemOutcome::Ktg(restored) = &outcomes[5] else { panic!("expected ktg") };
         assert_eq!(restored.groups, reference_ktg(&net), "remove restored the topology");
+        assert_eq!(session.net().graph(), net.graph());
         assert_eq!(session.epoch(), 2);
+        // Each applied update dropped the one answer cached before it.
+        assert_eq!(session.stats().result_reclaimed, 2);
     }
 
+    /// Invalid and no-op updates are reported, not fatal, and touch
+    /// nothing: the graph, the update count and both warm caches survive.
     #[test]
     fn invalid_programmatic_update_is_reported_not_fatal() {
         let net = fixtures::figure1();
-        let mut session = ServeSession::new(net, ServeOptions::default());
-        let out = session.run(&[WorkloadItem::Insert(VertexId(0), VertexId(9999))]);
-        assert_eq!(out, vec![ItemOutcome::Update { applied: false }]);
-        assert_eq!(session.epoch(), 0);
+        let mut session = ServeSession::new(net.clone(), sequential());
+        let query = paper_workload(&net).remove(0);
+        session.run(std::slice::from_ref(&query));
+        let rows_before = session.stats().row_misses;
+        let (u, v) = (VertexId(0), VertexId(1));
+        assert!(net.graph().has_edge(u, v));
+        let out = session.run(&[
+            WorkloadItem::Insert(VertexId(0), VertexId(9999)),
+            WorkloadItem::Remove(VertexId(9999), VertexId(0)),
+            WorkloadItem::Insert(VertexId(3), VertexId(3)),
+            WorkloadItem::Insert(u, v),
+            WorkloadItem::Remove(VertexId(0), VertexId(5)),
+            query,
+        ]);
+        for outcome in &out[..5] {
+            assert_eq!(*outcome, ItemOutcome::Update { applied: false });
+        }
+        let ItemOutcome::Ktg(repeat) = &out[5] else { panic!("expected ktg") };
+        assert!(repeat.cached, "a no-op update must leave the result cache warm");
+        assert_eq!(session.net().graph(), net.graph());
+        let stats = session.stats();
+        assert_eq!((stats.epoch, stats.result_reclaimed), (0, 0));
+        assert_eq!(stats.row_misses, rows_before);
     }
 
     /// Serializes tests that arm the process-global fault registry.
@@ -969,46 +956,6 @@ ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
                 "injected faults are transient — retry-once must absorb them"
             );
         }
-    }
-
-    #[test]
-    fn max_inflight_sheds_excess_as_overloaded() {
-        let net = fixtures::figure1();
-        let mut workload = paper_workload(&net);
-        workload.extend(paper_workload(&net));
-        let mut session = ServeSession::new(
-            net.clone(),
-            ServeOptions { threads: 1, max_inflight: 3, ..ServeOptions::default() },
-        );
-        let out = session.run(&workload);
-        assert_eq!(out.len(), 8);
-        for o in &out[..3] {
-            assert!(!matches!(o, ItemOutcome::Overloaded), "admitted items are solved");
-        }
-        for o in &out[3..] {
-            assert_eq!(*o, ItemOutcome::Overloaded);
-        }
-        // The budget is per `run` call: the next call admits again.
-        let again = session.run(&paper_workload(&net));
-        assert!(matches!(again[0], ItemOutcome::Ktg(_)));
-        // Updates never count against (or get shed by) the bound.
-        let mixed = parse_workload(
-            "\
-ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
-insert 0 5
-ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
-",
-            &net,
-        )
-        .unwrap();
-        let mut tight = ServeSession::new(
-            net.clone(),
-            ServeOptions { threads: 1, max_inflight: 1, ..ServeOptions::default() },
-        );
-        let out = tight.run(&mixed);
-        assert!(matches!(out[0], ItemOutcome::Ktg(_)));
-        assert_eq!(out[1], ItemOutcome::Update { applied: true });
-        assert_eq!(out[2], ItemOutcome::Overloaded);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   worker fan-out, pooled per-worker scratch arenas, the result cache,
 //!   and cross-query `(vertex, k)` conflict-row reuse through
 //!   [`ktg_index::NeighborhoodCache`]. Both caches are instances of
-//!   [`ktg_common::Memo`], one sharded, bounded, epoch-guarded type with
-//!   cost-aware eviction.
+//!   [`ktg_common::Memo`], one sharded, bounded type with cost-aware
+//!   eviction, and every applied edge update clears both. Updates edit
+//!   the session's one CSR topology in place and maintain its NLRNL index
+//!   across the edit.
 //!
 //! The contract throughout: every outcome is byte-identical to a fresh
 //! sequential solve against the session's current graph. Caches
@@ -69,11 +71,6 @@ pub struct ServeOptions {
     /// (which is why cache keys hold only the query). The `threads`
     /// field is overridden to `1` per solve.
     pub engine: BbOptions,
-    /// Admission bound: at most this many *query* items are solved per
-    /// [`ServeSession::run`] call; the excess is shed unsolved as
-    /// [`ItemOutcome::Overloaded`] (edge updates always apply — dropping
-    /// them would silently fork the graph state). `0` means unbounded.
-    pub max_inflight: usize,
 }
 
 impl Default for ServeOptions {
@@ -83,7 +80,6 @@ impl Default for ServeOptions {
             use_cache: true,
             cache_entries: 4096,
             engine: BbOptions::vkc_deg(),
-            max_inflight: 0,
         }
     }
 }

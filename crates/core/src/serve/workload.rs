@@ -15,9 +15,9 @@
 //! ```
 //!
 //! Key-value fields may appear in any order. Terms are resolved against
-//! the network's vocabulary at parse time, so an unknown keyword or an
-//! out-of-range vertex id fails fast with a line number instead of
-//! surfacing mid-replay.
+//! the network's vocabulary at parse time, so an unknown keyword, an
+//! out-of-range vertex id or a self-loop update fails fast with a line
+//! number instead of surfacing mid-replay.
 
 use ktg_common::{KtgError, Result, VertexId};
 
@@ -145,6 +145,9 @@ fn parse_edge(
     let v = endpoint("v")?;
     if let Some(extra) = rest.next() {
         return Err(line_err(lineno, format!("unexpected trailing token `{extra}`")));
+    }
+    if u == v {
+        return Err(line_err(lineno, format!("self-loop at vertex {u}")));
     }
     Ok((u, v))
 }
@@ -352,6 +355,9 @@ ktg n=1 k=0 p=2 terms=SN
             // Trailing junk after a complete edge update.
             ("insert 0 5 9", "unexpected trailing token `9`"),
             ("remove 1 2 oops", "unexpected trailing token `oops`"),
+            // Self-loops: no graph has them, so no update can apply one.
+            ("insert 3 3", "self-loop at vertex 3"),
+            ("remove 5 5", "self-loop at vertex 5"),
         ];
         for (line, needle) in corpus {
             let err = parse_workload(line, &net).expect_err(line);

@@ -2,9 +2,12 @@
 //!
 //! [`CsrGraph`] stores neighbor lists in one contiguous array indexed by a
 //! per-vertex offset table. Neighbor lists are sorted, enabling binary-search
-//! adjacency tests and merge-style set operations in the indexes. The graph
-//! is immutable after construction; mutation goes through
-//! [`crate::DynamicGraph`].
+//! adjacency tests and merge-style set operations in the indexes. Single
+//! edges are inserted and removed in place ([`CsrGraph::insert_edge`],
+//! [`CsrGraph::remove_edge`]): one sorted insert or remove in each
+//! endpoint's list, shifting the array tail and the offsets after it. That
+//! is O(n + m) memory movement per edit, but no allocation-heavy rebuild,
+//! which is what lets a serving session keep one topology across updates.
 
 use ktg_common::{KtgError, Result, VertexId};
 
@@ -12,7 +15,7 @@ use ktg_common::{KtgError, Result, VertexId};
 ///
 /// [`CsrGraph`] and [`crate::DynamicGraph`] both implement this, so
 /// traversals (BFS, component labelling) and index construction run over
-/// the frozen topology and the mutable one alike. Neighbor access is
+/// the CSR and the adjacency lists alike. Neighbor access is
 /// callback-based ([`Adjacency::for_each_neighbor`]); implementations
 /// must visit neighbors in strictly ascending vertex order (the invariant
 /// every sorted list already keeps), which is what makes traversal
@@ -50,9 +53,10 @@ impl<A: Adjacency + ?Sized> Adjacency for &A {
     }
 }
 
-/// An immutable undirected graph in CSR form.
+/// An undirected graph in CSR form, editable one edge at a time.
 ///
-/// Invariants (established by [`GraphBuilder`] and checked in debug builds):
+/// Invariants (established by [`GraphBuilder`], kept by the edits, and
+/// checked in debug builds):
 /// * neighbor lists are sorted and duplicate-free;
 /// * no self-loops;
 /// * symmetry: `v ∈ N(u)` iff `u ∈ N(v)`.
@@ -124,6 +128,78 @@ impl CsrGraph {
                 .filter(move |&v| u < v)
                 .map(move |v| (u, v))
         })
+    }
+
+    /// Checks that `{u, v}` can be an edge of this graph: both endpoints
+    /// in range and distinct. The edits below validate through it.
+    ///
+    /// # Errors
+    /// [`KtgError::InvalidInput`] on an out-of-range endpoint or a
+    /// self-loop.
+    pub fn check_edge(&self, u: VertexId, v: VertexId) -> Result<()> {
+        let n = self.num_vertices();
+        if u.index() >= n || v.index() >= n {
+            return Err(KtgError::input(format!(
+                "edge ({u}, {v}) out of range for {n} vertices"
+            )));
+        }
+        if u == v {
+            return Err(KtgError::input(format!("self-loop at {u}")));
+        }
+        Ok(())
+    }
+
+    /// Inserts the undirected edge `{u, v}` in place. Returns `true` if
+    /// the edge was new, `false` if it already existed (graph untouched).
+    ///
+    /// # Errors
+    /// [`KtgError::InvalidInput`] on an out-of-range endpoint or a
+    /// self-loop; the graph is untouched.
+    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<bool> {
+        self.check_edge(u, v)?;
+        if self.has_edge(u, v) {
+            return Ok(false);
+        }
+        self.insert_half(u, v);
+        self.insert_half(v, u);
+        Ok(true)
+    }
+
+    /// Removes the undirected edge `{u, v}` in place. Returns `true` if it
+    /// existed, `false` if it was absent (graph untouched).
+    ///
+    /// # Errors
+    /// [`KtgError::InvalidInput`] on an out-of-range endpoint or a
+    /// self-loop; the graph is untouched.
+    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<bool> {
+        self.check_edge(u, v)?;
+        if !self.has_edge(u, v) {
+            return Ok(false);
+        }
+        self.remove_half(u, v);
+        self.remove_half(v, u);
+        Ok(true)
+    }
+
+    /// Sorted insert of `v` into `N(u)`, shifting every later offset.
+    fn insert_half(&mut self, u: VertexId, v: VertexId) {
+        let start = self.offsets[u.index()] as usize;
+        let pos = start + self.neighbors(u).partition_point(|&w| w < v);
+        self.neighbors.insert(pos, v);
+        for offset in &mut self.offsets[u.index() + 1..] {
+            *offset += 1;
+        }
+    }
+
+    /// Removes `v` from `N(u)` (present by the caller's check), shifting
+    /// every later offset.
+    fn remove_half(&mut self, u: VertexId, v: VertexId) {
+        let start = self.offsets[u.index()] as usize;
+        let pos = start + self.neighbors(u).partition_point(|&w| w < v);
+        self.neighbors.remove(pos);
+        for offset in &mut self.offsets[u.index() + 1..] {
+            *offset -= 1;
+        }
     }
 
     /// Builds directly from an edge list (convenience for tests/examples).
@@ -412,6 +488,66 @@ mod tests {
         let g = CsrGraph::from_edges(0, &[]).unwrap();
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// Seeded model check of the in-place edits against a
+    /// [`crate::DynamicGraph`] replica: random graphs with isolated
+    /// vertices, random insert/remove sequences. After every step both
+    /// report the same change, the CSR equals the replica's rebuild, and
+    /// the raw parts round-trip through the bundle loader. Invalid edits
+    /// fail typed and leave the graph as it was.
+    #[test]
+    fn in_place_edits_match_a_dynamic_graph_model() {
+        use crate::DynamicGraph;
+        use ktg_common::SeededRng;
+        for seed in 0..24u64 {
+            let mut rng = SeededRng::seed_from_u64(0xC5E0 ^ seed);
+            let n = rng.gen_range(1..41u32);
+            // Only the first `active` vertices get edges, so the tail
+            // stays isolated until an edit reaches it.
+            let active = rng.gen_range(1..=n);
+            let mut edges = Vec::new();
+            for u in 0..active {
+                for v in (u + 1)..active {
+                    if rng.gen_bool(0.15) {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            let mut g = CsrGraph::from_edges(n as usize, &edges).unwrap();
+            let mut model = DynamicGraph::from_csr(&g);
+            for step in 0..200 {
+                let (u, v) = (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)));
+                let insert = rng.gen_bool(0.5);
+                let (got, want) = if insert {
+                    (g.insert_edge(u, v), model.insert_edge(u, v))
+                } else {
+                    (g.remove_edge(u, v), model.remove_edge(u, v))
+                };
+                let ctx = format!("seed {seed} step {step}: {insert} ({u}, {v})");
+                match (got, want) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{ctx}"),
+                    (Err(KtgError::InvalidInput(_)), Err(_)) => assert_eq!(u, v, "{ctx}"),
+                    other => panic!("{ctx}: {other:?}"),
+                }
+                assert_eq!(g, model.to_csr(), "{ctx}");
+                assert_eq!(g.num_edges(), model.num_edges(), "{ctx}");
+                let parts = CsrGraph::from_sorted_parts(
+                    g.raw_offsets().to_vec(),
+                    g.raw_neighbors().to_vec(),
+                )
+                .unwrap();
+                assert_eq!(parts, g, "{ctx}");
+            }
+            // Out of range (either side) and self-loops: typed, untouched.
+            let before = g.clone();
+            let far = VertexId(n);
+            for (u, v) in [(VertexId(0), far), (far, VertexId(0)), (VertexId(0), VertexId(0))] {
+                assert!(matches!(g.insert_edge(u, v), Err(KtgError::InvalidInput(_))));
+                assert!(matches!(g.remove_edge(u, v), Err(KtgError::InvalidInput(_))));
+                assert_eq!(g, before, "seed {seed}: a refused edit changed the graph");
+            }
+        }
     }
 
     #[test]

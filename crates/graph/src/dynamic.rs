@@ -2,10 +2,10 @@
 //!
 //! The paper's §V-B discusses maintaining the NLRNL index under edge
 //! insertions and deletions ("deleting/inserting one vertex can be divided
-//! into edge deletions/insertions"). [`DynamicGraph`] is the mutable
-//! counterpart of [`CsrGraph`] used by that maintenance path and by the
-//! dataset generators while a graph is still growing. Conversions in both
-//! directions are lossless.
+//! into edge deletions/insertions"). [`DynamicGraph`] is the adjacency-list
+//! counterpart of [`CsrGraph`] used by `ktg-index`'s `DynamicNlrnl`, and
+//! the reference the in-place CSR edits are tested against. Conversions in
+//! both directions are lossless.
 
 use crate::csr::{Adjacency, CsrGraph, GraphBuilder};
 use ktg_common::{KtgError, Result, VertexId};

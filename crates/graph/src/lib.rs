@@ -6,8 +6,10 @@
 //!
 //! Everything is built from scratch (no `petgraph`):
 //!
-//! * [`CsrGraph`] — an immutable, cache-friendly compressed-sparse-row
-//!   undirected graph, the form all algorithms and indexes consume.
+//! * [`CsrGraph`] — a cache-friendly compressed-sparse-row undirected
+//!   graph, the form all algorithms and indexes consume; single edges are
+//!   inserted and removed in place, so a serving session keeps this one
+//!   topology across updates.
 //! * [`GraphBuilder`] — deduplicating, self-loop-stripping construction.
 //! * [`bfs`] — full and hop-bounded breadth-first traversals with reusable
 //!   scratch space ([`bfs::BfsScratch`]); these power the paper's social
@@ -15,7 +17,9 @@
 //! * [`components`] — connected component labelling (needed by the NLRNL
 //!   index to distinguish "distance = c" from "unreachable").
 //! * [`DynamicGraph`] — an adjacency-list mutable variant supporting the
-//!   edge insertions/deletions of the paper's index-maintenance discussion.
+//!   edge insertions/deletions of the paper's index-maintenance discussion
+//!   (`DynamicNlrnl` in `ktg-index`), and an independent reference for
+//!   the in-place CSR edits.
 //! * [`io`] — SNAP-style edge-list text I/O so real datasets drop in.
 //! * [`stats`] — degree/hop statistics used by dataset profiling and the
 //!   experiment reports.

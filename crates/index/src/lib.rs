@@ -24,7 +24,10 @@
 //!
 //! Both indexes report [`space::IndexSpace`] and [`space::BuildStats`],
 //! powering the Figure 9 experiments, and [`NlrnlIndex`] supports the
-//! paper's dynamic maintenance under edge insertion/deletion.
+//! paper's dynamic maintenance under edge insertion/deletion
+//! ([`NlrnlIndex::prepare_update`] before the edit,
+//! [`NlrnlIndex::apply_update`] after it, on whatever graph the caller
+//! edits; [`DynamicNlrnl`] packages the pair over a [`ktg_graph::DynamicGraph`]).
 //!
 //! [`batch::kline_conflict_bitmaps`] is the batch entry point used by the
 //! solver's conflict-bitmap kernel: one hop-bounded BFS per candidate, run
@@ -32,8 +35,8 @@
 //! oracle probes entirely for small-to-medium candidate sets.
 //! [`rows::NeighborhoodCache`] is its memoizing twin for batched query
 //! serving: per-`(vertex, k)` conflict rows are cached across queries
-//! (sharded, bounded, epoch-guarded against graph updates) and remapped
-//! onto each query's candidate index space by
+//! (sharded, bounded, and cleared by the session on every applied graph
+//! update) and remapped onto each query's candidate index space by
 //! [`rows::conflict_bitmaps_cached`].
 
 

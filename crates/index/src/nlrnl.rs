@@ -22,7 +22,8 @@
 //!
 //! Dynamic maintenance (edge insert/delete) follows the paper's sketch:
 //! identify the vertices whose shortest-path structure the edge touches,
-//! and rebuild exactly their lists. See [`NlrnlIndex::insert_edge`].
+//! and rebuild exactly their lists. See [`NlrnlIndex::prepare_update`]
+//! and [`NlrnlIndex::apply_update`].
 
 use crate::leveled::LeveledList;
 use crate::oracle::DistanceOracle;
@@ -245,6 +246,11 @@ impl NlrnlIndex {
     /// component means distance exactly `c`, and different components mean
     /// unreachable (`None`). The index is a complete distance oracle, not
     /// just a threshold oracle.
+    ///
+    /// Inlined across crates: [`NlrnlIndex::apply_update`] probes it once
+    /// per (vertex, changed vertex) pair, and its instantiation for the
+    /// serving session's graph lives in `ktg-core`.
+    #[inline]
     pub fn distance(&self, u: VertexId, v: VertexId) -> Option<u32> {
         if u == v {
             return Some(0);

@@ -9,9 +9,10 @@
 //! query's private candidate index space instead of re-running one
 //! bounded BFS per candidate per query.
 //!
-//! The memo is a [`ktg_common::Memo`], the same sharded, bounded,
-//! epoch-guarded type as the serving layer's result cache: the executor
-//! bumps its epoch on every edge update, which makes stale conflict rows
+//! The memo is a [`ktg_common::Memo`], the same sharded, bounded type as
+//! the serving layer's result cache. A row is valid until the graph
+//! changes: the serving session clears the memo on every applied edge
+//! update, under exclusive access, so a stale conflict row is
 //! unreachable by construction.
 
 #[cfg(test)]
@@ -29,26 +30,24 @@ use std::sync::Arc;
 /// recomputation would pay.
 pub type NeighborhoodCache = Memo<(u32, u32), Arc<Vec<VertexId>>>;
 
-/// Returns the within-`k` ball of `v` at graph `epoch`: from the memo
-/// when a same-epoch row is resident, otherwise by a bounded BFS run
-/// outside any lock (concurrent misses in one stripe do not serialize
+/// Returns the within-`k` ball of `v`: from the memo when the row is
+/// resident, otherwise by a bounded BFS run outside any lock (concurrent misses in one stripe do not serialize
 /// their BFS work; a racing duplicate insert stores an identical row).
 fn row<A: Adjacency>(
     cache: &NeighborhoodCache,
     graph: &A,
     v: VertexId,
     k: u32,
-    epoch: u64,
     scratch: &mut BfsScratch,
 ) -> Arc<Vec<VertexId>> {
-    if let Some(row) = cache.get(&(v.0, k), epoch) {
+    if let Some(row) = cache.get(&(v.0, k)) {
         return row;
     }
     scratch.fit(graph.num_vertices());
     let mut ball = Vec::new();
     bfs_levels(graph, v, k as usize, scratch, |w, _| ball.push(w));
     let row = Arc::new(ball);
-    cache.insert((v.0, k), epoch, Arc::clone(&row), row.len() as u64 + 1);
+    cache.insert((v.0, k), Arc::clone(&row), row.len() as u64 + 1);
     row
 }
 
@@ -82,7 +81,6 @@ pub fn conflict_bitmaps_cached<A: Adjacency>(
     sources: &[VertexId],
     k: u32,
     cache: &NeighborhoodCache,
-    epoch: u64,
     scratch: &mut KernelScratch,
     out: &mut Vec<FixedBitSet>,
 ) {
@@ -100,7 +98,7 @@ pub fn conflict_bitmaps_cached<A: Adjacency>(
     }
     for (i, (src, bitmap)) in sources.iter().zip(out.iter_mut()).enumerate() {
         bitmap.reset(m);
-        let ball = row(cache, graph, *src, k, epoch, &mut scratch.bfs);
+        let ball = row(cache, graph, *src, k, &mut scratch.bfs);
         for w in ball.iter() {
             let j = scratch.index_of[w.index()];
             if j != u32::MAX {
@@ -144,14 +142,14 @@ mod tests {
             let sources: Vec<VertexId> =
                 (0..40).filter(|u| u % (k + 2) != 1).map(VertexId).collect();
             let fresh = kline_conflict_bitmaps(&g, &sources, k);
-            conflict_bitmaps_cached(&g, &sources, k, &cache, 7, &mut scratch, &mut out);
+            conflict_bitmaps_cached(&g, &sources, k, &cache, &mut scratch, &mut out);
             assert_eq!(out, fresh, "k={k}");
             // Second build over a *different* candidate subset sharing
             // vertices: rows come from the memo, result still matches.
             let misses_before = cache.misses();
             let subset: Vec<VertexId> = sources.iter().copied().step_by(2).collect();
             let fresh_subset = kline_conflict_bitmaps(&g, &subset, k);
-            conflict_bitmaps_cached(&g, &subset, k, &cache, 7, &mut scratch, &mut out);
+            conflict_bitmaps_cached(&g, &subset, k, &cache, &mut scratch, &mut out);
             assert_eq!(out, fresh_subset, "subset k={k}");
             assert_eq!(cache.misses(), misses_before, "all subset rows memoized");
             assert!(cache.hits() > 0);
@@ -161,22 +159,24 @@ mod tests {
     }
 
     #[test]
-    fn epoch_change_invalidates() {
+    fn clear_invalidates() {
         let g1 = random_graph(20, 0.15, 1);
         let g2 = random_graph(20, 0.15, 2);
         let sources: Vec<VertexId> = (0..20).map(VertexId).collect();
-        let cache = NeighborhoodCache::new(1024);
+        let mut cache = NeighborhoodCache::new(1024);
         let mut scratch = KernelScratch::default();
         let mut out = Vec::new();
-        conflict_bitmaps_cached(&g1, &sources, 2, &cache, 1, &mut scratch, &mut out);
-        // Same keys at a new epoch against a different graph: the cached
-        // generation must not leak through.
-        conflict_bitmaps_cached(&g2, &sources, 2, &cache, 2, &mut scratch, &mut out);
+        conflict_bitmaps_cached(&g1, &sources, 2, &cache, &mut scratch, &mut out);
+        // Same keys after a clear against a different graph: no row of
+        // the first graph may leak through.
+        cache.clear();
+        conflict_bitmaps_cached(&g2, &sources, 2, &cache, &mut scratch, &mut out);
         assert_eq!(out, kline_conflict_bitmaps(&g2, &sources, 2));
         let misses_after_two = cache.misses();
-        assert_eq!(misses_after_two, 40, "every row recomputed at the new epoch");
-        // Back at epoch 2 everything hits.
-        conflict_bitmaps_cached(&g2, &sources, 2, &cache, 2, &mut scratch, &mut out);
+        assert_eq!(misses_after_two, 40, "every row recomputed after the clear");
+        assert_eq!(cache.reclaimed(), 20);
+        // Until the next clear everything hits.
+        conflict_bitmaps_cached(&g2, &sources, 2, &cache, &mut scratch, &mut out);
         assert_eq!(cache.misses(), misses_after_two);
     }
 
@@ -187,12 +187,12 @@ mod tests {
         let mut scratch = KernelScratch::default();
         let sources: Vec<VertexId> = (0..64).map(VertexId).collect();
         let mut out = Vec::new();
-        conflict_bitmaps_cached(&g, &sources, 2, &cache, 1, &mut scratch, &mut out);
+        conflict_bitmaps_cached(&g, &sources, 2, &cache, &mut scratch, &mut out);
         let cached: usize = (0..64)
             .filter(|&u| {
                 let mut s = BfsScratch::new(64);
                 let before = cache.hits();
-                row(&cache, &g, VertexId(u), 2, 1, &mut s);
+                row(&cache, &g, VertexId(u), 2, &mut s);
                 cache.hits() > before
             })
             .count();
@@ -206,7 +206,7 @@ mod tests {
         let cache = NeighborhoodCache::new(64);
         let mut scratch = BfsScratch::new(12);
         for u in 0..12 {
-            let ball = row(&cache, &g, VertexId(u), 3, 0, &mut scratch);
+            let ball = row(&cache, &g, VertexId(u), 3, &mut scratch);
             assert!(!ball.contains(&VertexId(u)));
         }
     }

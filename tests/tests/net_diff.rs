@@ -89,8 +89,7 @@ fn batch_rendering(
     let outcomes = session.run(&items);
     let mut out = Vec::new();
     for (i, outcome) in outcomes.iter().enumerate() {
-        ktg_cli::commands::write_outcome(&mut out, i + 1, outcome, options.max_inflight)
-            .expect("render outcome");
+        ktg_cli::commands::write_outcome(&mut out, i + 1, outcome, 0).expect("render outcome");
     }
     (String::from_utf8(out).expect("renderer emits UTF-8"), session.stats())
 }
@@ -264,8 +263,9 @@ fn drained_server_sheds_with_the_batch_overloaded_line() {
         .expect("script has a ktg line")
         .clone();
     for max_inflight in [2usize, 0] {
-        let options = ServeOptions { threads: 1, max_inflight, ..ServeOptions::default() };
-        let handle = boot(&net, 2, options);
+        let options = ServeOptions { threads: 1, ..ServeOptions::default() };
+        let cfg = ServeConfig { workers: 2, max_inflight, options, ..ServeConfig::default() };
+        let handle = start(net.clone(), cfg).expect("bind loopback server");
         let (mut writer, mut reader) = connect(&handle);
 
         // A sequential connection never exceeds one in-flight query, so
@@ -365,8 +365,7 @@ fn recovered_server_serves_byte_identically_after_a_crash() {
     let outcomes = reference.run(&second_items);
     let mut out = Vec::new();
     for (i, outcome) in outcomes.iter().enumerate() {
-        ktg_cli::commands::write_outcome(&mut out, i + 1, outcome, options.max_inflight)
-            .expect("render outcome");
+        ktg_cli::commands::write_outcome(&mut out, i + 1, outcome, 0).expect("render outcome");
     }
     let expected = String::from_utf8(out).expect("renderer emits UTF-8");
 

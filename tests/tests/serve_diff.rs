@@ -2,14 +2,15 @@
 //! to query-at-a-time solving.
 //!
 //! `ktg_core::serve` (DESIGN.md §13) claims that none of its
-//! amortizations — scratch pooling, the epoch-guarded result cache, the
-//! `(vertex, k)` conflict-row memo, the cross-query worker fan-out —
+//! amortizations — scratch pooling, the result cache, the `(vertex, k)`
+//! conflict-row memo, the cross-query worker fan-out —
 //! can change an answer: every outcome equals a fresh sequential
 //! `bb::solve` / `dktg::solve_with_options` against the graph *as of
 //! that workload position*. These suites check that claim on randomized
 //! networks across thread counts and cache settings, including
 //! workloads that interleave dynamic edge updates between query runs
-//! (the epoch-invalidation path). Under `KTG_VERIFY=1` every serve
+//! (the in-place CSR edit, index maintenance and cache clearing). Under
+//! `KTG_VERIFY=1` every serve
 //! answer — cached hits included — additionally passes the checked-mode
 //! result audit.
 
@@ -77,9 +78,10 @@ impl Drop for Disarm {
 }
 
 /// The reference: replay the workload query-at-a-time, re-solving each
-/// query from scratch against the current graph and applying updates to
-/// a plain [`DynamicGraph`] replica (rebuilding the frozen network after
-/// each applied change, exactly as the session does).
+/// query from scratch with a BFS oracle against the current graph and
+/// applying updates to a plain [`DynamicGraph`] replica, rebuilding the
+/// network after each applied change. The session edits its CSR in place
+/// and maintains NLRNL instead, so the two share no update code.
 fn reference_replay(net: &AttributedGraph, workload: &[WorkloadItem]) -> Vec<Answer> {
     let opts = bb::BbOptions::vkc_deg();
     let mut cur = net.clone();
@@ -268,9 +270,9 @@ fn serving_matches_sequential_across_dynamic_updates() {
         let n = rng.gen_range(18..36usize);
         let seed = rng.gen_range(0u64..1000);
         let net = random_network(n, 0.2, 8, 4, seed);
-        // Interleave query runs with edge updates: each update bumps the
-        // epoch, so post-update answers must come from fresh solves on
-        // the mutated graph, never from the (now stale) cache.
+        // Interleave query runs with edge updates: each applied update
+        // clears both caches, so post-update answers must come from fresh
+        // solves on the mutated graph, never from a stale entry.
         let mut workload = query_pool_workload(&net, 4, seed ^ 0xAAAA);
         for round in 0..3u64 {
             let u = VertexId(rng.gen_range(0..n as u32));

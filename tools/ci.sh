@@ -483,4 +483,57 @@ if ! cmp -s "$tmp/scale-text.out" "$tmp/scale-bundle.out"; then
     exit 1
 fi
 
-echo "CI gate passed: offline build + tests green, lint clean, checked-mode, fault/degraded and 100k substrate smokes verified."
+echo "== 100k update leg (in-place CSR edits + NLRNL maintenance == edge-list rebuild) =="
+# Three edges between the members of the first answer group: members are
+# more than k apart, so every edge is absent and inserting them must
+# change that answer. The bundle session applies them as `insert` lines
+# (CSR edited in place, index maintained, caches cleared); the
+# independent reference loads the edge list with the three edges
+# appended (its header only fixes the vertex count) and answers the
+# queries alone. Both run under the checked-mode verifier; after
+# dropping the update and summary lines and renumbering, the answers
+# must be byte-identical.
+read -r -a members < <(grep -m1 '^    #1: \[' "$tmp/scale-bundle.out" \
+    | sed 's/^[^[]*\[\([^]]*\)\].*/\1/; s/,//g')
+if [ "${#members[@]}" -lt 3 ]; then
+    echo "FAIL: no 3-member answer group to connect in $tmp/scale-bundle.out" >&2
+    exit 1
+fi
+new_edges=("${members[0]} ${members[1]}" "${members[0]} ${members[2]}" "${members[1]} ${members[2]}")
+{
+    printf 'insert %s\n' "${new_edges[@]}"
+    cat "$tmp/scale-workload.txt"
+} > "$tmp/scale-update-workload.txt"
+{
+    cat "$tmp/sbm/edges.txt"
+    printf '%s\n' "${new_edges[@]}"
+} > "$tmp/sbm-updated-edges.txt"
+KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
+    --workload "$tmp/scale-update-workload.txt" --threads 1 \
+    --bundle "$tmp/sbm/net.bundle" > "$tmp/scale-update.out"
+KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
+    "${scale_batch[@]}" --edges "$tmp/sbm-updated-edges.txt" \
+    --keywords "$tmp/sbm/keywords.txt" > "$tmp/scale-update-ref.out"
+if [ "$(grep -c '^\[[0-9]*\] update: applied$' "$tmp/scale-update.out")" -ne 3 ]; then
+    echo "FAIL: the three absent edges did not all apply at 100k:" >&2
+    cat "$tmp/scale-update.out" >&2
+    exit 1
+fi
+answers_only() {
+    grep -v '^batch: \|^served: \|^partial: \|^\[[0-9]*\] update: ' "$1" > "$1.answers"
+    renumber "$1.answers"
+}
+answers_only "$tmp/scale-update.out" > "$tmp/scale-update.cmp"
+answers_only "$tmp/scale-update-ref.out" > "$tmp/scale-update-ref.cmp"
+answers_only "$tmp/scale-bundle.out" > "$tmp/scale-bundle.cmp"
+if ! cmp -s "$tmp/scale-update.cmp" "$tmp/scale-update-ref.cmp"; then
+    echo "FAIL: in-place updates diverged from the rebuilt edge list at 100k:" >&2
+    diff "$tmp/scale-update.cmp" "$tmp/scale-update-ref.cmp" >&2 || true
+    exit 1
+fi
+if cmp -s "$tmp/scale-update.cmp" "$tmp/scale-bundle.cmp"; then
+    echo "FAIL: connecting an answer group changed no answer at 100k" >&2
+    exit 1
+fi
+
+echo "CI gate passed: offline build + tests green, lint clean, checked-mode, fault/degraded and 100k substrate + update smokes verified."
