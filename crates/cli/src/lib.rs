@@ -14,7 +14,7 @@
 //! ktg batch    --workload queries.txt --edges data/edges.txt \
 //!              --keywords data/keywords.txt --threads 4 --cache-entries 4096
 //! ktg serve    --edges data/edges.txt --keywords data/keywords.txt \
-//!              --bind 127.0.0.1:7433 --workers 4 --max-inflight 64
+//!              --bind 127.0.0.1:7433 --workers 4 --max-inflight 3
 //! ktg serve    --connect 127.0.0.1:7433 --workload queries.txt
 //! ```
 //!

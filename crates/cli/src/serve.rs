@@ -17,9 +17,9 @@
 //! * **Control lines start with `/`:** `/stats` (one-line JSON of cache,
 //!   latency percentile, and outcome counters), `/health` (one-line JSON
 //!   of serving state, applied-update count, and WAL/checkpoint
-//!   sequences), `/checkpoint` (rewrite the bundle, truncate the log;
-//!   refused while recovering), `/drain` (shed all new
-//!   queries as `overloaded` until `/resume`), `/resume`, `/shutdown`.
+//!   sequences), `/checkpoint` (rewrite the bundle, truncate the log),
+//!   `/drain` (shed all new queries as `overloaded` until `/resume`),
+//!   `/resume`, `/shutdown`.
 //!
 //! ## Durability
 //!
@@ -28,63 +28,68 @@
 //! session (fsync policy `--wal-sync always|batch`), under the
 //! session's write lock so log order always equals apply order. On
 //! startup the log is replayed over the loaded network (tolerating one
-//! torn tail record; mid-log corruption is a typed startup error), and
-//! the listener accepts connections immediately while a recovery task
-//! re-applies the surviving records — workload lines and `/checkpoint`
-//! are refused with an in-band error until the `/health` state leaves
-//! `recovering` (a checkpoint of a half-replayed session would truncate
-//! the log past records it never saved). `/checkpoint` (or
-//! `--checkpoint-every N` appends) rewrites the
-//! bundle under a temp-file + atomic-rename protocol and truncates the
-//! log. `KTG_CRASH_AFTER=<n>` aborts the process after `n` appends —
-//! the crash-injection harness the recovery tests drive.
+//! torn tail record; mid-log corruption is a typed startup error)
+//! before the listener binds: the session is shared only once every
+//! surviving record is re-applied, so no request can read, mutate or
+//! checkpoint a half-replayed session, and a connect is refused until
+//! replay ends. `/checkpoint` (or `--checkpoint-every N` appends)
+//! rewrites the bundle under a temp-file + atomic-rename protocol and
+//! truncates the log. `KTG_CRASH_AFTER=<n>` aborts the process after `n`
+//! appends — the crash-injection harness the recovery tests drive.
 //!
 //! ## Concurrency model
 //!
-//! One listener thread accepts connections into a queue; a fixed pool of
-//! worker threads (spawned together via [`scope_join`]) each take one
-//! connection at a time and serve it to completion. The session sits
-//! behind an [`RwLock`]: queries run concurrently under the read lock
-//! through [`ServeSession::answer_query`], while edge updates serialize
-//! behind the write lock through [`ServeSession::apply_item`] — the same
+//! The only threads are a fixed pool of `--workers`. Each worker accepts
+//! a connection from the shared listener, serves it to completion, and
+//! accepts the next; connections beyond the busy workers wait in the
+//! kernel's listen backlog, which is bounded. The server holds two
+//! locks. The session sits behind an [`RwLock`]: queries run
+//! concurrently under the read lock through
+//! [`ServeSession::answer_query`], while edge updates serialize behind
+//! the write lock through [`ServeSession::apply_item`] — the same
 //! "updates are serialization points" semantics the batch executor has,
-//! extended across connections.
+//! extended across connections. The WAL state sits behind a [`Mutex`],
+//! always taken after the session lock. Counters, the admission gauge
+//! and the latency histogram are atomics.
 //!
 //! Admission control is a global in-flight gauge, counted always and
 //! reported as `/stats` `inflight`: when `--max-inflight` queries are
 //! already executing (or the server is draining), a new query is refused
 //! with a structured `overloaded` response — the connection stays open
-//! and the client can retry — never by dropping the connection.
+//! and the client can retry — never by dropping the connection. Each
+//! worker runs one line at a time, so at most `--workers` queries are in
+//! flight and only a bound below `--workers` can shed.
 //! Per-connection wall-clock deadlines ride on the existing
 //! [`CancelToken`], polled between requests.
 //!
-//! Shutdown is cooperative: the flag flips, the condvar wakes the pool,
-//! a loopback self-connect unblocks `accept`, and every socket carries a
-//! short read timeout so no worker can wedge on an idle peer.
+//! Shutdown is cooperative: the flag flips and one throwaway loopback
+//! connection per worker unblocks every `accept` (a worker checks the
+//! flag after each one), and every socket carries a short read timeout
+//! so no worker can wedge on an idle peer.
 
 use crate::args::ParsedArgs;
 use crate::commands::{load_network_ex, serve_options_from_flags, write_outcome};
 use crate::RunStatus;
 use ktg_common::fault::{self, FaultSite};
 use ktg_common::net::{write_line, Frame, LineReader};
-use ktg_common::parallel::{scope_join, worker_count};
+use ktg_common::parallel::worker_count;
 use ktg_common::rng::SplitMix64;
 use ktg_common::{CancelToken, KtgError, Result, Stopwatch};
 use ktg_core::serve::workload::{WorkloadItem, MAX_LINE_BYTES};
 use ktg_core::serve::{parse_request_line, ItemOutcome, ServeOptions, ServeSession};
 use ktg_core::AttributedGraph;
 use ktg_index::wal::{WalSync, WalWriter};
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
-/// Socket read timeout: the cadence at which blocked workers re-check
-/// the shutdown flag and the connection deadline. Short enough that
-/// shutdown feels immediate, long enough to cost nothing.
+/// Socket read timeout: the cadence at which a worker serving an idle
+/// connection re-checks the shutdown flag and the connection deadline.
+/// Short enough that shutdown feels immediate, long enough to cost
+/// nothing.
 const POLL_READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// The framer's cap is slightly above the parser's so that a line at
@@ -93,13 +98,10 @@ const POLL_READ_TIMEOUT: Duration = Duration::from_millis(200);
 /// any legitimate length are cut at the framing layer.
 const READER_CAP: usize = MAX_LINE_BYTES + 16;
 
-/// Number of latency-sample stripes in [`ServerStats`]. Like the cache
-/// shards: enough that concurrent workers rarely contend on one lock.
-const LATENCY_STRIPES: usize = 8;
-
-/// Ring capacity per stripe: percentiles reflect the most recent
-/// `LATENCY_STRIPES * 1024` requests.
-const SAMPLES_PER_STRIPE: usize = 1024;
+/// Latency histogram buckets: values 0–7 ns each own one, then every
+/// power of two from 2^3 to 2^63 is split into 8 equal steps (see
+/// [`latency_bucket`]). 496 counters, about 4 KB.
+const LATENCY_BUCKETS: usize = 496;
 
 fn lock_mutex<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     match m.lock() {
@@ -108,19 +110,30 @@ fn lock_mutex<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     }
 }
 
-/// One stripe of the latency ring: most recent samples, overwritten in
-/// arrival order once full.
-struct LatencyRing {
-    samples: Vec<u64>,
-    next: usize,
+/// The histogram bucket of a latency in nanoseconds: exact below 8,
+/// then the power of two `2^e` holding `ns` and which of its 8 equal
+/// steps. Monotone, so bucket order is value order.
+fn latency_bucket(ns: u64) -> usize {
+    if ns < 8 {
+        return ns as usize;
+    }
+    let e = 63 - ns.leading_zeros();
+    (((e - 2) << 3) | ((ns >> (e - 3)) & 7) as u32) as usize
 }
 
-/// Lock-striped request instrumentation for one server.
-///
-/// Counters are plain atomics; latency samples go into a striped ring
-/// (stripe picked round-robin) so concurrent workers do not serialize
-/// on one mutex. Percentiles merge and sort all stripes at `/stats`
-/// time — the expensive path is the rare one.
+/// The largest latency [`latency_bucket`] maps to `bucket`. A value lies
+/// less than 1/8 of itself below its bucket's top.
+fn latency_bucket_top(bucket: usize) -> u64 {
+    if bucket < 8 {
+        return bucket as u64;
+    }
+    let e = (bucket >> 3) as u32 + 2;
+    let step = 1u64 << (e - 3);
+    ((8 + (bucket & 7) as u64) << (e - 3)) + (step - 1)
+}
+
+/// Request instrumentation for one server: plain atomic counters plus a
+/// fixed latency histogram, so recording a request never takes a lock.
 pub struct ServerStats {
     requests: AtomicU64,
     degraded: AtomicU64,
@@ -131,8 +144,8 @@ pub struct ServerStats {
     /// with a half-written (or unwritten) block; surfacing the count
     /// through `/stats` makes that loss observable instead of silent.
     write_failures: AtomicU64,
-    next_stripe: AtomicUsize,
-    stripes: Vec<Mutex<LatencyRing>>,
+    /// Executed requests per [`latency_bucket`], since start.
+    latency: [AtomicU64; LATENCY_BUCKETS],
 }
 
 impl ServerStats {
@@ -143,10 +156,7 @@ impl ServerStats {
             overloaded: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
-            next_stripe: AtomicUsize::new(0),
-            stripes: (0..LATENCY_STRIPES)
-                .map(|_| Mutex::new(LatencyRing { samples: Vec::new(), next: 0 }))
-                .collect(),
+            latency: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -155,7 +165,7 @@ impl ServerStats {
         self.write_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one served item: its latency sample and outcome class.
+    /// Records one served item: its latency and outcome class.
     fn record(&self, latency_ns: u64, outcome: &ItemOutcome) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         match outcome {
@@ -173,15 +183,7 @@ impl ServerStats {
             }
             _ => {}
         }
-        let stripe = self.next_stripe.fetch_add(1, Ordering::Relaxed) % LATENCY_STRIPES;
-        let mut ring = lock_mutex(&self.stripes[stripe]);
-        if ring.samples.len() < SAMPLES_PER_STRIPE {
-            ring.samples.push(latency_ns);
-        } else {
-            let at = ring.next;
-            ring.samples[at] = latency_ns;
-        }
-        ring.next = (ring.next + 1) % SAMPLES_PER_STRIPE;
+        self.latency[latency_bucket(latency_ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A shed item: counted, but no latency sample (nothing executed).
@@ -190,23 +192,29 @@ impl ServerStats {
         self.overloaded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `(samples, p50, p95, p99)` over the retained window, by
-    /// nearest-rank on the merged, sorted samples. All zeros when empty.
-    fn percentiles(&self) -> (usize, u64, u64, u64) {
-        let mut all: Vec<u64> = Vec::new();
-        for stripe in &self.stripes {
-            all.extend_from_slice(&lock_mutex(stripe).samples);
-        }
-        if all.is_empty() {
+    /// `(samples, p50, p95, p99)` over every executed request since
+    /// start. Each percentile is the top of the bucket holding the
+    /// nearest-rank sample, so it reads high by less than 1/8. All zeros
+    /// when empty.
+    fn percentiles(&self) -> (u64, u64, u64, u64) {
+        let counts: Vec<u64> = self.latency.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
             return (0, 0, 0, 0);
         }
-        all.sort_unstable();
-        let rank = |p: usize| -> u64 {
+        let rank = |p: u64| -> u64 {
             // Nearest-rank: ceil(p/100 * n), 1-based, clamped.
-            let idx = (all.len() * p).div_ceil(100).clamp(1, all.len()) - 1;
-            all[idx]
+            let want = (total * p).div_ceil(100).clamp(1, total);
+            let mut seen = 0;
+            for (bucket, &count) in counts.iter().enumerate() {
+                seen += count;
+                if seen >= want {
+                    return latency_bucket_top(bucket);
+                }
+            }
+            latency_bucket_top(LATENCY_BUCKETS - 1)
         };
-        (all.len(), rank(50), rank(95), rank(99))
+        (total, rank(50), rank(95), rank(99))
     }
 }
 
@@ -236,7 +244,9 @@ pub struct ServeConfig {
     /// Admission bound: at most this many queries execute at once across
     /// all connections; the excess is shed as [`ItemOutcome::Overloaded`]
     /// (edge updates are never shed — dropping one would silently fork
-    /// the graph state). `0` means unbounded.
+    /// the graph state). `0` means unbounded. Each worker runs one line
+    /// at a time, so at most `workers` queries execute at once and only
+    /// a bound below `workers` can shed.
     pub max_inflight: usize,
     /// Per-connection wall-clock deadline in milliseconds, polled
     /// between requests; `None` = connections live until EOF.
@@ -295,27 +305,23 @@ enum Shed {
     Inflight,
 }
 
-/// State shared between the listener, the worker pool, and connection
-/// handlers.
+/// State shared by the worker pool: the server's two locks (session,
+/// then WAL) and its atomics.
 struct Shared {
     session: RwLock<ServeSession>,
     stats: ServerStats,
-    pending: Mutex<VecDeque<TcpStream>>,
-    wakeup: Condvar,
     shutdown: AtomicBool,
     draining: AtomicBool,
-    /// True while the startup recovery task is still replaying WAL
-    /// records; workload lines and `/checkpoint` are refused in-band
-    /// until it clears.
-    recovering: AtomicBool,
     /// Durable update log (`--wal`); see [`WalState`] for lock order.
     wal: Option<Mutex<WalState>>,
     inflight: AtomicUsize,
     max_inflight: usize,
     conn_deadline_ms: Option<u64>,
-    /// The bound address, kept so shutdown can poke the listener out of
-    /// its blocking `accept` with a throwaway loopback connection.
+    /// The bound address, kept so shutdown can poke every worker out of
+    /// its blocking `accept` with throwaway loopback connections.
     addr: SocketAddr,
+    /// Pool size: shutdown opens one throwaway connection per worker.
+    workers: usize,
 }
 
 impl Shared {
@@ -364,18 +370,21 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake blocked workers; unblock the listener's accept with a
-        // throwaway loopback connection (it checks the flag first).
-        self.wakeup.notify_all();
-        drop(TcpStream::connect(self.addr));
+        // Each worker accepts at most one more connection before it sees
+        // the flag, so one throwaway connection per worker unblocks them
+        // all; busy workers see the flag within a read timeout.
+        for _ in 0..self.workers {
+            drop(TcpStream::connect(self.addr));
+        }
     }
 }
 
-/// A running server: its bound address plus the join handle.
+/// A running server: its bound address plus the worker pool's join
+/// handles.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    thread: std::thread::JoinHandle<()>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     recovered: Option<RecoveryInfo>,
 }
 
@@ -397,25 +406,28 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Blocks until the server exits (via `/shutdown` or
+    /// Blocks until every worker exits (via `/shutdown` or
     /// [`ServerHandle::shutdown`]).
     ///
     /// # Errors
-    /// [`KtgError::Internal`]-shaped input error if the server thread
-    /// panicked (individual connection handlers never panic the pool:
-    /// item execution is isolated inside the session).
+    /// [`KtgError::InvalidInput`] if a worker thread panicked (item
+    /// execution never panics a worker: it is isolated inside the
+    /// session).
     pub fn join(self) -> Result<()> {
-        self.thread
-            .join()
-            .map_err(|_| KtgError::input("server thread panicked".to_string()))
+        let panicked = self.workers.into_iter().map(|w| w.join()).filter(|r| r.is_err()).count();
+        if panicked > 0 {
+            return Err(KtgError::input(format!("{panicked} server worker(s) panicked")));
+        }
+        Ok(())
     }
 }
 
-/// Binds `cfg.bind`, spawns the listener + worker pool, and returns
-/// once the socket is accepting (queries may be served immediately).
+/// Replays the WAL (if any), binds `cfg.bind`, spawns the worker pool,
+/// and returns once the socket is accepting (queries may be served
+/// immediately).
 ///
 /// # Errors
-/// I/O errors from binding the listener.
+/// WAL open/replay errors and I/O errors from binding the listener.
 pub fn start(net: AttributedGraph, cfg: ServeConfig) -> Result<ServerHandle> {
     start_with_index(net, cfg, None)
 }
@@ -423,17 +435,18 @@ pub fn start(net: AttributedGraph, cfg: ServeConfig) -> Result<ServerHandle> {
 /// [`start`] with a pre-built NLRNL index (the `--bundle` reload path).
 ///
 /// # Errors
-/// I/O errors from binding the listener.
+/// WAL open/replay errors and I/O errors from binding the listener or
+/// spawning a worker.
 pub fn start_with_index(
     net: AttributedGraph,
     cfg: ServeConfig,
     index: Option<ktg_index::NlrnlIndex>,
 ) -> Result<ServerHandle> {
-    // Open the log first: replay errors (mid-log corruption, a query
-    // line where only updates belong) are typed startup failures, not
-    // something to discover after the socket is accepting.
-    let mut recovered = None;
+    // Open the log and parse every record first: replay errors
+    // (mid-log corruption, a query line where only updates belong) are
+    // typed startup failures, found before the session is built.
     let mut recovery: Vec<WorkloadItem> = Vec::new();
+    let mut recovered = None;
     let wal_state = match &cfg.wal {
         None => None,
         Some(wal_cfg) => {
@@ -470,96 +483,62 @@ pub fn start_with_index(
             }))
         }
     };
-    let listener = TcpListener::bind(cfg.bind.as_str())?;
+    // Replay through the exact apply path a live update takes, which is
+    // what makes the recovered session byte-identical to a never-crashed
+    // one. Nothing else can see the session until the listener binds.
+    let mut session = ServeSession::with_index(net, cfg.options, index);
+    for item in &recovery {
+        session.apply_item(item);
+    }
+    let listener = Arc::new(TcpListener::bind(cfg.bind.as_str())?);
     let addr = listener.local_addr()?;
     let workers = match cfg.workers {
         0 => worker_count(),
         w => w,
     };
     let shared = Arc::new(Shared {
-        session: RwLock::new(ServeSession::with_index(net, cfg.options, index)),
+        session: RwLock::new(session),
         stats: ServerStats::new(),
-        pending: Mutex::new(VecDeque::new()),
-        wakeup: Condvar::new(),
         shutdown: AtomicBool::new(false),
         draining: AtomicBool::new(false),
-        recovering: AtomicBool::new(!recovery.is_empty()),
         wal: wal_state,
         inflight: AtomicUsize::new(0),
         max_inflight: cfg.max_inflight,
         conn_deadline_ms: cfg.conn_deadline_ms,
         addr,
+        workers,
     });
-    let pool = Arc::clone(&shared);
-    let thread = std::thread::spawn(move || {
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers + 2);
-        let listener_shared = &pool;
-        tasks.push(Box::new(move || listener_loop(listener_shared, &listener)));
-        if !recovery.is_empty() {
-            // Replay under the write lock, one record at a time — the
-            // exact apply path a live update takes, which is what makes
-            // the recovered session byte-identical to a never-crashed
-            // one. Connections are accepted meanwhile; workload lines
-            // are refused until the flag clears.
-            let recovery_shared = &pool;
-            tasks.push(Box::new(move || {
-                for item in &recovery {
-                    recovery_shared.write_session().apply_item(item);
-                }
-                recovery_shared.recovering.store(false, Ordering::SeqCst);
-            }));
-        }
-        for _ in 0..workers {
-            let worker_shared = &pool;
-            tasks.push(Box::new(move || worker_loop(worker_shared)));
-        }
-        scope_join(tasks);
-    });
-    Ok(ServerHandle { addr, shared, thread, recovered })
-}
-
-/// Accepts connections into the pending queue until shutdown.
-fn listener_loop(shared: &Shared, listener: &TcpListener) {
-    for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            Ok(stream) => {
-                lock_mutex(&shared.pending).push_back(stream);
-                shared.wakeup.notify_one();
+    let mut pool = Vec::with_capacity(workers);
+    for _ in 0..workers {
+        let worker_shared = Arc::clone(&shared);
+        let worker_listener = Arc::clone(&listener);
+        let spawned = std::thread::Builder::new()
+            .spawn(move || worker_loop(&worker_shared, &worker_listener));
+        match spawned {
+            Ok(worker) => pool.push(worker),
+            Err(e) => {
+                // Stop the workers already running before reporting.
+                let partial = ServerHandle { addr, shared, workers: pool, recovered };
+                partial.shutdown();
+                drop(partial.join());
+                return Err(e.into());
             }
-            // Transient accept failures (EMFILE, aborted handshake):
-            // keep listening — a serving process must outlive them.
-            Err(_) => continue,
         }
     }
-    // Shutting down: wake everyone so the pool drains and exits.
-    shared.wakeup.notify_all();
+    Ok(ServerHandle { addr, shared, workers: pool, recovered })
 }
 
-/// One pool worker: takes connections from the queue and serves each to
-/// completion; exits when shutdown is flagged and the queue is empty.
-fn worker_loop(shared: &Shared) {
-    loop {
-        let next = {
-            let mut pending = lock_mutex(&shared.pending);
-            loop {
-                if let Some(stream) = pending.pop_front() {
-                    break Some(stream);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                pending = match shared.wakeup.wait_timeout(pending, POLL_READ_TIMEOUT) {
-                    Ok((guard, _)) => guard,
-                    Err(poisoned) => poisoned.into_inner().0,
-                };
-            }
-        };
-        match next {
-            Some(stream) => serve_connection(shared, stream),
-            None => return,
+/// One pool worker: accepts a connection, serves it to completion, and
+/// accepts the next, until it sees the shutdown flag after an accept.
+fn worker_loop(shared: &Shared, listener: &TcpListener) {
+    for conn in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        // Transient accept failures (EMFILE, aborted handshake): keep
+        // accepting — a serving process must outlive them.
+        if let Ok(stream) = conn {
+            serve_connection(shared, stream);
         }
     }
 }
@@ -661,12 +640,6 @@ fn handle_line(
 ) -> LineOutcome {
     if let Some(control) = line.strip_prefix('/') {
         return handle_control(shared, writer, control);
-    }
-    if shared.recovering.load(Ordering::SeqCst) {
-        // Half-recovered state must never answer or mutate; the line
-        // consumes no item slot so a retrying client's numbering is
-        // unaffected. `/health` reports `recovering` for poll loops.
-        return respond(&shared.stats, writer, &[RECOVERING]);
     }
     let parsed = {
         let session = shared.read_session();
@@ -819,10 +792,6 @@ fn checkpoint(session: &ServeSession, st: &mut WalState) -> Result<u64> {
     Ok(st.last_checkpoint_seq)
 }
 
-/// The in-band refusal of a workload line or `/checkpoint` while the
-/// startup recovery task is still replaying the log.
-const RECOVERING: &str = "error: server is recovering from its write-ahead log, retry shortly";
-
 /// Handles a `/control` line.
 fn handle_control(shared: &Shared, writer: &mut impl Write, control: &str) -> LineOutcome {
     match control {
@@ -842,13 +811,6 @@ fn handle_control(shared: &Shared, writer: &mut impl Write, control: &str) -> Li
                     &["error: checkpoint requires the server to run with --wal"],
                 );
             };
-            // A half-replayed session must not be saved: the truncate
-            // would drop the acknowledged records not yet re-applied.
-            // The flag only ever clears, and it clears after the last
-            // record applies, so a checkpoint that passes it sees them all.
-            if shared.recovering.load(Ordering::SeqCst) {
-                return respond(&shared.stats, writer, &[RECOVERING]);
-            }
             // Same order as the update path: session lock, then WAL.
             // The read lock freezes updates for the bundle rewrite
             // while letting queries flow.
@@ -900,17 +862,11 @@ fn handle_control(shared: &Shared, writer: &mut impl Write, control: &str) -> Li
 }
 
 /// Renders the `/health` response: one line, `health: ` plus a flat
-/// JSON object. `state` is `recovering` (startup replay in progress),
-/// `draining`, or `serving`; `wal_seq`/`checkpoint_seq` are 0 without
-/// `--wal`. Clients poll this before replaying after a reconnect.
+/// JSON object. `state` is `draining` or `serving`;
+/// `wal_seq`/`checkpoint_seq` are 0 without `--wal`. Clients poll this
+/// before replaying after a reconnect.
 fn health_line(shared: &Shared) -> String {
-    let state = if shared.recovering.load(Ordering::SeqCst) {
-        "recovering"
-    } else if shared.draining.load(Ordering::Relaxed) {
-        "draining"
-    } else {
-        "serving"
-    };
+    let state = if shared.draining.load(Ordering::Relaxed) { "draining" } else { "serving" };
     let epoch = shared.read_session().epoch();
     let (wal_seq, checkpoint_seq) = match &shared.wal {
         Some(wal) => {
@@ -943,7 +899,7 @@ fn stats_line(shared: &Shared) -> String {
         ("row_evictions", session_stats.row_evictions),
         ("epoch", session_stats.epoch),
         ("inflight", shared.inflight.load(Ordering::Relaxed) as u64),
-        ("latency_samples", samples as u64),
+        ("latency_samples", samples),
         ("p50_ns", p50),
         ("p95_ns", p95),
         ("p99_ns", p99),
@@ -1096,11 +1052,12 @@ fn backoff_sleep(base_ms: u64, attempt: u64, rng: &mut SplitMix64) {
 }
 
 /// Polls `/health` (bounded attempts) until the server reports
-/// `"state":"serving"` — i.e. it is back up *and* done replaying its
-/// WAL — so the resumed workload doesn't burn its reconnect on a
-/// server that is still recovering. Gives up silently after the
-/// attempt budget: the caller's reconnect will then fail and consume a
-/// retry, keeping the overall loop bounded.
+/// `"state":"serving"` — i.e. it is back up, which means done replaying
+/// its WAL (a replaying server is not listening yet) — so the resumed
+/// workload doesn't burn its reconnect on a server that is still
+/// restarting. Gives up silently after the attempt budget: the caller's
+/// reconnect will then fail and consume a retry, keeping the overall
+/// loop bounded.
 fn wait_healthy(addr: &str, base_ms: u64, rng: &mut SplitMix64) {
     const HEALTH_POLLS: u64 = 10;
     for poll in 1..=HEALTH_POLLS {
@@ -1205,6 +1162,7 @@ fn read_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ktg_common::VertexId;
     use ktg_core::fixtures;
 
     /// Starts a figure-1 server and returns (handle, a connected
@@ -1453,18 +1411,6 @@ mod tests {
         (handle, LineReader::new(stream, READER_CAP * 16), writer)
     }
 
-    /// Polls `/health` until the startup recovery task finishes.
-    fn await_serving(reader: &mut LineReader<TcpStream>, writer: &mut TcpStream) {
-        for _ in 0..500 {
-            let block = request(reader, writer, "/health");
-            if block[0].contains("\"state\":\"serving\"") {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        panic!("server never reached the serving state");
-    }
-
     /// Serializes tests that arm the process-global fault registry.
     fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
@@ -1509,7 +1455,6 @@ mod tests {
             handle.recovered(),
             Some(RecoveryInfo { replayed: 3, torn_tail: false })
         );
-        await_serving(&mut reader, &mut writer);
         // The replayed insert left edge 0-5 present.
         assert_eq!(
             request(&mut reader, &mut writer, "insert 0 5"),
@@ -1542,7 +1487,6 @@ mod tests {
             Some(RecoveryInfo { replayed: 1, torn_tail: true })
         );
         assert_eq!(std::fs::metadata(&wal).unwrap().len(), clean_len);
-        await_serving(&mut reader, &mut writer);
         assert_eq!(
             request(&mut reader, &mut writer, "insert 0 5"),
             vec!["[1] update: no-op".to_string()]
@@ -1598,30 +1542,86 @@ mod tests {
         assert!(ktg_index::wal::replay(&wal).unwrap().records.is_empty());
     }
 
-    /// While recovery still replays the log, `/checkpoint` is refused:
-    /// saving the half-replayed session and truncating the log would
-    /// lose the acknowledged records not yet re-applied.
+    /// A restarted server replays its log before it binds, so the very
+    /// first line on its first connection already sees every replayed
+    /// update: `/health` reports `serving` at epoch 3 without polling,
+    /// and a `/checkpoint` saves all three edges before it truncates.
     #[test]
-    fn checkpoint_is_refused_while_recovering() {
-        let dir = wal_dir("recovering-checkpoint");
+    fn restart_replays_the_log_before_accepting() {
+        let dir = wal_dir("restart");
         let wal = dir.join("updates.wal");
         let bundle = dir.join("net.bundle");
-        std::fs::write(&bundle, b"the last checkpoint").unwrap();
-        let cfg = WalConfig { bundle: Some(bundle.clone()), ..wal_cfg(wal.clone()) };
-        let (handle, mut reader, mut writer) = boot_wal(cfg);
-        request(&mut reader, &mut writer, "insert 0 5");
-        request(&mut reader, &mut writer, "insert 0 6");
-        handle.shared.recovering.store(true, Ordering::SeqCst);
-        let block = request(&mut reader, &mut writer, "/checkpoint");
-        assert_eq!(block, vec![RECOVERING.to_string()]);
-        let health = request(&mut reader, &mut writer, "/health");
-        assert!(health[0].contains("\"state\":\"recovering\""), "{health:?}");
-        assert_eq!(std::fs::read(&bundle).unwrap(), b"the last checkpoint");
-        let lines: Vec<String> =
-            ktg_index::wal::replay(&wal).unwrap().records.into_iter().map(|r| r.line).collect();
-        assert_eq!(lines, ["insert 0 5", "insert 0 6"]);
-        handle.shared.recovering.store(false, Ordering::SeqCst);
+        let cfg = WalConfig { bundle: Some(bundle.clone()), ..wal_cfg(wal) };
+        let inserts = [(0, 5), (1, 2), (10, 11)];
+        let (handle, mut reader, mut writer) = boot_wal(cfg.clone());
+        for (u, v) in inserts {
+            let block = request(&mut reader, &mut writer, &format!("insert {u} {v}"));
+            assert!(block[0].ends_with("update: applied"), "{block:?}");
+        }
         request(&mut reader, &mut writer, "/shutdown");
+        handle.join().unwrap();
+
+        let (handle, mut reader, mut writer) = boot_wal(cfg.clone());
+        let health = request(&mut reader, &mut writer, "/health");
+        assert!(health[0].contains("\"state\":\"serving\",\"epoch\":3,"), "{health:?}");
+        request(&mut reader, &mut writer, "/shutdown");
+        handle.join().unwrap();
+
+        let (handle, mut reader, mut writer) = boot_wal(cfg);
+        let block = request(&mut reader, &mut writer, "/checkpoint");
+        assert!(block[0].starts_with("checkpointed: bundle rewritten at seq 3"), "{block:?}");
+        request(&mut reader, &mut writer, "/shutdown");
+        handle.join().unwrap();
+        let loaded =
+            ktg_index::persist::load_bundle(std::fs::File::open(&bundle).unwrap()).unwrap();
+        for (u, v) in inserts {
+            assert!(loaded.graph.has_edge(VertexId(u), VertexId(v)), "edge {u}-{v} lost");
+        }
+    }
+
+    /// Connections beyond the busy workers wait in the listen backlog
+    /// and are served once a worker frees up; a shutdown with a
+    /// connection still queued there joins all the same.
+    #[test]
+    fn connections_beyond_the_workers_wait_in_the_backlog() {
+        let cfg = ServeConfig {
+            workers: 2,
+            options: ServeOptions { threads: 1, ..ServeOptions::default() },
+            ..ServeConfig::default()
+        };
+        let handle = start(fixtures::figure1(), cfg).unwrap();
+        // A generous read timeout turns a wrongly served order into a
+        // failure instead of a hang.
+        let patience = Some(Duration::from_secs(20));
+        let mut conns: Vec<(LineReader<TcpStream>, TcpStream)> = (0..4)
+            .map(|_| {
+                let stream = TcpStream::connect(handle.addr()).unwrap();
+                stream.set_read_timeout(patience).unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                write_line(&mut writer, PAPER_QUERY).unwrap();
+                writer.flush().unwrap();
+                (LineReader::new(stream, READER_CAP * 16), writer)
+            })
+            .collect();
+        let first_line = |reader: &mut LineReader<TcpStream>| match reader.read_frame() {
+            Ok(Frame::Line(line)) => line,
+            other => panic!("unexpected frame {other:?}"),
+        };
+        let mut waiting = conns.split_off(2);
+        for (reader, _) in &mut conns {
+            assert!(first_line(reader).starts_with("[1] ktg:"));
+        }
+        // Both workers are held by the first two connections, so the
+        // third waits unanswered until one of them closes.
+        waiting[0].0.get_ref().set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        assert!(waiting[0].0.read_frame().is_err(), "a third connection was served early");
+        waiting[0].0.get_ref().set_read_timeout(patience).unwrap();
+        drop(conns);
+        for (reader, _) in &mut waiting {
+            assert!(first_line(reader).starts_with("[1] ktg:"));
+        }
+        let _queued = TcpStream::connect(handle.addr()).unwrap();
+        handle.shutdown();
         handle.join().unwrap();
     }
 
@@ -1723,6 +1723,41 @@ mod tests {
         let stats = ServerStats::new();
         assert!(matches!(respond(&stats, &mut Refuse, &["x"]), LineOutcome::Close));
         assert_eq!(stats.write_failures.load(Ordering::Relaxed), 1);
+    }
+
+    /// Every latency lies less than 1/8 of itself below its bucket's
+    /// top, so the histogram's percentiles read at most 1/8 above the
+    /// exact nearest-rank values.
+    #[test]
+    fn latency_histogram_reads_high_by_less_than_an_eighth() {
+        let mut rng = SplitMix64::new(7);
+        let mut values: Vec<u64> = (0..4096).chain([1 << 63, u64::MAX]).collect();
+        values.extend((0..10_000).map(|_| rng.next_u64() >> (rng.next_u64() % 64)));
+        for &v in &values {
+            let bucket = latency_bucket(v);
+            let top = latency_bucket_top(bucket);
+            assert!(top >= v && (top - v) * 8 <= v, "{v}: bucket {bucket}, top {top}");
+            assert_eq!(latency_bucket(top), bucket);
+            if top < u64::MAX {
+                assert_eq!(latency_bucket(top + 1), bucket + 1, "buckets must tile");
+            }
+        }
+        assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
+        let stats = ServerStats::new();
+        assert_eq!(stats.percentiles(), (0, 0, 0, 0));
+        let mut samples: Vec<u64> =
+            (0..1000).map(|_| 1_000 + rng.next_u64() % 50_000_000).collect();
+        for &ns in &samples {
+            stats.record(ns, &ItemOutcome::Update { applied: true });
+        }
+        samples.sort_unstable();
+        let (n, p50, p95, p99) = stats.percentiles();
+        assert_eq!(n, 1000);
+        for (p, got) in [(50, p50), (95, p95), (99, p99)] {
+            // Nearest rank of 1,000 samples: the (10 p)-th smallest.
+            let exact = samples[10 * p - 1];
+            assert!(got >= exact && (got - exact) * 8 <= exact, "p{p}: {got} vs {exact}");
+        }
     }
 
     /// The retrying client survives a server that is not up yet: it

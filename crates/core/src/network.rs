@@ -96,30 +96,6 @@ impl AttributedGraph {
         keywords.compile(&self.inverted, self.num_vertices())
     }
 
-    /// Induces the attributed subgraph on `keep` (original ids): topology,
-    /// keyword profiles and vocabulary carry over; vertex ids are
-    /// densified in ascending original-id order. The returned mapping
-    /// translates original ids into the new network.
-    pub fn induce(&self, keep: &[VertexId]) -> (AttributedGraph, ktg_graph::subgraph::InducedSubgraph) {
-        let sub = ktg_graph::subgraph::induce(&self.graph, keep);
-        let mut kb = ktg_keywords::VertexKeywordsBuilder::new(sub.graph.num_vertices());
-        for (new, &old) in sub.old_of.iter().enumerate() {
-            for &k in self.keywords.keywords(old) {
-                kb.add(VertexId::new(new), k);
-            }
-        }
-        let net = AttributedGraph::new(sub.graph.clone(), self.vocab.clone(), kb.build());
-        (net, sub)
-    }
-
-    /// Restricts to the largest connected component — the preprocessing
-    /// every real social-network dataset goes through before querying.
-    pub fn largest_component(&self) -> (AttributedGraph, ktg_graph::subgraph::InducedSubgraph) {
-        let sub = ktg_graph::subgraph::largest_component(&self.graph);
-        let keep = sub.old_of.clone();
-        self.induce(&keep)
-    }
-
     /// Formats a vertex's keyword list for reports, e.g. `"v3{SN, GD}"`.
     pub fn describe_vertex(&self, v: VertexId) -> String {
         let terms: Vec<&str> =
@@ -160,35 +136,6 @@ mod tests {
     fn unknown_keyword_errors() {
         let net = tiny();
         assert!(net.query_keywords(["zzz"]).is_err());
-    }
-
-    #[test]
-    fn induce_carries_keywords() {
-        let net = tiny();
-        let (sub, mapping) = net.induce(&[VertexId(0), VertexId(2)]);
-        assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(sub.graph().num_edges(), 0, "0-2 not adjacent in the path");
-        // v2 (old) became v1 (new) and kept {a, b}.
-        assert_eq!(mapping.map(VertexId(2)), Some(VertexId(1)));
-        assert_eq!(sub.describe_vertex(VertexId(1)), "v1{a, b}");
-        let q = sub.query_keywords(["a"]).unwrap();
-        let masks = sub.compile(&q);
-        assert_eq!(masks.candidates().len(), 2);
-    }
-
-    #[test]
-    fn largest_component_restriction() {
-        // Path 0-1 plus isolated 2 → largest component is {0, 1}.
-        let graph = CsrGraph::from_edges(3, &[(0, 1)]).unwrap();
-        let mut vocab = Vocabulary::new();
-        let a = vocab.intern("a");
-        let mut kb = VertexKeywordsBuilder::new(3);
-        kb.add(VertexId(0), a);
-        kb.add(VertexId(2), a);
-        let net = AttributedGraph::new(graph, vocab, kb.build());
-        let (sub, mapping) = net.largest_component();
-        assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(mapping.map(VertexId(2)), None);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The result cache and its canonical query key.
+//! The result cache and its query key.
 //!
 //! Served workloads repeat themselves: popular keyword combinations come
 //! back query after query (the Zipf-shaped access pattern every
 //! query-serving system sees). [`ResultCache`] memoizes whole answers
-//! keyed on the *canonicalized* query, so a repeat costs one hash lookup
+//! keyed on the query, so a repeat costs one hash lookup
 //! and a clone instead of a branch-and-bound search. It is one instance
 //! of [`ktg_common::Memo`], the sharded, bounded memo with cost-aware
 //! eviction that also holds the `(vertex, k)` conflict rows; each entry's
@@ -11,12 +11,15 @@
 //! every applied edge update.
 //!
 //! [`CacheKey`] is the query's identity and nothing else: the kind (KTG
-//! or DKTG), the sorted keyword ids (the engine is insensitive to `W_Q`
-//! order), `p`, `k`, `N` and `γ`. Engine options are not part of it: a
-//! cache belongs to one session, and a session's engine options never
-//! change. Deadlines do not matter either, because the executor only ever
-//! inserts `Exact` answers, and an exact answer is independent of
-//! whatever deadline failed to fire.
+//! or DKTG), the keyword ids in the query's own bit order, `p`, `k`, `N`
+//! and `γ`. The workload parser sorts every query's keyword ids, so
+//! permuted workload lines share one key; a programmatic query in
+//! another order gets its own entry, whose stored coverage masks are in
+//! its bit order. Engine options are not part of it: a cache belongs to
+//! one session, and a session's engine options never change. Deadlines
+//! do not matter either, because the executor only ever inserts `Exact`
+//! answers, and an exact answer is independent of whatever deadline
+//! failed to fire.
 
 use ktg_common::Memo;
 
@@ -26,14 +29,13 @@ use crate::query::KtgQuery;
 /// The session's whole-answer memo.
 pub type ResultCache<V> = Memo<CacheKey, V>;
 
-/// A canonicalized query identity: two queries with the same key are
-/// guaranteed the same answer (in one session, between two applied
-/// updates).
+/// A query identity: two queries with the same key are guaranteed the
+/// same answer (in one session, between two applied updates).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// 0 = KTG, 1 = DKTG — keeps the two query families from colliding.
     kind: u8,
-    /// Query keyword ids, sorted ascending (`W_Q` is a set).
+    /// Query keyword ids in mask-bit order.
     keywords: Vec<u32>,
     p: usize,
     k: u32,
@@ -43,14 +45,13 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Canonical key for a KTG query.
+    /// Key for a KTG query.
     pub fn ktg(query: &KtgQuery) -> Self {
-        let mut keywords: Vec<u32> = query.keywords().ids().iter().map(|id| id.0).collect();
-        keywords.sort_unstable();
+        let keywords: Vec<u32> = query.keywords().ids().iter().map(|id| id.0).collect();
         CacheKey { kind: 0, keywords, p: query.p(), k: query.k(), n: query.n(), gamma_bits: 0 }
     }
 
-    /// Canonical key for a DKTG query.
+    /// Key for a DKTG query.
     pub fn dktg(query: &DktgQuery) -> Self {
         CacheKey { kind: 1, gamma_bits: query.gamma().to_bits(), ..CacheKey::ktg(query.base()) }
     }
@@ -65,14 +66,6 @@ mod tests {
         let query =
             KtgQuery::new(net.query_keywords(terms).unwrap(), 3, 1, 2).unwrap();
         CacheKey::ktg(&query)
-    }
-
-    #[test]
-    fn keyword_order_is_canonicalized() {
-        let net = fixtures::figure1();
-        let a = paper_key(&net, ["SN", "QP", "DQ", "GQ", "GD"]);
-        let b = paper_key(&net, ["GD", "GQ", "DQ", "QP", "SN"]);
-        assert_eq!(a, b, "W_Q is a set; permutations must share one entry");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   vector, kernel scratch, bitmap rows) from a [`ktg_common::Pool`];
 //!   steady state performs no large allocations per query.
 //! * **Result caching** — whole answers are memoized in a
-//!   [`ResultCache`] keyed on the canonicalized query.
+//!   [`ResultCache`] keyed on the query.
 //! * **Conflict-row reuse** — fresh solves assemble their conflict-bitmap
 //!   kernels through the [`ktg_index::NeighborhoodCache`] `(vertex, k)`
 //!   memo instead of re-running one bounded BFS per candidate per query.
@@ -129,78 +129,12 @@ pub enum ItemOutcome {
 
 /// What a cached entry stores: exactly the result-bearing fields, never
 /// the search stats (counters describe work performed, and a cache hit
-/// performs none). Group coverage masks are stored in *canonical* bit
-/// order (sorted keyword ids) — see [`MaskPermutation`].
+/// performs none). Groups are stored as solved: the key fixes the
+/// query's keyword order, so their coverage masks are in its bit order.
 #[derive(Clone)]
 enum CachedAnswer {
     Ktg(Vec<Group>),
     Dktg { groups: Vec<Group>, diversity: f64, min_qkc: f64, score: f64 },
-}
-
-/// The bit permutation between a query's compile-order coverage masks
-/// (bit `q` = `keywords().ids()[q]`) and the canonical sorted-id order
-/// the cache stores.
-///
-/// [`CacheKey`] canonicalizes `W_Q` as a set, so two permutations of the
-/// same keywords share one entry — but their *masks* index bits by
-/// position in the query's id list. The group member sets and their
-/// ranking are permutation-invariant (every ordering criterion reduces
-/// to popcounts over consistently-permuted masks), so translating the
-/// masks is all it takes to hand a permuted query the byte-identical
-/// answer a fresh solve would produce.
-enum MaskPermutation {
-    /// The query's ids are already sorted — masks pass through untouched
-    /// (the overwhelmingly common case).
-    Identity,
-    /// `pos[q]` = position of the query's `q`-th keyword id in sorted
-    /// order.
-    Permuted(Vec<u32>),
-}
-
-impl MaskPermutation {
-    fn of(query: &KtgQuery) -> Self {
-        let ids = query.keywords().ids();
-        let mut order: Vec<u32> = (0..ids.len() as u32).collect();
-        order.sort_unstable_by_key(|&q| ids[q as usize].0);
-        if order.iter().enumerate().all(|(s, &q)| s as u32 == q) {
-            return MaskPermutation::Identity;
-        }
-        let mut pos = vec![0u32; ids.len()];
-        for (s, &q) in order.iter().enumerate() {
-            pos[q as usize] = s as u32;
-        }
-        MaskPermutation::Permuted(pos)
-    }
-
-    /// Rewrites `groups` from query bit order into canonical order (for
-    /// inserts). Pass `groups` already cloned.
-    fn groups_to_canonical(&self, groups: Vec<Group>) -> Vec<Group> {
-        self.map_groups(groups, |mask, pos| {
-            pos.iter()
-                .enumerate()
-                .fold(0, |acc, (q, &s)| acc | (((mask >> q) & 1) << s))
-        })
-    }
-
-    /// Rewrites `groups` from canonical order into query bit order (for
-    /// hits).
-    fn groups_from_canonical(&self, groups: Vec<Group>) -> Vec<Group> {
-        self.map_groups(groups, |mask, pos| {
-            pos.iter()
-                .enumerate()
-                .fold(0, |acc, (q, &s)| acc | (((mask >> s) & 1) << q))
-        })
-    }
-
-    fn map_groups(&self, groups: Vec<Group>, f: impl Fn(u64, &[u32]) -> u64) -> Vec<Group> {
-        match self {
-            MaskPermutation::Identity => groups,
-            MaskPermutation::Permuted(pos) => groups
-                .into_iter()
-                .map(|g| Group::new(g.members().to_vec(), f(g.mask(), pos)))
-                .collect(),
-        }
-    }
 }
 
 /// Per-worker recycled scratch: everything a fresh solve needs that is
@@ -531,7 +465,6 @@ impl ServeSession {
         let key = self.options.use_cache.then(|| CacheKey::ktg(query));
         if let Some(key) = &key {
             if let Some(CachedAnswer::Ktg(groups)) = self.cached(key) {
-                let groups = MaskPermutation::of(query).groups_from_canonical(groups);
                 // Checked mode re-audits even cached answers: a cache bug
                 // shows up as a verification failure, not a wrong result.
                 crate::verify::enforce(&self.net, query, &groups);
@@ -546,9 +479,7 @@ impl ServeSession {
         // exact answer for later repeats of the same query.
         if outcome.status.is_exact() {
             if let Some(key) = key {
-                let canonical =
-                    MaskPermutation::of(query).groups_to_canonical(outcome.groups.clone());
-                self.results.insert(key, CachedAnswer::Ktg(canonical), solve_ns);
+                self.results.insert(key, CachedAnswer::Ktg(outcome.groups.clone()), solve_ns);
             }
         }
         KtgAnswer { groups: outcome.groups, cached: false, status: outcome.status }
@@ -610,8 +541,6 @@ impl ServeSession {
         if let Some(key) = &key {
             if let Some(CachedAnswer::Dktg { groups, diversity, min_qkc, score }) = self.cached(key)
             {
-                let groups =
-                    MaskPermutation::of(query.base()).groups_from_canonical(groups);
                 crate::verify::enforce_dktg(&self.net, query, &groups);
                 return DktgAnswer {
                     groups,
@@ -633,12 +562,10 @@ impl ServeSession {
         let solve_ns = clock.elapsed_nanos();
         crate::verify::enforce_dktg(&self.net, query, &outcome.groups);
         if let Some(key) = key.filter(|_| outcome.status.is_exact()) {
-            let canonical =
-                MaskPermutation::of(query.base()).groups_to_canonical(outcome.groups.clone());
             self.results.insert(
                 key,
                 CachedAnswer::Dktg {
-                    groups: canonical,
+                    groups: outcome.groups.clone(),
                     diversity: outcome.diversity,
                     min_qkc: outcome.min_qkc,
                     score: outcome.score,
@@ -678,6 +605,7 @@ mod tests {
     use crate::serve::workload::parse_workload;
     use ktg_graph::DynamicGraph;
     use ktg_index::BfsOracle;
+    use ktg_keywords::QueryKeywords;
 
     fn paper_workload(net: &AttributedGraph) -> Vec<WorkloadItem> {
         parse_workload(
@@ -725,7 +653,7 @@ dktg terms=GD,QP,SN,DQ,GQ p=3 k=1 n=2 gamma=0.5
         assert!(repeat.cached, "identical query must hit the cache");
         assert_eq!(repeat.groups, expect);
         let ItemOutcome::Dktg(permuted) = &outcomes[3] else { panic!("expected dktg") };
-        assert!(permuted.cached, "keyword permutation shares the canonical key");
+        assert!(permuted.cached, "permuted terms parse to one key");
         let stats = session.stats();
         assert_eq!(stats.result_hits, 2);
         assert_eq!(stats.result_misses, 2);
@@ -782,8 +710,12 @@ dktg terms=GD,QP,SN,DQ,GQ p=3 k=1 n=2 gamma=0.5
         }
     }
 
+    /// Permuted `terms=` lines parse to one query, so the second hits
+    /// the first one's entry with a fresh solve's groups, coverage masks
+    /// included. A programmatic query in another keyword order gets its
+    /// own entry, whose masks are in its own bit order.
     #[test]
-    fn permuted_keywords_hit_with_translated_masks() {
+    fn permuted_keyword_lines_hit_one_entry() {
         let net = fixtures::figure1();
         let mut session = ServeSession::new(net.clone(), sequential());
         let workload = parse_workload(
@@ -795,26 +727,21 @@ ktg terms=GD,GQ,DQ,QP,SN p=3 k=1 n=2
         )
         .unwrap();
         let out = session.run(&workload);
-        let ItemOutcome::Ktg(first) = &out[0] else { panic!("expected ktg") };
         let ItemOutcome::Ktg(second) = &out[1] else { panic!("expected ktg") };
-        assert!(second.cached, "permutations share the canonical entry");
-        // The hit's masks must be in the *permuted* query's bit order —
-        // byte-identical to solving that query fresh (mask field and all).
-        let permuted = KtgQuery::new(
-            net.query_keywords(["GD", "GQ", "DQ", "QP", "SN"]).unwrap(),
-            3,
-            1,
-            2,
-        )
-        .unwrap();
+        assert!(second.cached, "permuted lines share one entry");
+        let WorkloadItem::Ktg(parsed) = &workload[1] else { panic!("expected ktg") };
         let oracle = BfsOracle::new(net.graph());
-        let fresh = bb::solve(&net, &permuted, &oracle, &BbOptions::vkc_deg());
+        let fresh = bb::solve(&net, parsed, &oracle, &BbOptions::vkc_deg());
         assert_eq!(second.groups, fresh.groups);
-        // Same member sets either way, different mask bit order.
-        for (a, b) in first.groups.iter().zip(&second.groups) {
-            assert_eq!(a.members(), b.members());
-            assert_eq!(a.coverage_count(), b.coverage_count());
-        }
+
+        let mut ids = parsed.keywords().ids().to_vec();
+        ids.reverse();
+        let reversed = KtgQuery::new(QueryKeywords::new(ids).unwrap(), 3, 1, 2).unwrap();
+        let out = session.run(&[WorkloadItem::Ktg(reversed.clone())]);
+        let ItemOutcome::Ktg(own) = &out[0] else { panic!("expected ktg") };
+        assert!(!own.cached, "another bit order is another entry");
+        let fresh = bb::solve(&net, &reversed, &oracle, &BbOptions::vkc_deg());
+        assert_eq!(own.groups, fresh.groups);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`workload`] — the line-oriented workload format (KTG/DKTG queries
 //!   plus `insert`/`remove` edge updates) and its parser.
-//! * [`cache`] — [`ResultCache`], the whole-answer memo keyed on the
-//!   canonical [`CacheKey`].
+//! * [`cache`] — [`ResultCache`], the whole-answer memo keyed on
+//!   [`CacheKey`].
 //! * [`executor`] — [`ServeSession`], which replays workloads with
 //!   worker fan-out, pooled per-worker scratch arenas, the result cache,
 //!   and cross-query `(vertex, k)` conflict-row reuse through

@@ -17,9 +17,12 @@
 //! Key-value fields may appear in any order. Terms are resolved against
 //! the network's vocabulary at parse time, so an unknown keyword, an
 //! out-of-range vertex id or a self-loop update fails fast with a line
-//! number instead of surfacing mid-replay.
+//! number instead of surfacing mid-replay. The resolved keyword ids are
+//! sorted, so the order of `terms=` never matters: permuted lines parse
+//! to the same query.
 
 use ktg_common::{KtgError, Result, VertexId};
+use ktg_keywords::QueryKeywords;
 
 use crate::dktg::DktgQuery;
 use crate::network::AttributedGraph;
@@ -111,8 +114,15 @@ fn parse_query(net: &AttributedGraph, lineno: usize, f: &Fields<'_>) -> Result<K
         }
         term_list.push(term);
     }
-    let keywords =
-        net.query_keywords(term_list.iter().copied()).map_err(|e| line_err(lineno, e))?;
+    // One keyword order per `W_Q`: ids ascending, so permuted lines
+    // parse to the same query and share one result-cache entry.
+    let mut ids = net
+        .query_keywords(term_list.iter().copied())
+        .map_err(|e| line_err(lineno, e))?
+        .ids()
+        .to_vec();
+    ids.sort_unstable();
+    let keywords = QueryKeywords::new(ids).map_err(|e| line_err(lineno, e))?;
     KtgQuery::new(
         keywords,
         require(lineno, "p", f.p)?,
@@ -266,6 +276,7 @@ pub fn parse_request_line(
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::serve::cache::CacheKey;
 
     #[test]
     fn parses_mixed_workload() {
@@ -292,6 +303,29 @@ ktg n=1 k=0 p=2 terms=SN
         assert_eq!((q.p(), q.k(), q.n()), (2, 0, 1), "fields accept any order");
         assert!(items[0].is_query());
         assert!(!items[2].is_query());
+    }
+
+    /// `terms=` order never matters: permuted lines parse to the same
+    /// `W_Q`, ids ascending, and so to one result-cache key.
+    #[test]
+    fn permuted_terms_parse_to_one_query() {
+        let net = fixtures::figure1();
+        let text = "\
+ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
+ktg terms=GD,GQ,DQ,QP,SN p=3 k=1 n=2
+dktg terms=QP,SN p=3 k=1 n=2
+dktg terms=SN,QP p=3 k=1 n=2
+";
+        let items = parse_workload(text, &net).unwrap();
+        let [WorkloadItem::Ktg(a), WorkloadItem::Ktg(b), WorkloadItem::Dktg(c), WorkloadItem::Dktg(d)] =
+            &items[..]
+        else {
+            panic!("unexpected items {items:?}")
+        };
+        assert!(a.keywords().ids().is_sorted());
+        assert_eq!(a.keywords(), b.keywords(), "W_Q is a set; one order per set");
+        assert_eq!(CacheKey::ktg(a), CacheKey::ktg(b));
+        assert_eq!(CacheKey::dktg(c), CacheKey::dktg(d));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   Twitter, DBLP-1M) with a `scale` knob for laptop-sized runs.
 //! * [`workload`] — the §VII query workload: seeded batches of random
 //!   queries with frequency-weighted keyword selection.
-//! * [`snap`] — loads real SNAP edge lists (when available) and equips
-//!   them with synthetic keywords, so genuine datasets drop in unchanged.
+//!
+//! A real SNAP edge list needs no module here: `ktg … --edges FILE`
+//! without `--keywords` reads it with `ktg_graph::io::read_edge_list`
+//! and attaches Zipf keywords through [`keywords::assign_zipf`].
 //!
 //! Everything is deterministic under a caller-supplied seed.
 
@@ -32,7 +34,6 @@ pub mod gen;
 pub mod keywords;
 pub mod profile;
 pub mod sbm;
-pub mod snap;
 pub mod validate;
 pub mod workload;
 

@@ -35,7 +35,6 @@ pub mod dynamic;
 pub mod io;
 pub mod stats;
 pub mod streaming;
-pub mod subgraph;
 
 pub use bfs::BfsScratch;
 pub use csr::{Adjacency, CsrGraph, GraphBuilder};

@@ -14,6 +14,62 @@ cd "$root"
 
 export RUSTFLAGS="-D warnings"
 
+# Helpers shared by the server smokes below.
+#
+# Renumbers `[N] ` response prefixes with one global counter, so output
+# from several connections compares against one batch run.
+renumber() {
+    awk '{ if (match($0, /^\[[0-9]+\] /)) { n++; sub(/^\[[0-9]+\] /, "[" n "] ") } print }' "$1"
+}
+# Scrapes the `serving on HOST:PORT` line from a background server log.
+# A server prints it only once it listens, after any WAL replay.
+scrape_addr() {
+    local log="$1" pid="$2" found=""
+    for _ in $(seq 1 150); do
+        found="$(sed -n 's/^serving on \([^ ]*\).*/\1/p' "$log" | head -n1)"
+        [ -n "$found" ] && { echo "$found"; return 0; }
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "FAIL: server exited before binding; log:" >&2
+            cat "$log" >&2
+            return 1
+        fi
+        sleep 0.2
+    done
+    echo "FAIL: server never reported its bound address; log:" >&2
+    cat "$log" >&2
+    return 1
+}
+# Polls /health over /dev/tcp until the server answers `serving`; a
+# refused connect (a server still replaying its WAL) is retried.
+await_serving() {
+    local host="${1%%:*}" port="${1##*:}" line=""
+    for _ in $(seq 1 150); do
+        if exec 3<>"/dev/tcp/$host/$port" 2>/dev/null; then
+            printf '/health\n' >&3
+            read -r -t 2 line <&3 || true
+            exec 3>&- 3<&-
+            case "$line" in *'"state":"serving"'*) return 0 ;; esac
+        fi
+        sleep 0.2
+    done
+    echo "FAIL: server never reached the serving state (last health: $line)" >&2
+    return 1
+}
+# Waits up to 150 x 0.2 s for every PID given to exit; fails if one
+# still runs.
+await_exit() {
+    local pid running
+    for _ in $(seq 1 150); do
+        running=0
+        for pid in "$@"; do
+            if kill -0 "$pid" 2>/dev/null; then running=1; fi
+        done
+        [ "$running" -eq 0 ] && return 0
+        sleep 0.2
+    done
+    return 1
+}
+
 echo "== offline release build (deny warnings) =="
 cargo build --release --offline
 
@@ -144,22 +200,7 @@ KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- serve \
     --bind 127.0.0.1:0 --workers 2 --threads 1 > "$server_log" 2>&1 &
 server_pid=$!
 trap 'kill "$server_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-addr=""
-for _ in $(seq 1 150); do
-    addr="$(sed -n 's/^serving on \([^ ]*\).*/\1/p' "$server_log" | head -n1)"
-    [ -n "$addr" ] && break
-    if ! kill -0 "$server_pid" 2>/dev/null; then
-        echo "FAIL: server exited before binding; log:" >&2
-        cat "$server_log" >&2
-        exit 1
-    fi
-    sleep 0.2
-done
-if [ -z "$addr" ]; then
-    echo "FAIL: server never reported its bound address; log:" >&2
-    cat "$server_log" >&2
-    exit 1
-fi
+addr="$(scrape_addr "$server_log" "$server_pid")"
 # The same workload the fault smoke replayed through `ktg batch`: the
 # client's response text must be byte-identical to the batch output
 # minus the header/summary lines the server has no equivalent of.
@@ -179,14 +220,10 @@ grep -q '"p50_ns":' "$tmp/serve-client.out" || {
 }
 cargo run -q --release --offline -p ktg-cli -- serve --connect "$addr" --shutdown \
     > /dev/null
-for _ in $(seq 1 150); do
-    kill -0 "$server_pid" 2>/dev/null || break
-    sleep 0.2
-done
-if kill -0 "$server_pid" 2>/dev/null; then
+await_exit "$server_pid" || {
     echo "FAIL: server still running after /shutdown (orphan would leak)" >&2
     exit 1
-fi
+}
 set +e
 wait "$server_pid"
 server_code=$?
@@ -210,42 +247,6 @@ echo "== crash-recovery smoke (WAL-backed server, kill -9, replay, bytes == batc
 # connection restarts at [1]), so both sides are renumbered with one
 # global counter before the compare; `--no-cache` everywhere keeps the
 # recovered server's necessarily-cold cache out of the bytes.
-renumber() {
-    awk '{ if (match($0, /^\[[0-9]+\] /)) { n++; sub(/^\[[0-9]+\] /, "[" n "] ") } print }' "$1"
-}
-# Polls /health over /dev/tcp until the startup replay finishes —
-# workload lines are refused while the state is `recovering`.
-await_serving() {
-    local host="${1%%:*}" port="${1##*:}" line=""
-    for _ in $(seq 1 150); do
-        if exec 3<>"/dev/tcp/$host/$port" 2>/dev/null; then
-            printf '/health\n' >&3
-            read -r -t 2 line <&3 || true
-            exec 3>&- 3<&-
-            case "$line" in *'"state":"serving"'*) return 0 ;; esac
-        fi
-        sleep 0.2
-    done
-    echo "FAIL: server never reached the serving state (last health: $line)" >&2
-    return 1
-}
-# Scrapes the `serving on HOST:PORT` line from a background server log.
-scrape_addr() {
-    local log="$1" pid="$2" found=""
-    for _ in $(seq 1 150); do
-        found="$(sed -n 's/^serving on \([^ ]*\).*/\1/p' "$log" | head -n1)"
-        [ -n "$found" ] && { echo "$found"; return 0; }
-        if ! kill -0 "$pid" 2>/dev/null; then
-            echo "FAIL: server exited before binding; log:" >&2
-            cat "$log" >&2
-            return 1
-        fi
-        sleep 0.2
-    done
-    echo "FAIL: server never reported its bound address; log:" >&2
-    cat "$log" >&2
-    return 1
-}
 # Edges (1,2) and (0,5) are absent from the seed-7 dblp graph, so both
 # pre-crash inserts genuinely mutate state — and `remove 1 2` after the
 # restart renders `applied` only if the first insert survived the
@@ -307,14 +308,10 @@ fi
 # The server outlived the compare; stop it cleanly like the first smoke.
 cargo run -q --release --offline -p ktg-cli -- serve --connect "$addr" --shutdown \
     > /dev/null
-for _ in $(seq 1 150); do
-    kill -0 "$server_pid" 2>/dev/null || break
-    sleep 0.2
-done
-if kill -0 "$server_pid" 2>/dev/null; then
+await_exit "$server_pid" || {
     echo "FAIL: recovered server still running after /shutdown" >&2
     exit 1
-fi
+}
 trap 'rm -rf "$tmp"' EXIT
 
 echo "== cache smoke (ktg batch and ktg serve: cache on beats cache off, same answers) =="
@@ -410,14 +407,10 @@ fi
 for addr in "$on_addr" "$off_addr"; do
     "$ktg_bin" serve --connect "$addr" --shutdown > /dev/null
 done
-for _ in $(seq 1 150); do
-    kill -0 "$on_pid" 2>/dev/null || kill -0 "$off_pid" 2>/dev/null || break
-    sleep 0.2
-done
-if kill -0 "$on_pid" 2>/dev/null || kill -0 "$off_pid" 2>/dev/null; then
+await_exit "$on_pid" "$off_pid" || {
     echo "FAIL: a cache-smoke server still runs after /shutdown" >&2
     exit 1
-fi
+}
 trap 'rm -rf "$tmp"' EXIT
 
 echo "== tight-budget degraded smoke (exit 3, flagged status, verifier clean) =="
