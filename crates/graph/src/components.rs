@@ -59,6 +59,37 @@ impl Components {
         Components { labels, count, sizes }
     }
 
+    /// Keeps the labelling exact across an edge edit that joined or split
+    /// two components, without a BFS. Every vertex with a finite `dist`
+    /// (BFS distances from one endpoint `y` of the edit) takes `label`;
+    /// then labels are renumbered by first appearance, the order
+    /// [`Components::compute`] assigns, so they stay dense and canonical.
+    ///
+    /// * *Join:* `dist` is from `y` **before** the edit, and `label` is the
+    ///   other endpoint's.
+    /// * *Split:* `dist` is from `y` **after** the edit, and `label` is
+    ///   [`Components::count`], a fresh one.
+    pub fn relabel_reached(&mut self, dist: &[u32], label: u32) {
+        debug_assert_eq!(dist.len(), self.labels.len());
+        for (l, &d) in self.labels.iter_mut().zip(dist) {
+            if d != u32::MAX {
+                *l = label;
+            }
+        }
+        let mut renumbered = vec![u32::MAX; self.count + 1];
+        self.sizes.clear();
+        for l in &mut self.labels {
+            let slot = &mut renumbered[*l as usize];
+            if *slot == u32::MAX {
+                *slot = self.sizes.len() as u32;
+                self.sizes.push(0);
+            }
+            *l = *slot;
+            self.sizes[*slot as usize] += 1;
+        }
+        self.count = self.sizes.len();
+    }
+
     /// The component label of `v`.
     #[inline]
     pub fn label(&self, v: VertexId) -> u32 {
@@ -137,6 +168,64 @@ mod tests {
         let c = Components::compute(&g);
         assert_eq!(c.count(), 0);
         assert_eq!(c.largest(), 0);
+    }
+
+    fn distances(g: &CsrGraph, source: u32) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; g.num_vertices()];
+        dist[source as usize] = 0;
+        let mut scratch = BfsScratch::new(g.num_vertices());
+        bfs_levels(g, VertexId(source), usize::MAX, &mut scratch, |v, d| dist[v.index()] = d);
+        dist
+    }
+
+    /// Inserts `{x, y}` (joining two components) and relabels as the
+    /// NLRNL update path does: `y`'s old component takes `x`'s label.
+    fn assert_join_matches_compute(n: usize, edges: &[(u32, u32)], x: u32, y: u32) {
+        let before = CsrGraph::from_edges(n, edges).unwrap();
+        let after = CsrGraph::from_edges(n, &[edges, &[(x, y)]].concat()).unwrap();
+        let mut c = Components::compute(&before);
+        assert!(!c.same_component(VertexId(x), VertexId(y)), "not a join");
+        let label = c.label(VertexId(x));
+        c.relabel_reached(&distances(&before, y), label);
+        assert_eq!(c, Components::compute(&after), "join ({x}, {y})");
+    }
+
+    /// Removes `{x, y}` (splitting a component) and relabels as the NLRNL
+    /// update path does: `y`'s new component takes a fresh label.
+    fn assert_split_matches_compute(n: usize, edges: &[(u32, u32)], x: u32, y: u32) {
+        let before = CsrGraph::from_edges(n, edges).unwrap();
+        let kept: Vec<_> = edges.iter().copied().filter(|&e| e != (x, y) && e != (y, x)).collect();
+        let after = CsrGraph::from_edges(n, &kept).unwrap();
+        let mut c = Components::compute(&before);
+        let fresh = c.count() as u32;
+        c.relabel_reached(&distances(&after, y), fresh);
+        assert!(!c.same_component(VertexId(x), VertexId(y)), "not a split");
+        assert_eq!(c, Components::compute(&after), "split ({x}, {y})");
+    }
+
+    #[test]
+    fn relabel_after_join_matches_compute() {
+        // Labels 0: {0, 1}, 1: {2}, 2: {3, 4}, 3: {5}.
+        let edges = [(0, 1), (3, 4)];
+        // y's label is the middle one, the first one, and the last one.
+        assert_join_matches_compute(6, &edges, 0, 2);
+        assert_join_matches_compute(6, &edges, 4, 0);
+        assert_join_matches_compute(6, &edges, 1, 5);
+        assert_join_matches_compute(6, &edges, 2, 3);
+        assert_join_matches_compute(6, &edges, 3, 2);
+    }
+
+    #[test]
+    fn relabel_after_split_matches_compute() {
+        // Labels 0: {0, 1, 2, 3}, 1: {4}, 2: {5, 6}.
+        let edges = [(0, 1), (1, 2), (2, 3), (5, 6)];
+        // y on the high side, on the low side, and a split of the last
+        // component.
+        assert_split_matches_compute(7, &edges, 1, 2);
+        assert_split_matches_compute(7, &edges, 2, 1);
+        assert_split_matches_compute(7, &edges, 0, 1);
+        assert_split_matches_compute(7, &edges, 6, 5);
+        assert_split_matches_compute(7, &edges, 5, 6);
     }
 
     #[test]

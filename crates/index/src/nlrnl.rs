@@ -21,9 +21,11 @@
 //!    user"), so every check first routes to the smaller endpoint.
 //!
 //! Dynamic maintenance (edge insert/delete) follows the paper's sketch:
-//! identify the vertices whose shortest-path structure the edge touches,
-//! and rebuild exactly their lists. See [`NlrnlIndex::prepare_update`]
-//! and [`NlrnlIndex::apply_update`].
+//! rebuild exactly the vertices whose distance to an endpoint of the edge
+//! changed (a lemma on [`NlrnlIndex::apply_update`] shows no other
+//! vertex's lists can change), and relabel components from the same two
+//! distance arrays. See [`NlrnlIndex::prepare_update`] and
+//! [`NlrnlIndex::apply_update`].
 
 use crate::leveled::LeveledList;
 use crate::oracle::DistanceOracle;
@@ -246,11 +248,6 @@ impl NlrnlIndex {
     /// component means distance exactly `c`, and different components mean
     /// unreachable (`None`). The index is a complete distance oracle, not
     /// just a threshold oracle.
-    ///
-    /// Inlined across crates: [`NlrnlIndex::apply_update`] probes it once
-    /// per (vertex, changed vertex) pair, and its instantiation for the
-    /// serving session's graph lives in `ktg-core`.
-    #[inline]
     pub fn distance(&self, u: VertexId, v: VertexId) -> Option<u32> {
         if u == v {
             return Some(0);
@@ -286,67 +283,58 @@ impl NlrnlIndex {
 
     /// Maintains the index across the edge mutation captured by `update`
     /// (insertion or deletion of `{x, y}`): `graph` is the **post-mutation**
-    /// graph.
+    /// graph. Afterwards the index equals [`NlrnlIndex::build`] of `graph`
+    /// byte for byte.
     ///
-    /// The rebuilt set is exact, derived from the shortest-path subpath
-    /// property: if `Dis(s, t)` changed, the witnessing path runs through
-    /// the mutated edge, so at least one endpoint changed its distance to
-    /// `x` or `y` ("primary" set `A`). Because a pair is stored only under
-    /// its smaller endpoint, a second pass compares the recovered old
-    /// distance with the fresh BFS from each `b ∈ A` and pulls stale owners
-    /// `a < b, a ∉ A` into the rebuild set. Components are recomputed.
+    /// It rebuilds exactly the set `A` of vertices whose distance to `x`
+    /// or to `y` changed. **Lemma:** if the mutation changes `Dis(s, t)`,
+    /// then both `s` and `t` lie in `A`.
+    ///
+    /// * *Insert.* The new shortest path is `s…x–y…t` (naming the
+    ///   endpoints to fit), and neither subpath uses the edge, so `dx(s)`
+    ///   and `dy(t)` are unchanged. Were `dy(s)` unchanged too, then
+    ///   `Dis_old(s, t) ≤ dy(s) + dy(t) ≤ dx(s) + 1 + dy(t) = Dis_new(s, t)`,
+    ///   but an insert can only shorten a distance, and this one changed.
+    /// * *Delete.* Take an old shortest path `s…x–y…t`. `dx(s)` is
+    ///   unchanged, and `dy_old(s) = dx(s) + 1`. Were `dy(s)` unchanged, the
+    ///   new graph would have an `s`–`y` path of length `dx(s) + 1`, and
+    ///   `y…t` survives, so `Dis_new ≤ Dis_old`. But a delete can only
+    ///   lengthen a distance, and this one changed.
+    /// * The argument for `t` is symmetric.
+    ///
+    /// So every vertex outside `A` keeps its exact BFS levels, hence its
+    /// `c` and its lists, and every changed pair is rebuilt under its
+    /// smaller endpoint. Connectivity changes only if `x` reaches `y` on
+    /// exactly one side of the edit; the components are then relabelled
+    /// from the distance arrays already in hand
+    /// ([`Components::relabel_reached`]).
     pub fn apply_update<A: Adjacency>(&mut self, graph: &A, update: EdgeUpdate) {
         debug_assert_eq!(graph.num_vertices(), self.n, "graph/index size mismatch");
+        let EdgeUpdate { x, y, dx_old, dy_old } = update;
         let mut scratch = BfsScratch::new(self.n);
-        let dx_new = distances_from(graph, update.x, &mut scratch);
-        let dy_new = distances_from(graph, update.y, &mut scratch);
+        let dx_new = distances_from(graph, x, &mut scratch);
+        let dy_new = distances_from(graph, y, &mut scratch);
 
-        let primary: Vec<VertexId> = (0..self.n)
-            .filter(|&s| update.dx_old[s] != dx_new[s] || update.dy_old[s] != dy_new[s])
-            .map(VertexId::new)
-            .collect();
-
-        // Pass 1: rebuild every primary vertex, and while its fresh BFS
-        // distances are in hand, find smaller non-primary owners whose
-        // stored distance to it went stale.
-        let mut stale_owners: Vec<VertexId> = Vec::new();
-        let mut in_primary = vec![false; self.n];
-        for &s in &primary {
-            in_primary[s.index()] = true;
-        }
-        for &b in &primary {
-            let mut new_dist = vec![u32::MAX; self.n];
-            bfs::bfs_levels(graph, b, usize::MAX, &mut scratch, |t, d| {
-                new_dist[t.index()] = d;
-            });
-            for a in 0..b.index() {
-                if in_primary[a] {
-                    continue;
-                }
-                let a_v = VertexId::new(a);
-                let old = self.distance(a_v, b).unwrap_or(u32::MAX);
-                if old != new_dist[a] {
-                    stale_owners.push(a_v);
-                }
+        for s in 0..self.n {
+            if dx_old[s] != dx_new[s] || dy_old[s] != dy_new[s] {
+                let (cv, fwd, rev) = build_vertex(graph, VertexId::new(s), &mut scratch);
+                self.c[s] = cv;
+                self.forward[s] = fwd;
+                self.reverse[s] = rev;
             }
-            let levels = levels_from_distances(&new_dist, b);
-            let (cv, fwd, rev) = assemble_vertex(b, &levels);
-            self.c[b.index()] = cv;
-            self.forward[b.index()] = fwd;
-            self.reverse[b.index()] = rev;
         }
 
-        // Pass 2: rebuild the stale owners discovered above.
-        stale_owners.sort_unstable();
-        stale_owners.dedup();
-        for a in stale_owners {
-            let (cv, fwd, rev) = build_vertex(graph, a, &mut scratch);
-            self.c[a.index()] = cv;
-            self.forward[a.index()] = fwd;
-            self.reverse[a.index()] = rev;
+        let reached_before = dx_old[y.index()] != u32::MAX;
+        let reached_after = dx_new[y.index()] != u32::MAX;
+        if !reached_before && reached_after {
+            // Join: y's old component takes x's label.
+            let label = self.components.label(x);
+            self.components.relabel_reached(&dy_old, label);
+        } else if reached_before && !reached_after {
+            // Split: y's new component takes a fresh label.
+            let fresh = self.components.count() as u32;
+            self.components.relabel_reached(&dy_new, fresh);
         }
-
-        self.components = Components::compute(graph);
     }
 }
 
@@ -366,23 +354,6 @@ fn distances_from<A: Adjacency>(graph: &A, source: VertexId, scratch: &mut BfsSc
         dist[v.index()] = d;
     });
     dist
-}
-
-/// Converts a distance array into sorted hop levels `1..=ecc`.
-fn levels_from_distances(dist: &[u32], source: VertexId) -> Vec<Vec<VertexId>> {
-    let mut levels: Vec<Vec<VertexId>> = Vec::new();
-    for (i, &d) in dist.iter().enumerate() {
-        if d == u32::MAX || i == source.index() {
-            continue;
-        }
-        let d = d as usize;
-        if levels.len() < d {
-            levels.resize_with(d, Vec::new);
-        }
-        levels[d - 1].push(VertexId::new(i));
-    }
-    // Ascending index order ⇒ each level already sorted.
-    levels
 }
 
 /// Packs full hop levels into the `(c, forward, reverse)` triple with
@@ -602,6 +573,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `apply_update`'s invariant: after every edit the maintained index
+    /// encodes to the same bytes as a fresh build. The graphs have several
+    /// components and isolated vertices, and the edits cover joins, splits
+    /// and edits inside one component.
+    #[test]
+    fn updates_equal_a_fresh_build_byte_for_byte() {
+        use crate::persist::encode_nlrnl_section as encode;
+        let mut rng = ktg_common::SeededRng::seed_from_u64(0x5EC7_10A5);
+        let (mut joins, mut splits, mut within) = (0usize, 0usize, 0usize);
+        for case in 0..200 {
+            let n = rng.gen_range(2usize..=40);
+            // Edges stay inside blocks; block `blocks` holds isolated vertices.
+            let blocks = rng.gen_range(1usize..=4);
+            let density = rng.gen_range(0.05..0.4);
+            let block: Vec<usize> = (0..n).map(|_| rng.gen_range(0..=blocks)).collect();
+            let mut g = DynamicGraph::new(n);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if block[u] == block[v] && block[u] < blocks && rng.gen_bool(density) {
+                        g.insert_edge(VertexId::new(u), VertexId::new(v)).unwrap();
+                    }
+                }
+            }
+            let mut idx = NlrnlIndex::build_with_threads(&g, 1);
+            for edit in 0..10 {
+                // Half the edits remove an existing edge, when there is one.
+                let with_edges: Vec<VertexId> =
+                    (0..n).map(VertexId::new).filter(|&v| g.degree(v) > 0).collect();
+                let (u, v) = match rng.choose(&with_edges) {
+                    Some(&u) if rng.gen_bool(0.5) => (u, *rng.choose(g.neighbors(u)).unwrap()),
+                    _ => loop {
+                        let u = VertexId::new(rng.gen_range(0..n));
+                        let v = VertexId::new(rng.gen_range(0..n));
+                        if u != v {
+                            break (u, v);
+                        }
+                    },
+                };
+                let insert = !g.has_edge(u, v);
+                let apart_before = idx.component(u) != idx.component(v);
+                let update = idx.prepare_update(&g, u, v);
+                if insert {
+                    g.insert_edge(u, v).unwrap();
+                } else {
+                    g.remove_edge(u, v).unwrap();
+                }
+                idx.apply_update(&g, update);
+                let fresh = NlrnlIndex::build_with_threads(&g, 1);
+                assert!(
+                    encode(&idx) == encode(&fresh),
+                    "case {case} edit {edit}: {} ({u:?}, {v:?}) diverged from a fresh build",
+                    if insert { "insert" } else { "remove" }
+                );
+                if apart_before {
+                    joins += 1;
+                } else if fresh.component(u) != fresh.component(v) {
+                    splits += 1;
+                } else {
+                    within += 1;
+                }
+            }
+        }
+        assert!(
+            joins > 0 && splits > 0 && within > 0,
+            "{joins} joins, {splits} splits, {within} within"
+        );
     }
 
     #[test]

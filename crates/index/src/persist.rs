@@ -456,21 +456,19 @@ pub fn save_bundle<W: Write>(
     cw.write_u32(LAYOUT_FLAT)?;
     cw.write_u64(n as u64)?;
     cw.write_u64(graph_fingerprint(graph))?;
-    let sections: Vec<(u32, Vec<u8>)> = {
-        let mut s = vec![
-            (SECTION_GRAPH, encode_graph_section(graph)),
-            (SECTION_KEYWORDS, encode_keyword_section(vocab, keywords)),
-        ];
-        if let Some(idx) = index {
-            s.push((SECTION_NLRNL, encode_nlrnl_section(idx)));
-        }
-        s
-    };
-    cw.write_u32(sections.len() as u32)?;
-    for (tag, payload) in &sections {
-        cw.write_u32(*tag)?;
+    cw.write_u32(if index.is_some() { 3 } else { 2 })?;
+    // One encoded payload at a time: each is written and dropped before
+    // the next is encoded, so a save (a server checkpoint included) holds
+    // at most one section's bytes in memory.
+    let mut write_section = |tag: u32, payload: Vec<u8>| -> Result<()> {
+        cw.write_u32(tag)?;
         cw.write_u64(payload.len() as u64)?;
-        cw.write_bytes(payload)?;
+        cw.write_bytes(&payload)
+    };
+    write_section(SECTION_GRAPH, encode_graph_section(graph))?;
+    write_section(SECTION_KEYWORDS, encode_keyword_section(vocab, keywords))?;
+    if let Some(idx) = index {
+        write_section(SECTION_NLRNL, encode_nlrnl_section(idx))?;
     }
     let checksum = cw.checksum();
     w.write_all(&checksum.to_le_bytes())?;

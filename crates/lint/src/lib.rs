@@ -20,7 +20,7 @@
 //! * **L6 untagged-todo** — to-do/fix-me comments carry issue tags,
 //!   e.g. `TODO(#42)`.
 //! * **L7 lock-discipline** — locks are acquired in the fixed tier
-//!   order (session → cache-shard → stats-stripe), never inside
+//!   order (session → cache-shard → wal), never inside
 //!   `catch_unwind`.
 //! * **L8 atomic-ordering** — every atomic `Ordering::` use matches the
 //!   committed per-site allowlist (`tools/atomics-allowlist.txt`).

@@ -1,6 +1,6 @@
 //! L7: lock discipline — the fixed acquisition order (session →
-//! cache-shard → stats-stripe), and no lock acquisition inside a
-//! `catch_unwind` closure.
+//! cache-shard → wal), and no lock acquisition inside a `catch_unwind`
+//! closure.
 //!
 //! The pass walks each non-test function body block by block, tracking
 //! `let`-bound guards ([`crate::scopes`]). Acquiring a tier while a
@@ -94,7 +94,7 @@ fn check_order(
         ast.tokens[acq.at].line,
         format!(
             "acquires the {} lock (`{}`) while the {held} guard `{}` is live — the \
-             acquisition order is session → cache-shard → stats-stripe",
+             acquisition order is session → cache-shard → wal",
             tier.name(),
             acq.receiver,
             worst.name

@@ -17,7 +17,7 @@
 //! | L4  | nondeterminism   | lib code minus bench/parallel | no `Instant::now` / `SystemTime::now`, directly **or via calls** |
 //! | L5  | lib-header       | every `src/lib.rs`            | starts with `//!` docs and declares `#![forbid(unsafe_code)]` |
 //! | L6  | untagged-todo    | every `.rs` file              | to-do comments carry an issue tag, e.g. `TODO(#42)` |
-//! | L7  | lock-discipline  | library code                  | locks acquired in tier order (session → cache shard → stats stripe); none inside `catch_unwind` |
+//! | L7  | lock-discipline  | library code                  | locks acquired in tier order (session → cache shard → WAL); none inside `catch_unwind` |
 //! | L8  | atomic-ordering  | library code                  | every atomic `Ordering::` use matches `tools/atomics-allowlist.txt` |
 //! | L9  | fault-placement  | library code                  | `fault::inject`/`fault::recoverable` precede shared-state writes in their block |
 //! | L10 | cancel-threading | `bb` / `dktg` / `serve`       | every `pub fn` solve entry point accepts or forwards a `CancelToken` |
@@ -171,14 +171,14 @@ impl Lint {
             }
             Lint::LockDiscipline => {
                 "Locks must be acquired in the fixed tier order — session RwLock \
-                 (tier 0) before cache-shard Mutex (tier 1) before stats stripe \
+                 (tier 0) before cache-shard Mutex (tier 1) before the WAL Mutex \
                  (tier 2). Acquiring an earlier tier while a later-tier guard is \
                  live is flagged, as is any lock acquisition written directly \
                  inside a `catch_unwind` closure.\n\nWhy: a fixed global order makes \
                  deadlock impossible by construction, and a poisoned-while-panicking \
                  lock inside the isolation boundary would turn one bad query into a \
                  stuck server. Tiers are classified syntactically from receiver \
-                 identifiers (session / shard·cache / stripe·stats·latency)."
+                 identifiers (session / shard·cache·expanded / the word wal)."
             }
             Lint::AtomicOrdering => {
                 "Every atomic `Ordering::` use in library code must match a \

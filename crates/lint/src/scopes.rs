@@ -28,8 +28,9 @@ pub enum LockTier {
     Session = 0,
     /// Tier 1: a result-cache shard `Mutex` (or the NL expansion shards).
     CacheShard = 1,
-    /// Tier 2: a stats stripe `Mutex` (latency rings, counters).
-    StatsStripe = 2,
+    /// Tier 2: the server's write-ahead-log `Mutex`, taken after the
+    /// session lock by the update path and by checkpoints.
+    Wal = 2,
 }
 
 impl LockTier {
@@ -38,7 +39,7 @@ impl LockTier {
         match self {
             LockTier::Session => "session",
             LockTier::CacheShard => "cache-shard",
-            LockTier::StatsStripe => "stats-stripe",
+            LockTier::Wal => "wal",
         }
     }
 }
@@ -82,8 +83,9 @@ pub fn classify_tier(idents: &[&str]) -> Option<LockTier> {
         Some(LockTier::Session)
     } else if has(&["shard", "cache", "expanded"]) {
         Some(LockTier::CacheShard)
-    } else if has(&["stripe", "stats", "latency"]) {
-        Some(LockTier::StatsStripe)
+    } else if idents.iter().any(|id| id.to_ascii_lowercase().split('_').any(|w| w == "wal")) {
+        // A whole `_`-separated word, so `walk` or `swallow` never match.
+        Some(LockTier::Wal)
     } else {
         None
     }
@@ -323,8 +325,11 @@ mod tests {
     fn classify_by_identifier() {
         assert_eq!(classify_tier(&["self", "session"]), Some(LockTier::Session));
         assert_eq!(classify_tier(&["shard"]), Some(LockTier::CacheShard));
-        assert_eq!(classify_tier(&["self", "stripes", "i"]), Some(LockTier::StatsStripe));
-        assert_eq!(classify_tier(&["latency_ring"]), Some(LockTier::StatsStripe));
+        assert_eq!(classify_tier(&["wal"]), Some(LockTier::Wal));
+        assert_eq!(classify_tier(&["lock_mutex", "shared", "wal"]), Some(LockTier::Wal));
+        assert_eq!(classify_tier(&["wal_state"]), Some(LockTier::Wal));
+        assert_eq!(classify_tier(&["walk"]), None);
+        assert_eq!(classify_tier(&["self", "stats_stripe"]), None);
         assert_eq!(classify_tier(&["shared", "pending"]), None);
     }
 
@@ -347,10 +352,10 @@ mod tests {
 
     #[test]
     fn helper_acquisitions_classified_by_argument() {
-        let t = toks("let g = lock_mutex(&self.stripes[i]); let s = read_session();");
+        let t = toks("let g = lock_mutex(wal); let s = read_session();");
         let acqs = acquisitions(&t, 0, t.len());
         assert_eq!(acqs.len(), 2);
-        assert_eq!(acqs[0].tier, Some(LockTier::StatsStripe));
+        assert_eq!(acqs[0].tier, Some(LockTier::Wal));
         assert_eq!(acqs[1].tier, Some(LockTier::Session));
     }
 

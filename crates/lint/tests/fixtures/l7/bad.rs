@@ -7,7 +7,14 @@ pub fn lookup(&self) -> usize {
     shard.len() + session.len()
 }
 
-/// Acquires the stats stripe inside an unwind boundary.
+/// Takes the session lock while the WAL guard is live — inverted order.
+pub fn checkpoint(&self) -> u64 {
+    let st = lock_mutex(wal);
+    let session = read_session();
+    st.save(&session)
+}
+
+/// Acquires the WAL inside an unwind boundary.
 pub fn probe(&self) -> bool {
-    std::panic::catch_unwind(|| self.stats_stripe.lock()).is_ok()
+    std::panic::catch_unwind(|| lock_mutex(wal).sync()).is_ok()
 }

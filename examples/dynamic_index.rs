@@ -2,8 +2,8 @@
 //! across edge insertions and deletions without full rebuilds.
 //!
 //! Simulates a living social network: friendships form and dissolve, and
-//! after every mutation the maintained index must agree with a freshly
-//! built one on a sample of distance checks.
+//! after every mutation the maintained index must equal a freshly built
+//! one: every vertex's `c`, forward and reverse lists, and component.
 //!
 //! ```text
 //! cargo run --release -p ktg-examples --bin dynamic_index
@@ -12,7 +12,7 @@
 use ktg_common::SeededRng;
 use ktg_datasets::gen;
 use ktg_graph::{DynamicGraph, VertexId};
-use ktg_index::{DistanceOracle, NlrnlIndex};
+use ktg_index::NlrnlIndex;
 
 fn main() {
     let csr = gen::watts_strogatz(300, 6, 0.1, 13);
@@ -37,22 +37,28 @@ fn main() {
         }
         index.apply_update(&graph, update);
 
-        // Spot-check against a fresh rebuild.
+        // Compare every vertex with a fresh rebuild.
         let fresh = NlrnlIndex::build(&graph);
-        let mut checked = 0;
-        for _ in 0..200 {
-            let a = VertexId(rng.gen_range(0..n));
-            let b = VertexId(rng.gen_range(0..n));
-            let k = rng.gen_range(0..6u32);
+        for a in (0..n).map(VertexId) {
+            assert_eq!(index.c(a), fresh.c(a), "c of {a} after step {step}");
             assert_eq!(
-                index.farther_than(a, b, k),
-                fresh.farther_than(a, b, k),
-                "mismatch after step {step} ({a}, {b}, k={k})"
+                index.forward_lists(a),
+                fresh.forward_lists(a),
+                "forward lists of {a} after step {step}"
             );
-            checked += 1;
+            assert_eq!(
+                index.reverse_lists(a),
+                fresh.reverse_lists(a),
+                "reverse lists of {a} after step {step}"
+            );
+            assert_eq!(
+                index.component(a),
+                fresh.component(a),
+                "component of {a} after step {step}"
+            );
         }
         println!(
-            "  step {step:2}: {} ({u}, {v}) — {checked} spot checks OK",
+            "  step {step:2}: {} ({u}, {v}) — all {n} vertices match a fresh build",
             if insert { "insert" } else { "remove" }
         );
     }

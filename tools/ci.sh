@@ -529,4 +529,47 @@ if cmp -s "$tmp/scale-update.cmp" "$tmp/scale-bundle.cmp"; then
     exit 1
 fi
 
-echo "CI gate passed: offline build + tests green, lint clean, checked-mode, fault/degraded and 100k substrate + update smokes verified."
+echo "== 100k checkpoint leg (a checkpointed bundle == a fresh index --bundle) =="
+# A WAL-backed server checkpoints after every third update. Blocks are
+# the 100-vertex id spans and p_out is 0, so `insert 0 100` joins two
+# components, `insert 250 375` joins two more, and `remove 0 100` splits
+# the first pair again. The bundle the checkpoint rewrites must be
+# byte-identical to a fresh `ktg index --bundle` over the edge list plus
+# the one edge that stayed: the maintained index, components included,
+# equals a rebuild.
+cp "$tmp/sbm/net.bundle" "$tmp/ckpt.bundle"
+printf 'insert 0 100\ninsert 250 375\nremove 0 100\n' > "$tmp/ckpt-workload.txt"
+cargo run -q --release --offline -p ktg-cli -- serve --bundle "$tmp/ckpt.bundle" \
+    --wal "$tmp/ckpt.wal" --checkpoint-every 3 --bind 127.0.0.1:0 --workers 2 \
+    --threads 1 > "$tmp/ckpt-serve.log" 2>&1 &
+server_pid=$!
+trap 'kill "$server_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+addr="$(scrape_addr "$tmp/ckpt-serve.log" "$server_pid")"
+await_serving "$addr"
+cargo run -q --release --offline -p ktg-cli -- serve --connect "$addr" \
+    --workload "$tmp/ckpt-workload.txt" > "$tmp/ckpt-client.out"
+cargo run -q --release --offline -p ktg-cli -- serve --connect "$addr" --shutdown \
+    > /dev/null
+await_exit "$server_pid" || {
+    echo "FAIL: checkpointing server still running after /shutdown" >&2
+    exit 1
+}
+trap 'rm -rf "$tmp"' EXIT
+if [ "$(grep -c '^\[[0-9]*\] update: applied$' "$tmp/ckpt-client.out")" -ne 3 ]; then
+    echo "FAIL: the three checkpoint-leg updates did not all apply:" >&2
+    cat "$tmp/ckpt-client.out" >&2
+    exit 1
+fi
+{
+    cat "$tmp/sbm/edges.txt"
+    printf '250 375\n'
+} > "$tmp/sbm-ckpt-edges.txt"
+cargo run -q --release --offline -p ktg-cli -- index \
+    --edges "$tmp/sbm-ckpt-edges.txt" --keywords "$tmp/sbm/keywords.txt" \
+    --threads 4 --bundle "$tmp/ckpt-fresh.bundle" > /dev/null
+if ! cmp "$tmp/ckpt.bundle" "$tmp/ckpt-fresh.bundle"; then
+    echo "FAIL: the checkpointed bundle differs from a fresh index --bundle at 100k" >&2
+    exit 1
+fi
+
+echo "CI gate passed: offline build + tests green, lint clean, checked-mode, fault/degraded and 100k substrate + update + checkpoint smokes verified."
