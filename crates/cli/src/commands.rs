@@ -239,7 +239,8 @@ fn index_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<()> {
 /// format) through a [`ServeSession`] running the default engine
 /// ([`ServeOptions::default`]): queries fan out across worker threads,
 /// repeated queries hit the result cache, and `insert`/`remove` lines
-/// edit the graph between query runs (clearing both caches). Every
+/// edit the graph between query runs (dropping the cached answers and
+/// conflict rows each edit can change). Every
 /// query is solved; answers are byte-identical to running each query
 /// individually.
 fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
@@ -276,11 +277,12 @@ fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
     let stats = session.stats();
     writeln!(
         out,
-        "served: {} answers from cache, {} fresh; {} conflict-row hits; {} stale reclaimed; epoch {}",
+        "served: {} answers from cache, {} fresh; {} conflict-row hits; updates dropped {} answers and {} rows; epoch {}",
         stats.result_hits,
         stats.result_misses,
         stats.row_hits,
         stats.result_reclaimed,
+        stats.row_reclaimed,
         stats.epoch
     )?;
     if degraded + failed > 0 {

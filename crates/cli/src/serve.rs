@@ -696,10 +696,15 @@ fn handle_line(
             }
         }
         let outcome = session.apply_item(&item);
+        drop(session);
+        // A due checkpoint runs under the read lock, as `/checkpoint`
+        // does: queries keep flowing during the bundle rewrite. Appends
+        // and applies both happen under the write lock, so the state it
+        // saves covers every appended record.
         if let Some(wal) = &shared.wal {
+            let session = shared.read_session();
             maybe_checkpoint(&session, &mut lock_mutex(wal));
         }
-        drop(session);
         shared.stats.record(timer.elapsed_nanos(), &outcome);
         outcome
     };
@@ -897,6 +902,7 @@ fn stats_line(shared: &Shared) -> String {
         ("row_hits", session_stats.row_hits),
         ("row_misses", session_stats.row_misses),
         ("row_evictions", session_stats.row_evictions),
+        ("row_reclaimed", session_stats.row_reclaimed),
         ("epoch", session_stats.epoch),
         ("inflight", shared.inflight.load(Ordering::Relaxed) as u64),
         ("latency_samples", samples),
@@ -1296,8 +1302,9 @@ mod tests {
         for field in [
             "\"requests\":", "\"degraded\":", "\"overloaded\":1", "\"failed\":",
             "\"write_failures\":0",
-            "\"result_hits\":", "\"result_misses\":", "\"result_reclaimed\":",
-            "\"row_hits\":", "\"row_misses\":", "\"row_evictions\":", "\"epoch\":1",
+            "\"result_hits\":", "\"result_misses\":", "\"result_reclaimed\":1",
+            "\"row_hits\":", "\"row_misses\":", "\"row_evictions\":", "\"row_reclaimed\":2",
+            "\"epoch\":1",
             "\"inflight\":0",
             "\"latency_samples\":", "\"p50_ns\":", "\"p95_ns\":", "\"p99_ns\":",
         ] {

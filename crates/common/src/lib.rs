@@ -31,7 +31,7 @@
 //!   query executor serves steady-state traffic without reallocating.
 //! * [`memo`] — [`Memo`], the sharded, bounded memo with cost-aware
 //!   eviction behind both serving caches (whole answers and `(vertex, k)`
-//!   conflict rows), invalidated by [`Memo::clear`] under `&mut self`.
+//!   conflict rows), invalidated by [`Memo::retain`] under `&mut self`.
 //! * [`cancel`] — cooperative [`CancelToken`]s with per-query wall-clock
 //!   deadlines, the [`CompletionStatus`] tag distinguishing exact
 //!   answers from anytime best-so-far ones, and the [`Stopwatch`]

@@ -10,12 +10,13 @@
 //!   `capacity.div_ceil(16).max(1)` entries, so concurrent workers do not
 //!   serialize on one lock and a long-running session cannot grow without
 //!   limit.
-//! * **Invalidation by clearing.** A value is valid until the state it
-//!   was computed from changes. The owner calls [`Memo::clear`] then,
-//!   which takes `&mut self`: the borrow checker proves no lookup or
-//!   insert is in flight, so no pre-change value can be read or stored
-//!   afterwards. Each dropped entry counts as
-//!   [`reclaimed`](Memo::reclaimed).
+//! * **Invalidation by retaining.** A value is valid until the state it
+//!   was computed from changes in a way that can reach it. The owner
+//!   then calls [`Memo::retain`] with a predicate that keeps exactly the
+//!   entries the change cannot reach. It takes `&mut self`: the borrow
+//!   checker proves no lookup or insert is in flight, so no pre-change
+//!   value it drops can be read or stored afterwards. Each dropped entry
+//!   counts as [`reclaimed`](Memo::reclaimed).
 //! * **Cost eviction with recency decay.** Each entry records the cost
 //!   its caller reports for recomputing it and the shard-local tick of its
 //!   last hit. A full shard evicts the entry with the lowest
@@ -75,7 +76,7 @@ pub struct Memo<K, V> {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Written only by [`Memo::clear`], under `&mut self`.
+    /// Written only by [`Memo::retain`], under `&mut self`.
     reclaimed: u64,
 }
 
@@ -111,7 +112,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Entries dropped by [`Memo::clear`] so far.
+    /// Entries dropped by [`Memo::retain`] so far.
     pub fn reclaimed(&self) -> u64 {
         self.reclaimed
     }
@@ -136,20 +137,22 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
         lock(&self.shards[Self::shard_index(key)])
     }
 
-    /// Drops every resident entry, adding each to
-    /// [`reclaimed`](Memo::reclaimed). Exclusive access means no lock is
-    /// taken and no concurrent lookup or insert can straddle the clear.
-    /// Shard clocks keep running, so eviction stays a pure function of
-    /// the access sequence.
-    pub fn clear(&mut self) {
+    /// Drops every resident entry whose key fails `keep`, adding each to
+    /// [`reclaimed`](Memo::reclaimed); survivors keep their values, costs
+    /// and recency. Exclusive access means no lock is taken and no
+    /// concurrent lookup or insert can straddle the pass. Shard clocks
+    /// keep running, so eviction stays a pure function of the access
+    /// sequence.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
         for shard in &mut self.shards {
-            // Same poison recovery as `lock`; the map is emptied anyway.
+            // Same poison recovery as `lock`: entries are whole.
             let shard = match shard.get_mut() {
                 Ok(shard) => shard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            self.reclaimed += shard.map.len() as u64;
-            shard.map.clear();
+            let before = shard.map.len();
+            shard.map.retain(|key, _| keep(key));
+            self.reclaimed += (before - shard.map.len()) as u64;
         }
     }
 
@@ -227,6 +230,12 @@ mod tests {
             .collect()
     }
 
+    /// Whether `key` is resident, without counting a lookup or moving a
+    /// shard clock.
+    fn is_resident<K: Hash + Eq + Clone, V: Clone>(memo: &Memo<K, V>, key: &K) -> bool {
+        memo.shard(key).map.contains_key(key)
+    }
+
     fn is_hit(memo: &Memo<u64, u64>, key: u64) -> bool {
         let before = memo.hits();
         memo.get(&key);
@@ -244,21 +253,28 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_every_entry_and_counts_it() {
-        let mut memo: Memo<u64, u32> = Memo::new(64);
-        memo.insert(7, 42, 1);
-        memo.insert(8, 43, 1);
-        assert_eq!(memo.get(&7), Some(42));
-        memo.clear();
-        assert_eq!(memo.reclaimed(), 2, "both entries are counted as reclaimed");
+    fn retain_drops_exactly_the_failing_keys_and_counts_them() {
+        let mut memo: Memo<u64, u64> = Memo::new(256);
+        for key in 0..40u64 {
+            memo.insert(key, key * 10, 1);
+        }
+        memo.retain(|key| key % 3 != 0);
+        assert_eq!(memo.reclaimed(), 14, "keys 0, 3, …, 39 are counted as reclaimed");
+        assert_eq!(memo.len(), 26);
+        for key in 0..40u64 {
+            let expect = (key % 3 != 0).then_some(key * 10);
+            assert_eq!(memo.get(&key), expect, "key {key}: survivors keep their values");
+        }
+        assert_eq!((memo.hits(), memo.misses()), (26, 14), "survivors still hit");
+        memo.retain(|_| true);
+        assert_eq!(memo.reclaimed(), 14, "keeping everything reclaims nothing");
+        memo.retain(|_| false);
+        assert_eq!(memo.reclaimed(), 40, "dropping everything reclaims every survivor");
         assert!(memo.is_empty());
-        assert_eq!(memo.get(&7), None, "a cleared value is never served again");
+        memo.retain(|_| false);
+        assert_eq!(memo.reclaimed(), 40, "an empty memo reclaims nothing");
         memo.insert(7, 44, 1);
-        assert_eq!(memo.get(&7), Some(44));
-        memo.clear();
-        memo.clear();
-        assert_eq!(memo.reclaimed(), 3, "clearing an empty memo reclaims nothing");
-        assert_eq!((memo.hits(), memo.misses()), (2, 1));
+        assert_eq!(memo.get(&7), Some(44), "a dropped key can be stored again");
     }
 
     #[test]
@@ -277,8 +293,8 @@ mod tests {
         assert!(rows.len() <= 16, "resident {} exceeds capacity", rows.len());
     }
 
-    /// A cleared shard frees its whole capacity: entries computed after a
-    /// clear never evict anything to make room.
+    /// A shard emptied by `retain` frees its whole capacity: entries
+    /// computed afterwards never evict anything to make room.
     #[test]
     fn cleared_entries_never_compete_with_live_ones() {
         let keys = same_shard_keys(8);
@@ -288,7 +304,7 @@ mod tests {
             memo.insert(key, key, 1);
         }
         assert_eq!(memo.len(), 4);
-        memo.clear();
+        memo.retain(|_| false);
         for &key in &keys[4..] {
             memo.insert(key, key, 1);
         }
@@ -383,9 +399,11 @@ mod tests {
     }
 
     /// Seeded model check: random gets, inserts (random costs) and
-    /// clears against a plain map of the last value inserted per key
-    /// since the last clear. Eviction may turn any hit into a miss, but a
-    /// hit must return exactly the model's value.
+    /// `retain` passes with a random predicate against a plain map of the
+    /// last value inserted per key that no pass has dropped since. Eviction
+    /// may turn any hit into a miss, but a hit must return exactly the
+    /// model's value, and a pass reclaims exactly the resident keys its
+    /// predicate rejects.
     #[test]
     fn random_operations_agree_with_a_plain_map_model() {
         for seed in 0..8u64 {
@@ -413,10 +431,23 @@ mod tests {
                         model.insert(key, next_value);
                     }
                     _ => {
-                        let (resident, before) = (memo.len() as u64, memo.reclaimed());
-                        memo.clear();
-                        model.clear();
-                        assert_eq!(memo.reclaimed(), before + resident, "seed {seed} step {step}");
+                        // Keep the keys whose bit is set in a random mask.
+                        let mask = [rng.next_u64(), rng.next_u64()];
+                        let keep = |key: &u32| mask[*key as usize / 64] >> (key % 64) & 1 == 1;
+                        let resident: Vec<u32> =
+                            (0..96u32).filter(|key| is_resident(&memo, key)).collect();
+                        let dropped = resident.iter().filter(|key| !keep(key)).count() as u64;
+                        let before = memo.reclaimed();
+                        memo.retain(keep);
+                        model.retain(|key, _| keep(key));
+                        assert_eq!(memo.reclaimed(), before + dropped, "seed {seed} step {step}");
+                        for key in resident {
+                            assert_eq!(
+                                is_resident(&memo, &key),
+                                keep(&key),
+                                "seed {seed} step {step}: key {key} kept iff the predicate holds"
+                            );
+                        }
                     }
                 }
                 assert!(

@@ -7,8 +7,9 @@
 //! and a clone instead of a branch-and-bound search. It is one instance
 //! of [`ktg_common::Memo`], the sharded, bounded memo with cost-aware
 //! eviction that also holds the `(vertex, k)` conflict rows; each entry's
-//! cost is the solve nanos that produced it. The session clears it on
-//! every applied edge update.
+//! cost is the solve nanos that produced it. After every applied edge
+//! update the session drops exactly the entries the edit can change,
+//! reading only [`CacheKey::keywords`] and [`CacheKey::k`].
 //!
 //! [`CacheKey`] is the query's identity and nothing else: the kind (KTG
 //! or DKTG), the keyword ids in the query's own bit order, `p`, `k`, `N`
@@ -30,7 +31,8 @@ use crate::query::KtgQuery;
 pub type ResultCache<V> = Memo<CacheKey, V>;
 
 /// A query identity: two queries with the same key are guaranteed the
-/// same answer (in one session, between two applied updates).
+/// same answer (in one session, until an applied update reaches a holder
+/// of its keywords).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// 0 = KTG, 1 = DKTG — keeps the two query families from colliding.
@@ -54,6 +56,17 @@ impl CacheKey {
     /// Key for a DKTG query.
     pub fn dktg(query: &DktgQuery) -> Self {
         CacheKey { kind: 1, gamma_bits: query.gamma().to_bits(), ..CacheKey::ktg(query.base()) }
+    }
+
+    /// The query's keyword ids, in mask-bit order: its candidates are
+    /// the holders of these ids.
+    pub fn keywords(&self) -> &[u32] {
+        &self.keywords
+    }
+
+    /// The query's tenuity bound `k`.
+    pub fn k(&self) -> u32 {
+        self.k
     }
 }
 

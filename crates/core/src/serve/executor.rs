@@ -20,10 +20,12 @@
 //! workload order), and applies updates sequentially under `&mut self`.
 //! An applied update edits the session's one topology, the CSR inside
 //! its [`AttributedGraph`], in place, maintains the NLRNL index across
-//! the edit, and clears both memos. That is the whole invalidation
-//! story: the clear holds `&mut self`, so no lookup or insert can
-//! straddle it, and a stale answer or row is unreachable by
-//! construction.
+//! the edit, and drops from both memos exactly the answers and rows the
+//! edit can change: those that read a vertex whose distance to an
+//! endpoint moved and that lay within `k − 1` hops of one (the lemma is
+//! on `ServeSession::invalidate`). The drop holds `&mut self`, so no
+//! lookup or insert can straddle it, and a stale answer or row is
+//! unreachable by construction.
 //!
 //! **Answer fidelity.** Every path — pooled, cached, parallel — returns
 //! groups and scores byte-identical to a fresh sequential
@@ -50,7 +52,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ktg_common::fault::{self, FaultSite};
 use ktg_common::parallel::{scope_join, worker_count};
-use ktg_common::{CompletionStatus, FixedBitSet, Pool, PoolGuard, Stopwatch, VertexId};
+use ktg_common::{CompletionStatus, FixedBitSet, FxHashMap, Pool, PoolGuard, Stopwatch, VertexId};
 use ktg_index::{
     conflict_bitmaps_cached, kline_conflict_bitmaps, KernelScratch, NeighborhoodCache,
     NlrnlIndex,
@@ -111,7 +113,7 @@ pub enum ItemOutcome {
     /// was already absent (remove), or the endpoints were invalid.
     Update {
         /// Whether the graph actually changed (the update count advanced
-        /// and both memos were cleared).
+        /// and both memos dropped the entries the edit can reach).
         applied: bool,
     },
     /// The item's worker panicked on the solve *and* on the suppressed
@@ -156,8 +158,8 @@ pub struct ServeStats {
     pub result_hits: u64,
     /// Queries that fell through to a fresh solve.
     pub result_misses: u64,
-    /// Result entries dropped by applied updates (each one clears the
-    /// result cache).
+    /// Result entries dropped by applied updates: the answers whose
+    /// keywords a moved vertex near the edit holds.
     pub result_reclaimed: u64,
     /// Conflict rows served from the `(vertex, k)` memo.
     pub row_hits: u64,
@@ -166,6 +168,9 @@ pub struct ServeStats {
     /// Conflict rows evicted from the bounded `(vertex, k)` memo by its
     /// benefit-score policy.
     pub row_evictions: u64,
+    /// Conflict rows dropped by applied updates: the rows whose ball the
+    /// edit can reach.
+    pub row_reclaimed: u64,
     /// Retired: counted keyword-subset floor seeds, which no longer
     /// exist. Always 0; kept so existing readers of the struct still
     /// build.
@@ -247,6 +252,7 @@ impl ServeSession {
             row_hits: self.rows.hits(),
             row_misses: self.rows.misses(),
             row_evictions: self.rows.evictions(),
+            row_reclaimed: self.rows.reclaimed(),
             subset_hits: 0,
             epoch: self.epoch,
         }
@@ -314,11 +320,12 @@ impl ServeSession {
     }
 
     /// Applies one edge update: snapshot the index, edit the CSR in
-    /// place, maintain the index over the edited graph, then clear both
-    /// memos (every cached answer and conflict row may be stale). An
-    /// invalid edge, a duplicate insert or the removal of an absent edge
-    /// touches nothing, so caches stay warm and the two full BFS runs of
-    /// [`NlrnlIndex::prepare_update`] are paid only for real changes.
+    /// place, maintain the index over the edited graph, then drop the
+    /// cached answers and conflict rows the edit can change
+    /// ([`ServeSession::invalidate`]). An invalid edge, a duplicate insert
+    /// or the removal of an absent edge touches nothing, so caches stay
+    /// warm and the two full BFS runs of [`NlrnlIndex::prepare_update`]
+    /// are paid only for real changes.
     fn apply_update(&mut self, insert: bool, u: VertexId, v: VertexId) -> ItemOutcome {
         // Out-of-range/self-loop updates are reported, not fatal: a
         // workload replay keeps going (the parser already rejects them in
@@ -331,11 +338,61 @@ impl ServeSession {
         let graph = self.net.graph_mut();
         let edited = if insert { graph.insert_edge(u, v) } else { graph.remove_edge(u, v) };
         debug_assert!(matches!(edited, Ok(true)), "a checked edit must change the graph");
-        self.index.apply_update(self.net.graph(), update);
+        let moved = self.index.apply_update(self.net.graph(), update);
         self.epoch += 1;
-        self.results.clear();
-        self.rows.clear();
+        self.invalidate(&moved);
         ItemOutcome::Update { applied: true }
+    }
+
+    /// Drops exactly the cached answers and conflict rows that an applied
+    /// edit of `{x, y}` can change. `moved` is the set `A` of vertices
+    /// whose distance to `x` or to `y` changed, in ascending order, each
+    /// with `d(s) = min(dx_old(s), dy_old(s))`, as
+    /// [`NlrnlIndex::apply_update`] returns it.
+    ///
+    /// **Lemma.** If the edit flips whether `Dis(s, t) ≤ k`, then `s` and
+    /// `t` lie in `A`, and `d(s) < k` and `d(t) < k`.
+    /// * `Dis(s, t)` changed, so both lie in `A` (the lemma on
+    ///   [`NlrnlIndex::apply_update`]).
+    /// * Take a shortest `s`–`t` path on the side of the edit where
+    ///   `Dis(s, t) ≤ k`: after an insert, before a delete. It must use
+    ///   `{x, y}`, or it would exist on both sides, and it uses it once.
+    ///   Its part from `s` up to the edge avoids the edge, so it exists
+    ///   before the edit and is at most `k − 1` long. The same holds for
+    ///   `t`.
+    ///
+    /// **Rows.** Row `(s, k)` is the ball `{t : 0 < Dis(s, t) ≤ k}`; it is
+    /// dropped iff `s ∈ A` and `d(s) < k`.
+    ///
+    /// **Answers.** A cached KTG or DKTG answer with keyword ids `W_Q` and
+    /// distance `k` is dropped iff some `s ∈ A` with `d(s) < max(k, 1)`
+    /// holds a keyword of `W_Q`. This is sound because:
+    /// * an exact answer depends only on the holders of `W_Q`, their
+    ///   masks, their degrees and which candidate pairs lie within `k`;
+    /// * edits never change keywords;
+    /// * only `Exact` answers are cached;
+    /// * KTG's canonical tie order compares ids, not degrees. DKTG's
+    ///   stop-at-coverage rounds keep the first group the VKC-DEG order
+    ///   reaches, so they read degrees, but only `x` and `y` change
+    ///   degree, and they are the vertices with `d = 0`: the `max(k, 1)`
+    ///   covers them at `k = 0`, where no distance matters.
+    fn invalidate(&mut self, moved: &[(VertexId, u32)]) {
+        // The least `d(s)` over the moved holders of each keyword id.
+        let mut nearest: FxHashMap<u32, u32> = FxHashMap::default();
+        for &(s, d) in moved {
+            for w in self.net.keywords().keywords(s) {
+                let least = nearest.entry(w.0).or_insert(d);
+                *least = (*least).min(d);
+            }
+        }
+        self.results.retain(|key| {
+            let reach = key.k().max(1);
+            !key.keywords().iter().any(|w| nearest.get(w).is_some_and(|&d| d < reach))
+        });
+        self.rows.retain(|&(s, k)| match moved.binary_search_by_key(&s, |&(v, _)| v.0) {
+            Ok(i) => moved[i].1 >= k,
+            Err(_) => true,
+        });
     }
 
     /// Answers a run of consecutive queries, fanning out across workers
@@ -979,6 +1036,100 @@ ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
         };
         assert_eq!(panels.groups, exact.groups);
         assert_eq!(panels.score.to_bits(), exact.score.to_bits());
+    }
+
+    /// A network over the synthetic vocabulary `t0, t1, …`: `holders[v]`
+    /// lists the keyword ids vertex `v` holds.
+    fn tagged_network(edges: &[(u32, u32)], holders: &[&[u32]]) -> AttributedGraph {
+        let lists: Vec<Vec<ktg_keywords::KeywordId>> = holders
+            .iter()
+            .map(|ids| ids.iter().map(|&id| ktg_keywords::KeywordId(id)).collect())
+            .collect();
+        AttributedGraph::new(
+            ktg_graph::CsrGraph::from_edges(holders.len(), edges).unwrap(),
+            ktg_keywords::Vocabulary::synthetic(2),
+            ktg_keywords::VertexKeywords::from_lists(&lists),
+        )
+    }
+
+    /// The answer a fresh sequential solve gives on `net` as edited.
+    fn fresh_groups(
+        net: &AttributedGraph,
+        edits: &[(bool, u32, u32)],
+        item: &WorkloadItem,
+    ) -> Vec<Group> {
+        let mut graph = DynamicGraph::from_graph(net.graph());
+        for &(insert, u, v) in edits {
+            let (u, v) = (VertexId(u), VertexId(v));
+            if insert { graph.insert_edge(u, v) } else { graph.remove_edge(u, v) }.unwrap();
+        }
+        let edited =
+            AttributedGraph::new(graph.to_csr(), net.vocab().clone(), net.keywords().clone());
+        let oracle = BfsOracle::new(edited.graph());
+        match item {
+            WorkloadItem::Ktg(q) => bb::solve(&edited, q, &oracle, &BbOptions::vkc_deg()).groups,
+            WorkloadItem::Dktg(q) => {
+                dktg::solve_with_options(&edited, q, &oracle, &BbOptions::vkc_deg()).groups
+            }
+            _ => unreachable!("queries only"),
+        }
+    }
+
+    /// Candidates 0–3 hold `t0`/`t1`, 0 and 1 two hops apart through the
+    /// keyword-free 4; 5–7 hold nothing. An edit among 5–7 keeps the
+    /// cached answer and every row. Joining 0 and 1 drops the answer and
+    /// exactly their two rows, and the re-solve matches a fresh one.
+    #[test]
+    fn edits_drop_only_the_entries_they_can_reach() {
+        let holders: [&[u32]; 8] = [&[0], &[1], &[0], &[1], &[], &[], &[], &[]];
+        let net = tagged_network(&[(0, 4), (4, 1), (5, 6)], &holders);
+        let mut session = ServeSession::new(net.clone(), sequential());
+        let query = parse_workload("ktg terms=t0,t1 p=2 k=1 n=1", &net).unwrap().remove(0);
+        let answer = |session: &mut ServeSession| {
+            match session.run(std::slice::from_ref(&query)).remove(0) {
+                ItemOutcome::Ktg(answer) => answer,
+                other => panic!("expected ktg, got {other:?}"),
+            }
+        };
+        let first = answer(&mut session);
+        assert_eq!(first.groups, fresh_groups(&net, &[], &query));
+        let rows = session.stats().row_misses;
+        assert_eq!(rows, 4, "one row per candidate");
+
+        session.run(&[WorkloadItem::Insert(VertexId(6), VertexId(7))]);
+        let far = answer(&mut session);
+        assert!(far.cached, "an edit among keyword-free vertices keeps the answer");
+        assert_eq!(far.groups, first.groups);
+        let stats = session.stats();
+        assert_eq!((stats.result_reclaimed, stats.row_reclaimed), (0, 0));
+
+        session.run(&[WorkloadItem::Insert(VertexId(0), VertexId(1))]);
+        let near = answer(&mut session);
+        assert!(!near.cached, "joining two members drops the answer");
+        assert_ne!(near.groups, first.groups, "the old group is no longer tenuous");
+        assert_eq!(near.groups, fresh_groups(&net, &[(true, 6, 7), (true, 0, 1)], &query));
+        let stats = session.stats();
+        assert_eq!((stats.result_reclaimed, stats.row_reclaimed), (1, 2), "rows of 0 and 1 only");
+        assert_eq!(stats.row_misses, rows + 2, "the rows of 2 and 3 still hit");
+    }
+
+    /// At `k = 0` no distance matters, but DKTG's stop-at-coverage round
+    /// keeps the first group the VKC-DEG order reaches, which reads
+    /// degrees: an edit at a candidate must still drop its answer.
+    #[test]
+    fn a_k_zero_dktg_answer_follows_a_degree_change() {
+        let net = tagged_network(&[], &[&[0], &[1], &[0], &[1], &[0], &[1], &[]]);
+        let mut session = ServeSession::new(net.clone(), sequential());
+        let query =
+            parse_workload("dktg terms=t0,t1 p=2 k=0 n=2 gamma=0.5", &net).unwrap().remove(0);
+        let edit = WorkloadItem::Insert(VertexId(2), VertexId(6));
+        let out = session.run(&[query.clone(), edit, query.clone()]);
+        let (ItemOutcome::Dktg(before), ItemOutcome::Dktg(after)) = (&out[0], &out[2]) else {
+            panic!("expected dktg answers, got {out:?}")
+        };
+        assert!(!after.cached, "the edit raised candidate 2's degree");
+        assert_ne!(before.groups, after.groups, "the second round now starts elsewhere");
+        assert_eq!(after.groups, fresh_groups(&net, &[(true, 2, 6)], &query));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   and cross-query `(vertex, k)` conflict-row reuse through
 //!   [`ktg_index::NeighborhoodCache`]. Both caches are instances of
 //!   [`ktg_common::Memo`], one sharded, bounded type with cost-aware
-//!   eviction, and every applied edge update clears both. Updates edit
-//!   the session's one CSR topology in place and maintain its NLRNL index
-//!   across the edit.
+//!   eviction, and every applied edge update drops from both exactly the
+//!   entries it can change. Updates edit the session's one CSR topology
+//!   in place and maintain its NLRNL index across the edit.
 //!
 //! The contract throughout: every outcome is byte-identical to a fresh
 //! sequential solve against the session's current graph. Caches

@@ -308,19 +308,30 @@ impl NlrnlIndex {
     /// exactly one side of the edit; the components are then relabelled
     /// from the distance arrays already in hand
     /// ([`Components::relabel_reached`]).
-    pub fn apply_update<A: Adjacency>(&mut self, graph: &A, update: EdgeUpdate) {
+    ///
+    /// Returns `A` in ascending vertex order, each vertex `s` paired with
+    /// `min(dx_old(s), dy_old(s))`, its pre-edit distance to the nearer
+    /// endpoint: the input of the serving caches' locality rule.
+    pub fn apply_update<A: Adjacency>(
+        &mut self,
+        graph: &A,
+        update: EdgeUpdate,
+    ) -> Vec<(VertexId, u32)> {
         debug_assert_eq!(graph.num_vertices(), self.n, "graph/index size mismatch");
         let EdgeUpdate { x, y, dx_old, dy_old } = update;
         let mut scratch = BfsScratch::new(self.n);
         let dx_new = distances_from(graph, x, &mut scratch);
         let dy_new = distances_from(graph, y, &mut scratch);
 
+        let mut moved = Vec::new();
         for s in 0..self.n {
             if dx_old[s] != dx_new[s] || dy_old[s] != dy_new[s] {
-                let (cv, fwd, rev) = build_vertex(graph, VertexId::new(s), &mut scratch);
+                let v = VertexId::new(s);
+                let (cv, fwd, rev) = build_vertex(graph, v, &mut scratch);
                 self.c[s] = cv;
                 self.forward[s] = fwd;
                 self.reverse[s] = rev;
+                moved.push((v, dx_old[s].min(dy_old[s])));
             }
         }
 
@@ -335,6 +346,7 @@ impl NlrnlIndex {
             let fresh = self.components.count() as u32;
             self.components.relabel_reached(&dy_new, fresh);
         }
+        moved
     }
 }
 
@@ -575,10 +587,29 @@ mod tests {
         }
     }
 
+    /// Hop distances from `source` by a queue BFS over the replica's
+    /// neighbour lists (`u32::MAX` = unreachable).
+    fn plain_bfs(g: &DynamicGraph, source: VertexId) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; g.num_vertices()];
+        dist[source.index()] = 0;
+        let mut queue = std::collections::VecDeque::from([source]);
+        while let Some(u) = queue.pop_front() {
+            for &w in g.neighbors(u) {
+                if dist[w.index()] == u32::MAX {
+                    dist[w.index()] = dist[u.index()] + 1;
+                    queue.push_back(w);
+                }
+            }
+        }
+        dist
+    }
+
     /// `apply_update`'s invariant: after every edit the maintained index
-    /// encodes to the same bytes as a fresh build. The graphs have several
-    /// components and isolated vertices, and the edits cover joins, splits
-    /// and edits inside one component.
+    /// encodes to the same bytes as a fresh build, and the returned set
+    /// holds exactly the vertices whose distance to an endpoint moved,
+    /// each with its smaller pre-edit distance. The graphs have several
+    /// components and isolated vertices, and the edits cover joins,
+    /// splits and edits inside one component.
     #[test]
     fn updates_equal_a_fresh_build_byte_for_byte() {
         use crate::persist::encode_nlrnl_section as encode;
@@ -615,19 +646,26 @@ mod tests {
                 };
                 let insert = !g.has_edge(u, v);
                 let apart_before = idx.component(u) != idx.component(v);
+                let before = [u, v].map(|end| plain_bfs(&g, end));
                 let update = idx.prepare_update(&g, u, v);
                 if insert {
                     g.insert_edge(u, v).unwrap();
                 } else {
                     g.remove_edge(u, v).unwrap();
                 }
-                idx.apply_update(&g, update);
+                let moved = idx.apply_update(&g, update);
                 let fresh = NlrnlIndex::build_with_threads(&g, 1);
                 assert!(
                     encode(&idx) == encode(&fresh),
                     "case {case} edit {edit}: {} ({u:?}, {v:?}) diverged from a fresh build",
                     if insert { "insert" } else { "remove" }
                 );
+                let after = [u, v].map(|end| plain_bfs(&g, end));
+                let expect: Vec<(VertexId, u32)> = (0..n)
+                    .filter(|&s| before[0][s] != after[0][s] || before[1][s] != after[1][s])
+                    .map(|s| (VertexId::new(s), before[0][s].min(before[1][s])))
+                    .collect();
+                assert_eq!(moved, expect, "case {case} edit {edit}: the returned moved set");
                 if apart_before {
                     joins += 1;
                 } else if fresh.component(u) != fresh.component(v) {

@@ -10,10 +10,13 @@
 //! bounded BFS per candidate per query.
 //!
 //! The memo is a [`ktg_common::Memo`], the same sharded, bounded type as
-//! the serving layer's result cache. A row is valid until the graph
-//! changes: the serving session clears the memo on every applied edge
-//! update, under exclusive access, so a stale conflict row is
-//! unreachable by construction.
+//! the serving layer's result cache. A row is valid until an edit changes
+//! its ball. After every applied edge update the serving session drops,
+//! under exclusive access, exactly the rows the edit can reach: row
+//! `(s, k)` goes iff the edit moved `s`'s distance to an endpoint and `s`
+//! lay within `k − 1` hops of one before it (the lemma is on the
+//! session's invalidation). A stale conflict row is unreachable by
+//! construction.
 
 #[cfg(test)]
 use crate::batch::kline_conflict_bitmaps;
@@ -158,26 +161,66 @@ mod tests {
         assert!(scratch.index_of.iter().all(|&x| x == u32::MAX));
     }
 
+    /// The locality rule on rows: after an edit, dropping exactly the
+    /// rows `(s, k)` whose `s` the edit moved with `d(s) < k` (the set and
+    /// distances [`NlrnlIndex::apply_update`](crate::NlrnlIndex::apply_update)
+    /// returns) leaves a memo whose kernels equal fresh ones on the edited
+    /// graph. Kept rows still hit; only dropped rows are recomputed.
     #[test]
-    fn clear_invalidates() {
-        let g1 = random_graph(20, 0.15, 1);
-        let g2 = random_graph(20, 0.15, 2);
-        let sources: Vec<VertexId> = (0..20).map(VertexId).collect();
-        let mut cache = NeighborhoodCache::new(1024);
-        let mut scratch = KernelScratch::default();
-        let mut out = Vec::new();
-        conflict_bitmaps_cached(&g1, &sources, 2, &cache, &mut scratch, &mut out);
-        // Same keys after a clear against a different graph: no row of
-        // the first graph may leak through.
-        cache.clear();
-        conflict_bitmaps_cached(&g2, &sources, 2, &cache, &mut scratch, &mut out);
-        assert_eq!(out, kline_conflict_bitmaps(&g2, &sources, 2));
-        let misses_after_two = cache.misses();
-        assert_eq!(misses_after_two, 40, "every row recomputed after the clear");
-        assert_eq!(cache.reclaimed(), 20);
-        // Until the next clear everything hits.
-        conflict_bitmaps_cached(&g2, &sources, 2, &cache, &mut scratch, &mut out);
-        assert_eq!(cache.misses(), misses_after_two);
+    fn retain_invalidates_only_the_rows_an_edit_reaches() {
+        let n = 30u32;
+        let sources: Vec<VertexId> = (0..n).map(VertexId).collect();
+        let mut rng = ktg_common::SeededRng::seed_from_u64(0x20E5);
+        let (mut kept, mut dropped) = (0u64, 0u64);
+        for case in 0..40u64 {
+            let before = random_graph(n, 0.08, case);
+            let edges: Vec<(VertexId, VertexId)> = before
+                .vertices()
+                .flat_map(|u| before.neighbors(u).iter().map(move |&v| (u, v)))
+                .collect();
+            let (u, v) = match rng.choose(&edges) {
+                Some(&edge) if rng.gen_bool(0.5) => edge,
+                _ => loop {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if u != v {
+                        break (VertexId(u), VertexId(v));
+                    }
+                },
+            };
+            let mut index = crate::NlrnlIndex::build_with_threads(&before, 1);
+            let update = index.prepare_update(&before, u, v);
+            let mut after = before.clone();
+            if after.has_edge(u, v) {
+                after.remove_edge(u, v).unwrap();
+            } else {
+                after.insert_edge(u, v).unwrap();
+            }
+            let moved = index.apply_update(&after, update);
+            let near = |s: u32, k: u32| {
+                moved.binary_search_by_key(&VertexId(s), |&(w, _)| w).is_ok_and(|i| moved[i].1 < k)
+            };
+            for k in 1..=3u32 {
+                let mut cache = NeighborhoodCache::new(1024);
+                let mut scratch = KernelScratch::default();
+                let mut out = Vec::new();
+                conflict_bitmaps_cached(&before, &sources, k, &cache, &mut scratch, &mut out);
+                cache.retain(|&(s, k)| !near(s, k));
+                let reclaimed = cache.reclaimed();
+                assert_eq!(reclaimed, (0..n).filter(|&s| near(s, k)).count() as u64);
+                let (hits, misses) = (cache.hits(), cache.misses());
+                conflict_bitmaps_cached(&after, &sources, k, &cache, &mut scratch, &mut out);
+                assert_eq!(
+                    out,
+                    kline_conflict_bitmaps(&after, &sources, k),
+                    "case {case} k={k}: a kept row is stale after editing ({u:?}, {v:?})"
+                );
+                assert_eq!(cache.misses() - misses, reclaimed, "only dropped rows recompute");
+                assert_eq!(cache.hits() - hits, u64::from(n) - reclaimed, "kept rows hit");
+                kept += u64::from(n) - reclaimed;
+                dropped += reclaimed;
+            }
+        }
+        assert!(kept > 0 && dropped > 0, "{kept} rows kept, {dropped} dropped");
     }
 
     #[test]

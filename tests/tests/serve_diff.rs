@@ -9,20 +9,21 @@
 //! that workload position*. These suites check that claim on randomized
 //! networks across thread counts and cache settings, including
 //! workloads that interleave dynamic edge updates between query runs
-//! (the in-place CSR edit, index maintenance and cache clearing). Under
-//! `KTG_VERIFY=1` every serve
+//! (the in-place CSR edit, index maintenance and locality-scoped cache
+//! invalidation). Under `KTG_VERIFY=1` every serve
 //! answer — cached hits included — additionally passes the checked-mode
 //! result audit.
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use ktg_common::fault::{self, FaultConfig, FaultSite};
 use ktg_common::{SeededRng, VertexId};
 use ktg_core::serve::{CacheKey, ItemOutcome, ServeOptions, ServeSession, WorkloadItem};
 use ktg_core::{bb, dktg, verify, AttributedGraph, DktgQuery, Group, KtgQuery};
-use ktg_graph::DynamicGraph;
+use ktg_graph::{CsrGraph, DynamicGraph};
 use ktg_index::{persist, BfsOracle, NlrnlIndex};
+use ktg_keywords::{KeywordId, VertexKeywords, Vocabulary};
 use ktg_integration_tests::{random_network, random_query};
 
 /// Thread counts to sweep; `0` resolves to the machine's worker count
@@ -123,46 +124,116 @@ fn reference_replay(net: &AttributedGraph, workload: &[WorkloadItem]) -> Vec<Ans
     out
 }
 
-/// The result-cache `(hits, misses)` a sequential cache-on replay must
-/// count: a query hits exactly when a query with the same [`CacheKey`]
-/// was answered since the last applied update (`reference` says which
-/// updates applied), and misses otherwise.
-fn expected_result_counts(workload: &[WorkloadItem], reference: &[Answer]) -> (u64, u64) {
-    let mut answered: HashSet<CacheKey> = HashSet::new();
-    let (mut hits, mut misses) = (0, 0);
+/// Hop distances from `source` on the replica (`u32::MAX` = unreachable).
+fn distances(graph: &DynamicGraph, source: VertexId) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; graph.num_vertices()];
+    dist[source.index()] = 0;
+    let mut queue = VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        for &w in graph.neighbors(u) {
+            if dist[w.index()] == u32::MAX {
+                dist[w.index()] = dist[u.index()] + 1;
+                queue.push_back(w);
+            }
+        }
+    }
+    dist
+}
+
+/// What a sequential cache-on replay must count, from this file's own
+/// model of the session's invalidation rule.
+#[derive(Debug, Default, PartialEq)]
+struct CacheCounts {
+    hits: u64,
+    misses: u64,
+    /// Result entries dropped by applied updates.
+    reclaimed: u64,
+    /// Hits on an entry stored before the latest applied update.
+    hits_across_updates: u64,
+}
+
+/// Models the result cache over a replay: a query hits exactly when a
+/// query with the same [`CacheKey`] was answered and no applied update
+/// has dropped it since (`reference` says which updates applied).
+///
+/// An applied edit of `{u, v}` drops a key by the locality rule, computed
+/// on this model's own replica: BFS from `u` and `v` before and after the
+/// edit, `A` = the vertices whose distance to either endpoint changed,
+/// `d(s)` = the smaller pre-edit distance. The key goes iff some `s ∈ A`
+/// with `d(s) < max(k, 1)` holds one of its keyword ids.
+fn expected_result_counts(
+    net: &AttributedGraph,
+    workload: &[WorkloadItem],
+    reference: &[Answer],
+) -> CacheCounts {
+    let mut replica = DynamicGraph::from_graph(net.graph());
+    // Each answered key, with the number of applied updates before it.
+    let mut answered: Vec<(CacheKey, u64)> = Vec::new();
+    let mut applied = 0u64;
+    let mut counts = CacheCounts::default();
     for (item, answer) in workload.iter().zip(reference) {
         let key = match item {
             WorkloadItem::Ktg(q) => CacheKey::ktg(q),
             WorkloadItem::Dktg(q) => CacheKey::dktg(q),
-            WorkloadItem::Insert(..) | WorkloadItem::Remove(..) => {
-                if *answer == (Answer::Update { applied: true }) {
-                    answered.clear();
+            &WorkloadItem::Insert(u, v) | &WorkloadItem::Remove(u, v) => {
+                if *answer != (Answer::Update { applied: true }) {
+                    continue;
                 }
+                let before = [distances(&replica, u), distances(&replica, v)];
+                match item {
+                    WorkloadItem::Insert(..) => replica.insert_edge(u, v),
+                    _ => replica.remove_edge(u, v),
+                }
+                .expect("the reference applied this edit");
+                let after = [distances(&replica, u), distances(&replica, v)];
+                let near = |s: usize, k: u32| {
+                    let moved = before[0][s] != after[0][s] || before[1][s] != after[1][s];
+                    moved && before[0][s].min(before[1][s]) < k.max(1)
+                };
+                let stale = |key: &CacheKey| {
+                    (0..replica.num_vertices()).any(|s| {
+                        near(s, key.k())
+                            && net
+                                .keywords()
+                                .keywords(VertexId::new(s))
+                                .iter()
+                                .any(|w| key.keywords().contains(&w.0))
+                    })
+                };
+                let resident = answered.len();
+                answered.retain(|(key, _)| !stale(key));
+                counts.reclaimed += (resident - answered.len()) as u64;
+                applied += 1;
                 continue;
             }
         };
-        if answered.insert(key) {
-            misses += 1;
-        } else {
-            hits += 1;
+        match answered.iter().find(|(cached, _)| *cached == key) {
+            Some(&(_, stored)) => {
+                counts.hits += 1;
+                counts.hits_across_updates += u64::from(stored < applied);
+            }
+            None => {
+                counts.misses += 1;
+                answered.push((key, applied));
+            }
         }
     }
-    (hits, misses)
+    counts
 }
 
 /// Asserts every (threads, cache) serving configuration reproduces the
 /// reference byte-for-byte. At one thread the cache-on run must count
 /// exactly [`expected_result_counts`]; cache-off runs count no result
-/// or row hits. Returns whether the cache-on runs had hits to count.
+/// or row hits. Returns the modelled counts.
 fn assert_serve_matches_reference(
     label: &str,
     net: &AttributedGraph,
     workload: &[WorkloadItem],
-) -> bool {
+) -> CacheCounts {
     // Poison-tolerant: one failing case must not fail its siblings.
     let _guard = fault_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let expected = reference_replay(net, workload);
-    let (hits, misses) = expected_result_counts(workload, &expected);
+    let counts = expected_result_counts(net, workload, &expected);
     for use_cache in [true, false] {
         for threads in THREADS {
             let options = ServeOptions { threads, use_cache, ..ServeOptions::default() };
@@ -183,14 +254,14 @@ fn assert_serve_matches_reference(
                 );
             } else if threads == 1 {
                 assert_eq!(
-                    (stats.result_hits, stats.result_misses),
-                    (hits, misses),
-                    "{label}: sequential cache-on run miscounted (hits, misses)"
+                    (stats.result_hits, stats.result_misses, stats.result_reclaimed),
+                    (counts.hits, counts.misses, counts.reclaimed),
+                    "{label}: sequential cache-on run miscounted (hits, misses, reclaimed)"
                 );
             }
         }
     }
-    hits > 0
+    counts
 }
 
 /// A mixed workload over `net`: a small pool of distinct KTG/DKTG
@@ -225,7 +296,9 @@ fn serving_matches_sequential_on_random_networks() {
             &format!("case {case} (n={n}, density={density:.2})"),
             &net,
             &workload,
-        );
+        )
+        .hits
+            > 0;
     }
     assert!(hits, "no repeat-bearing workload ever hit the result cache");
 }
@@ -271,8 +344,9 @@ fn serving_matches_sequential_across_dynamic_updates() {
         let seed = rng.gen_range(0u64..1000);
         let net = random_network(n, 0.2, 8, 4, seed);
         // Interleave query runs with edge updates: each applied update
-        // clears both caches, so post-update answers must come from fresh
-        // solves on the mutated graph, never from a stale entry.
+        // drops the cached answers and rows it can reach, so post-update
+        // answers must come from fresh solves on the mutated graph, never
+        // from a stale entry.
         let mut workload = query_pool_workload(&net, 4, seed ^ 0xAAAA);
         for round in 0..3u64 {
             let u = VertexId(rng.gen_range(0..n as u32));
@@ -288,6 +362,130 @@ fn serving_matches_sequential_across_dynamic_updates() {
         }
         assert_serve_matches_reference(&format!("dynamic case {case} (n={n})"), &net, &workload);
     }
+}
+
+/// A network of `blocks` disjoint random blocks of 6–10 vertices. Block
+/// 0's vertices hold terms `t0`–`t3`, the query terms; the other blocks'
+/// vertices hold only `t4`–`t7`. Returns the network and each block's
+/// vertex range.
+fn blocks_network(rng: &mut SeededRng, blocks: usize) -> (AttributedGraph, Vec<(u32, u32)>) {
+    let mut ranges = Vec::new();
+    let (mut edges, mut holders) = (Vec::new(), Vec::new());
+    for block in 0..blocks {
+        let start = holders.len() as u32;
+        let end = start + rng.gen_range(6..=10u32);
+        let density = rng.gen_range(0.2..0.45);
+        for u in start..end {
+            for v in (u + 1)..end {
+                if rng.gen_bool(density) {
+                    edges.push((u, v));
+                }
+            }
+            let terms = if block == 0 { 0..4u32 } else { 4..8u32 };
+            let held = rng.gen_range(0..=2usize);
+            holders.push(
+                (0..held).map(|_| KeywordId(rng.gen_range(terms.clone()))).collect::<Vec<_>>(),
+            );
+        }
+        ranges.push((start, end));
+    }
+    let graph = CsrGraph::from_edges(holders.len(), &edges).expect("valid edges");
+    let keywords = VertexKeywords::from_lists(&holders);
+    (AttributedGraph::new(graph, Vocabulary::synthetic(8), keywords), ranges)
+}
+
+/// The locality axis: edits inside blocks without query terms keep every
+/// cached answer, and an edit joining two members of a cached KTG answer
+/// drops that answer and the members' rows. Answers and the modelled
+/// counts must match exactly, and across the cases some query hits after
+/// an applied update, some update drops a result entry, and some answer
+/// changes across an update.
+#[test]
+fn invalidation_is_scoped_to_the_edit() {
+    let mut rng = SeededRng::seed_from_u64(0x10CA);
+    let (mut across, mut reclaimed, mut changed) = (0u64, 0u64, 0usize);
+    for case in 0..8 {
+        let blocks = rng.gen_range(3..=4usize);
+        let (net, ranges) = blocks_network(&mut rng, blocks);
+        let pool: Vec<WorkloadItem> = (0..4u32)
+            .map(|i| {
+                // 2 or 3 cyclically consecutive query terms, ids sorted.
+                let first = rng.gen_range(0..4u32);
+                let mut ids: Vec<KeywordId> =
+                    (0..2 + i % 2).map(|j| KeywordId((first + j) % 4)).collect();
+                ids.sort();
+                let keywords = ktg_keywords::QueryKeywords::new(ids).expect("distinct ids");
+                if i % 2 == 0 {
+                    let k = rng.gen_range(1..=2u32);
+                    WorkloadItem::Ktg(KtgQuery::new(keywords, 2, k, 2).expect("valid params"))
+                } else {
+                    let base = KtgQuery::new(keywords, 2, rng.gen_range(0..=2u32), 2)
+                        .expect("valid params");
+                    WorkloadItem::Dktg(DktgQuery::new(base, 0.5).expect("valid gamma"))
+                }
+            })
+            .collect();
+        let mut replica = DynamicGraph::from_graph(net.graph());
+        let mut workload: Vec<WorkloadItem> = pool.clone();
+        for round in 0..6 {
+            let edit = if round % 3 == 2 {
+                // Join two members of a KTG answer on the current graph.
+                let WorkloadItem::Ktg(query) = &pool[2 * rng.gen_range(0..2usize)] else {
+                    unreachable!("even pool slots are KTG")
+                };
+                let current = AttributedGraph::new(
+                    replica.to_csr(),
+                    net.vocab().clone(),
+                    net.keywords().clone(),
+                );
+                let oracle = BfsOracle::new(current.graph());
+                let groups = bb::solve(&current, query, &oracle, &bb::BbOptions::vkc_deg()).groups;
+                groups.first().map(|g| (g.members()[0], g.members()[1]))
+            } else {
+                // Insert or remove an edge inside a block without query terms.
+                let (start, end) = ranges[rng.gen_range(1..ranges.len())];
+                let u = VertexId(rng.gen_range(start..end));
+                let v = VertexId(rng.gen_range(start..end));
+                (u != v).then_some((u, v))
+            };
+            if let Some((u, v)) = edit {
+                if replica.has_edge(u, v) {
+                    replica.remove_edge(u, v).expect("in range");
+                    workload.push(WorkloadItem::Remove(u, v));
+                } else {
+                    replica.insert_edge(u, v).expect("in range");
+                    workload.push(WorkloadItem::Insert(u, v));
+                }
+            }
+            workload.extend((0..3).map(|_| pool[rng.gen_range(0..pool.len())].clone()));
+        }
+        workload.extend(pool.iter().cloned());
+        let counts =
+            assert_serve_matches_reference(&format!("locality case {case}"), &net, &workload);
+        across += counts.hits_across_updates;
+        reclaimed += counts.reclaimed;
+
+        // Answers that moved across an update, per query.
+        let reference = reference_replay(&net, &workload);
+        let mut last: Vec<(CacheKey, &Answer)> = Vec::new();
+        for (item, answer) in workload.iter().zip(&reference) {
+            let key = match item {
+                WorkloadItem::Ktg(q) => CacheKey::ktg(q),
+                WorkloadItem::Dktg(q) => CacheKey::dktg(q),
+                _ => continue,
+            };
+            match last.iter_mut().find(|(seen, _)| *seen == key) {
+                Some(entry) => {
+                    changed += usize::from(entry.1 != answer);
+                    entry.1 = answer;
+                }
+                None => last.push((key, answer)),
+            }
+        }
+    }
+    assert!(across > 0, "no query hit the cache after an applied update");
+    assert!(reclaimed > 0, "no applied update dropped a result entry");
+    assert!(changed > 0, "no answer changed across an update");
 }
 
 #[test]

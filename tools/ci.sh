@@ -476,30 +476,56 @@ if ! cmp -s "$tmp/scale-text.out" "$tmp/scale-bundle.out"; then
     exit 1
 fi
 
-echo "== 100k update leg (in-place CSR edits + NLRNL maintenance == edge-list rebuild) =="
-# Three edges between the members of the first answer group: members are
-# more than k apart, so every edge is absent and inserting them must
-# change that answer. The bundle session applies them as `insert` lines
-# (CSR edited in place, index maintained, caches cleared); the
-# independent reference loads the edge list with the three edges
-# appended (its header only fixes the vertex count) and answers the
-# queries alone. Both run under the checked-mode verifier; after
-# dropping the update and summary lines and renumbering, the answers
-# must be byte-identical.
+echo "== 100k update leg (a far edit keeps cached answers; in-place edits == edge-list rebuild) =="
+# One batch session answers the scale workload three times. Between the
+# first and second copy it inserts an absent edge inside a 100-vertex
+# block (blocks are the id spans and p_out is 0, so each is closed under
+# edits) whose vertices hold none of the workload's terms: no candidate
+# lies near the edit, so every answer of the second copy must come from
+# the cache and equal the first. Between the second and third copy it
+# inserts three edges between the members of the first answer group:
+# members are more than k apart, so every edge is absent and inserting
+# them must change that answer, and the first answer after them must be
+# a fresh solve. The independent reference loads the edge list with all
+# four edges appended (its header only fixes the vertex count) and
+# answers the queries alone. Both run under the checked-mode verifier;
+# after renumbering and dropping ` [cached]` markers (edits far from a
+# query keep its answer), the third copy's answers must be
+# byte-identical to the reference.
 read -r -a members < <(grep -m1 '^    #1: \[' "$tmp/scale-bundle.out" \
     | sed 's/^[^[]*\[\([^]]*\)\].*/\1/; s/,//g')
 if [ "${#members[@]}" -lt 3 ]; then
     echo "FAIL: no 3-member answer group to connect in $tmp/scale-bundle.out" >&2
     exit 1
 fi
+workload_terms="$(grep -o 'terms=[^ ]*' "$tmp/scale-workload.txt" | sed 's/^terms=//' | paste -sd, -)"
+far_block="$(awk -F'\t' -v terms="$workload_terms" '
+    BEGIN { n = split(terms, t, ","); for (i = 1; i <= n; i++) wanted[t[i]] = 1 }
+    /^#/ { next }
+    { m = split($2, kw, ","); for (i = 1; i <= m; i++) if (kw[i] in wanted) hot[int($1 / 100)] = 1 }
+    END { for (b = 0; b < 1000; b++) if (!(b in hot)) { print b; exit } }
+' "$tmp/sbm/keywords.txt")"
+if [ -z "$far_block" ]; then
+    echo "FAIL: every 100-vertex block holds a workload term" >&2
+    exit 1
+fi
+far_edge="$(awk -F'\t' -v lo="$((far_block * 100))" '
+    /^#/ { next }
+    $1 == lo { adjacent[$2] = 1 }
+    $2 == lo { adjacent[$1] = 1 }
+    END { for (v = lo + 1; v < lo + 100; v++) if (!(v in adjacent)) { print lo " " v; exit } }
+' "$tmp/sbm/edges.txt")"
 new_edges=("${members[0]} ${members[1]}" "${members[0]} ${members[2]}" "${members[1]} ${members[2]}")
 {
+    cat "$tmp/scale-workload.txt"
+    printf 'insert %s\n' "$far_edge"
+    cat "$tmp/scale-workload.txt"
     printf 'insert %s\n' "${new_edges[@]}"
     cat "$tmp/scale-workload.txt"
 } > "$tmp/scale-update-workload.txt"
 {
     cat "$tmp/sbm/edges.txt"
-    printf '%s\n' "${new_edges[@]}"
+    printf '%s\n' "$far_edge" "${new_edges[@]}"
 } > "$tmp/sbm-updated-edges.txt"
 KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
     --workload "$tmp/scale-update-workload.txt" --threads 1 \
@@ -507,16 +533,44 @@ KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
 KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
     "${scale_batch[@]}" --edges "$tmp/sbm-updated-edges.txt" \
     --keywords "$tmp/sbm/keywords.txt" > "$tmp/scale-update-ref.out"
-if [ "$(grep -c '^\[[0-9]*\] update: applied$' "$tmp/scale-update.out")" -ne 3 ]; then
-    echo "FAIL: the three absent edges did not all apply at 100k:" >&2
+if [ "$(grep -c '^\[[0-9]*\] update: applied$' "$tmp/scale-update.out")" -ne 4 ]; then
+    echo "FAIL: the far edge and the three absent member edges did not all apply at 100k:" >&2
     cat "$tmp/scale-update.out" >&2
+    exit 1
+fi
+# The response lines of items $2..$3 (summary lines end a range).
+item_range() {
+    awk -v lo="$2" -v hi="$3" '
+        /^\[[0-9]+\] / { n = substr($0, 2, index($0, "]") - 2) + 0 }
+        /^[a-z]/ { n = 0 }
+        n >= lo && n <= hi
+    ' "$1"
+}
+queries="$(grep -c '^d\?ktg ' "$tmp/scale-workload.txt")"
+item_range "$tmp/scale-update.out" 1 "$queries" > "$tmp/scale-copy1.out"
+item_range "$tmp/scale-update.out" $((queries + 2)) $((2 * queries + 1)) > "$tmp/scale-copy2.out"
+item_range "$tmp/scale-update.out" $((2 * queries + 5)) $((3 * queries + 4)) > "$tmp/scale-copy3.out"
+if [ "$(grep -c '^\[[0-9]*\] d\?ktg: .* \[cached\]$' "$tmp/scale-copy2.out")" -ne "$queries" ]; then
+    echo "FAIL: an edit in a block without query terms dropped a cached answer at 100k:" >&2
+    cat "$tmp/scale-copy2.out" >&2
+    exit 1
+fi
+sed 's/ \[cached\]$//' "$tmp/scale-copy2.out" > "$tmp/scale-copy2-fresh.out"
+sed 's/ \[cached\]$//' "$tmp/scale-copy3.out" > "$tmp/scale-copy3-fresh.out"
+if ! cmp -s <(renumber "$tmp/scale-copy1.out") <(renumber "$tmp/scale-copy2-fresh.out"); then
+    echo "FAIL: cached answers after a far edit differ from the answers before it at 100k:" >&2
+    diff <(renumber "$tmp/scale-copy1.out") <(renumber "$tmp/scale-copy2-fresh.out") >&2 || true
+    exit 1
+fi
+if head -n1 "$tmp/scale-copy3.out" | grep -q ' \[cached\]'; then
+    echo "FAIL: the first answer after joining its members came from the cache at 100k" >&2
     exit 1
 fi
 answers_only() {
     grep -v '^batch: \|^served: \|^partial: \|^\[[0-9]*\] update: ' "$1" > "$1.answers"
     renumber "$1.answers"
 }
-answers_only "$tmp/scale-update.out" > "$tmp/scale-update.cmp"
+renumber "$tmp/scale-copy3-fresh.out" > "$tmp/scale-update.cmp"
 answers_only "$tmp/scale-update-ref.out" > "$tmp/scale-update-ref.cmp"
 answers_only "$tmp/scale-bundle.out" > "$tmp/scale-bundle.cmp"
 if ! cmp -s "$tmp/scale-update.cmp" "$tmp/scale-update-ref.cmp"; then
