@@ -86,9 +86,8 @@ const QUERY_FLAGS: &[&str] = &[
 /// `--algo` and `--bitmap-threshold`.
 const SESSION_FLAGS: &[&str] =
     &["threads", "no-cache", "cache-entries", "deadline-ms", "node-budget"];
-const SERVER_FLAGS: &[&str] = &[
-    "bind", "workers", "max-inflight", "conn-deadline-ms", "wal", "wal-sync", "checkpoint-every",
-];
+const SERVER_FLAGS: &[&str] =
+    &["bind", "workers", "conn-deadline-ms", "wal", "wal-sync", "checkpoint-every"];
 const CLIENT_FLAGS: &[&str] =
     &["connect", "workload", "stats", "shutdown", "retry", "retry-base-ms"];
 
@@ -247,7 +246,8 @@ mod tests {
         // over NLRNL); `--cache-entires` is a misspelling. Retired flags —
         // `index --out`, `query --index`/`--parallel`, the graph layout
         // flag (spelled in two pieces so its name appears in the tree
-        // only as this rejected case) — must fail naming the flag.
+        // only as this rejected case), `--max-inflight` — must fail
+        // naming the flag.
         for argv_parts in [
             &["index", "--edges", "e.txt", "--bundle", "b", "--oracle", "nlrnl"][..],
             &["index", "--edges", "e.txt", "--out", "i.idx"][..],
@@ -260,6 +260,7 @@ mod tests {
             &["serve", "--bind", "127.0.0.1:0", "--bitmap-threshold", "0"][..],
             &["batch", "--workload", "w.txt", "--cache-entires", "64"][..],
             &["batch", "--workload", "w.txt", "--max-inflight", "1"][..],
+            &["serve", "--bind", "127.0.0.1:0", "--max-inflight", "1"][..],
             &["query", "--terms", "a", "--gamma", "0.5"][..],
         ] {
             // Each case ends in `--flag value`.

@@ -3,9 +3,9 @@
 //! Exit codes: `0` — success, every answer exact; `3` — the command ran
 //! but at least one answer was degraded (deadline/budget best-so-far)
 //! or failed; `4` — `ktg serve --connect` saw at least one query shed
-//! unsolved by the server's admission gauge (`--max-inflight`, or a
-//! drain; shedding wins over degradation so load problems are never
-//! misread as answer-quality problems); `2` — usage or runtime error.
+//! unsolved by a draining server (shedding wins over degradation so
+//! load problems are never misread as answer-quality problems); `2` —
+//! usage or runtime error.
 
 fn main() {
     // Under fault injection every injected panic is caught and retried
@@ -44,8 +44,7 @@ fn main() {
             eprintln!("           [--cache-entries N] [--no-cache] [--deadline-ms N]");
             eprintln!("           [--node-budget N]");
             eprintln!("  serve    --edges FILE [--keywords FILE] [--bind ADDR] [--workers N]");
-            eprintln!("           [--max-inflight N] [--conn-deadline-ms N]");
-            eprintln!("           [--wal FILE [--wal-sync always|batch]");
+            eprintln!("           [--conn-deadline-ms N] [--wal FILE [--wal-sync always|batch]");
             eprintln!("           [--checkpoint-every N]] (plus the batch cache/budget flags;");
             eprintln!("           --threads is accepted and ignored: lines run on the --workers pool)");
             eprintln!("  serve    --connect ADDR [--workload FILE] [--stats] [--shutdown]");

@@ -23,7 +23,7 @@ use std::path::Path;
 /// Dispatches a parsed command line, reporting whether every answer was
 /// exact ([`RunStatus::Complete`]), some were degraded or failed
 /// ([`RunStatus::Degraded`] — the binary exits 3), or some were shed by
-/// admission control ([`RunStatus::Overloaded`] — exit 4, taking
+/// a draining server ([`RunStatus::Overloaded`] — exit 4, taking
 /// precedence over degradation).
 pub fn dispatch(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
     match args.command {
@@ -269,8 +269,7 @@ fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
             ItemOutcome::Ktg(ans) => degraded += usize::from(!ans.status.is_exact()),
             ItemOutcome::Dktg(ans) => degraded += usize::from(!ans.status.is_exact()),
             ItemOutcome::Failed { .. } => failed += 1,
-            // Only a server's admission gauge sheds; a session never does.
-            ItemOutcome::Update { .. } | ItemOutcome::Overloaded => {}
+            ItemOutcome::Update { .. } => {}
         }
         write_outcome(out, i + 1, outcome, 0)?;
     }
@@ -294,14 +293,14 @@ fn batch_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
 
 /// Writes the canonical rendering of one workload outcome — the shared
 /// answer text of `ktg batch` and of every `ktg serve` TCP response
-/// (the differential suite holds the two byte-identical). `max_inflight`
-/// is the server's admission bound, named in a shed line; callers that
-/// never shed pass 0.
+/// (the differential suite holds the two byte-identical). `_retired` is
+/// ignored: it named the server's `--max-inflight` bound in a shed line,
+/// and every caller passes 0.
 pub fn write_outcome(
     out: &mut dyn Write,
     lineno: usize,
     outcome: &ItemOutcome,
-    max_inflight: usize,
+    _retired: usize,
 ) -> Result<()> {
     let status_marker = |status: &CompletionStatus| {
         if status.is_exact() { String::new() } else { format!(" [{status}]") }
@@ -347,13 +346,6 @@ pub fn write_outcome(
         }
         ItemOutcome::Failed { reason } => {
             writeln!(out, "[{lineno}] failed: {reason}")?;
-        }
-        ItemOutcome::Overloaded => {
-            writeln!(
-                out,
-                "[{lineno}] {}",
-                KtgError::overloaded(format!("shed by --max-inflight {max_inflight}"))
-            )?;
         }
     }
     Ok(())
@@ -878,8 +870,8 @@ ktg terms=t0,t2,t3 p=2 k=1 n=2
             "--keywords", keywords.to_str().unwrap(),
             "--threads", "1",
         ];
-        // Batch solves every query: the admission bound is the server's
-        // alone, and batch refuses the flag (exit 2) naming it.
+        // Batch solves every query and sheds none: it refuses the
+        // retired admission-bound flag (exit 2), naming it.
         let mut capped = base.to_vec();
         capped.extend(["--max-inflight", "1"]);
         match run_with_status(&capped) {

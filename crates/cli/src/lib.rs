@@ -14,7 +14,7 @@
 //! ktg batch    --workload queries.txt --edges data/edges.txt \
 //!              --keywords data/keywords.txt --threads 4 --cache-entries 4096
 //! ktg serve    --edges data/edges.txt --keywords data/keywords.txt \
-//!              --bind 127.0.0.1:7433 --workers 4 --max-inflight 3
+//!              --bind 127.0.0.1:7433 --workers 4
 //! ktg serve    --connect 127.0.0.1:7433 --workload queries.txt
 //! ```
 //!
@@ -41,11 +41,10 @@ pub enum RunStatus {
     /// code 3 so scripts can tell "valid but partial" from success (0)
     /// and error (2).
     Degraded,
-    /// At least one query was shed unsolved by a server's admission
-    /// gauge (`ktg serve --max-inflight`, or a drain), as seen by
-    /// `ktg serve --connect`. The binary maps this to exit code 4 — distinct
-    /// from 3 because shedding is a capacity decision, not an answer
-    /// quality one, and a retry against an idle server would succeed.
+    /// At least one query was shed unsolved by a draining server, as
+    /// seen by `ktg serve --connect`. The binary maps this to exit code
+    /// 4 — distinct from 3 because shedding is a capacity decision, not
+    /// an answer quality one, and a retry after `/resume` would succeed.
     /// Shedding takes precedence over degradation when both occur.
     Overloaded,
 }

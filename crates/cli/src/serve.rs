@@ -49,16 +49,14 @@
 //! the write lock through [`ServeSession::apply_item`] — the same
 //! "updates are serialization points" semantics the batch executor has,
 //! extended across connections. The WAL state sits behind a [`Mutex`],
-//! always taken after the session lock. Counters, the admission gauge
+//! always taken after the session lock. Counters, the in-flight gauge
 //! and the latency histogram are atomics.
 //!
-//! Admission control is a global in-flight gauge, counted always and
-//! reported as `/stats` `inflight`: when `--max-inflight` queries are
-//! already executing (or the server is draining), a new query is refused
-//! with a structured `overloaded` response — the connection stays open
-//! and the client can retry — never by dropping the connection. Each
-//! worker runs one line at a time, so at most `--workers` queries are in
-//! flight and only a bound below `--workers` can shed.
+//! Each worker runs one line at a time, so at most `--workers` queries
+//! execute at once; `/stats` `inflight` reports how many do. While the
+//! server is draining, a new query is refused with a structured
+//! `overloaded` response — the connection stays open and the client can
+//! retry after `/resume` — never by dropping the connection.
 //! Per-connection wall-clock deadlines ride on the existing
 //! [`CancelToken`], polled between requests.
 //!
@@ -178,15 +176,13 @@ impl ServerStats {
             ItemOutcome::Failed { .. } => {
                 self.failed.fetch_add(1, Ordering::Relaxed);
             }
-            ItemOutcome::Overloaded => {
-                self.overloaded.fetch_add(1, Ordering::Relaxed);
-            }
             _ => {}
         }
         self.latency[latency_bucket(latency_ns)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A shed item: counted, but no latency sample (nothing executed).
+    /// A query shed while draining: counted, but no latency sample
+    /// (nothing executed).
     fn record_shed(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -239,15 +235,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub bind: String,
     /// Connection-serving worker threads; `0` = auto
-    /// ([`worker_count`], honoring `KTG_THREADS`).
+    /// ([`worker_count`], honoring `KTG_THREADS`). Each worker runs one
+    /// line at a time, so this also bounds the queries executing at once.
     pub workers: usize,
-    /// Admission bound: at most this many queries execute at once across
-    /// all connections; the excess is shed as [`ItemOutcome::Overloaded`]
-    /// (edge updates are never shed — dropping one would silently fork
-    /// the graph state). `0` means unbounded. Each worker runs one line
-    /// at a time, so at most `workers` queries execute at once and only
-    /// a bound below `workers` can shed.
-    pub max_inflight: usize,
     /// Per-connection wall-clock deadline in milliseconds, polled
     /// between requests; `None` = connections live until EOF.
     pub conn_deadline_ms: Option<u64>,
@@ -262,7 +252,6 @@ impl Default for ServeConfig {
         ServeConfig {
             bind: "127.0.0.1:0".to_string(),
             workers: 0,
-            max_inflight: 0,
             conn_deadline_ms: None,
             wal: None,
             options: ServeOptions::default(),
@@ -296,15 +285,6 @@ pub struct RecoveryInfo {
     pub torn_tail: bool,
 }
 
-/// Why [`Shared::try_admit`] refused a query.
-#[derive(Debug)]
-enum Shed {
-    /// `/drain` is in effect until `/resume`.
-    Draining,
-    /// `--max-inflight` queries are already executing.
-    Inflight,
-}
-
 /// State shared by the worker pool: the server's two locks (session,
 /// then WAL) and its atomics.
 struct Shared {
@@ -314,8 +294,8 @@ struct Shared {
     draining: AtomicBool,
     /// Durable update log (`--wal`); see [`WalState`] for lock order.
     wal: Option<Mutex<WalState>>,
+    /// Queries executing now, reported as `/stats` `inflight`.
     inflight: AtomicUsize,
-    max_inflight: usize,
     conn_deadline_ms: Option<u64>,
     /// The bound address, kept so shutdown can poke every worker out of
     /// its blocking `accept` with throwaway loopback connections.
@@ -339,33 +319,19 @@ impl Shared {
         }
     }
 
-    /// Tries to claim an admission slot for one query, naming the
-    /// reason when it refuses: draining, or `max_inflight` queries
-    /// already executing. The gauge counts every admitted query, bounded
-    /// or not, so `/stats` always reports what is executing.
-    fn try_admit(&self) -> std::result::Result<(), Shed> {
+    /// Admits one query unless the server is draining, counting it in
+    /// the in-flight gauge until [`Shared::release_admission`]. The
+    /// gauge only reports, it guards nothing, so `Relaxed` suffices.
+    fn try_admit(&self) -> bool {
         if self.draining.load(Ordering::Relaxed) {
-            return Err(Shed::Draining);
+            return false;
         }
-        let mut current = self.inflight.load(Ordering::Relaxed);
-        loop {
-            if self.max_inflight != 0 && current >= self.max_inflight {
-                return Err(Shed::Inflight);
-            }
-            match self.inflight.compare_exchange(
-                current,
-                current + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(actual) => current = actual,
-            }
-        }
+        self.inflight.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     fn release_admission(&self) {
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn begin_shutdown(&self) {
@@ -503,7 +469,6 @@ pub fn start_with_index(
         draining: AtomicBool::new(false),
         wal: wal_state,
         inflight: AtomicUsize::new(0),
-        max_inflight: cfg.max_inflight,
         conn_deadline_ms: cfg.conn_deadline_ms,
         addr,
         workers,
@@ -658,29 +623,17 @@ fn handle_line(
     *items_seen += 1;
     let lineno = *items_seen;
     let outcome = if item.is_query() {
-        match shared.try_admit() {
-            // A drain shed names the drain: the batch's rendering names
-            // the `--max-inflight` bound, which did not refuse it.
-            Err(Shed::Draining) => {
-                shared.stats.record_shed();
-                let msg = format!(
-                    "[{lineno}] {}",
-                    KtgError::overloaded("shed while draining, until /resume")
-                );
-                return respond(&shared.stats, writer, &[msg.as_str()]);
-            }
-            Err(Shed::Inflight) => {
-                shared.stats.record_shed();
-                ItemOutcome::Overloaded
-            }
-            Ok(()) => {
-                let timer = Stopwatch::start();
-                let outcome = shared.read_session().answer_query(&item);
-                shared.release_admission();
-                shared.stats.record(timer.elapsed_nanos(), &outcome);
-                outcome
-            }
+        if !shared.try_admit() {
+            shared.stats.record_shed();
+            let msg =
+                format!("[{lineno}] {}", KtgError::overloaded("shed while draining, until /resume"));
+            return respond(&shared.stats, writer, &[msg.as_str()]);
         }
+        let timer = Stopwatch::start();
+        let outcome = shared.read_session().answer_query(&item);
+        shared.release_admission();
+        shared.stats.record(timer.elapsed_nanos(), &outcome);
+        outcome
     } else {
         // Edge update: the cross-connection serialization point. The
         // write lock is taken *before* the WAL append so log order
@@ -709,7 +662,7 @@ fn handle_line(
         outcome
     };
     let mut block = Vec::new();
-    if write_outcome(&mut block, lineno, &outcome, shared.max_inflight).is_err() {
+    if write_outcome(&mut block, lineno, &outcome, 0).is_err() {
         return LineOutcome::Close;
     }
     let text = String::from_utf8_lossy(&block);
@@ -939,7 +892,6 @@ pub(crate) fn serve_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunSta
     let cfg = ServeConfig {
         bind: args.optional("bind").unwrap_or("127.0.0.1:0").to_string(),
         workers: args.num_or("workers", 0)?,
-        max_inflight: args.num_or("max-inflight", 0)?,
         conn_deadline_ms,
         wal,
         options,
@@ -950,7 +902,6 @@ pub(crate) fn serve_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunSta
     } else {
         "off".to_string()
     };
-    let max_inflight = cfg.max_inflight;
     let handle = start_with_index(net, cfg, preloaded)?;
     if let Some(info) = handle.recovered() {
         // Greppable recovery report for scripts and the CI crash smoke.
@@ -966,7 +917,7 @@ pub(crate) fn serve_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunSta
     // smoke) parse the ephemeral port out of it.
     writeln!(
         out,
-        "serving on {} ({workers} workers, cache {cache}, max-inflight {max_inflight})",
+        "serving on {} ({workers} workers, cache {cache})",
         handle.addr()
     )?;
     out.flush()?;
@@ -1177,10 +1128,7 @@ mod tests {
         options: ServeOptions,
         conn_deadline_ms: Option<u64>,
     ) -> (ServerHandle, LineReader<TcpStream>, TcpStream) {
-        boot_cfg(ServeConfig { workers: 2, conn_deadline_ms, options, ..ServeConfig::default() })
-    }
-
-    fn boot_cfg(cfg: ServeConfig) -> (ServerHandle, LineReader<TcpStream>, TcpStream) {
+        let cfg = ServeConfig { workers: 2, conn_deadline_ms, options, ..ServeConfig::default() };
         let handle = start(fixtures::figure1(), cfg).unwrap();
         let stream = TcpStream::connect(handle.addr()).unwrap();
         let writer = stream.try_clone().unwrap();
@@ -1206,13 +1154,13 @@ mod tests {
 
     const PAPER_QUERY: &str = "ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2";
 
-    /// The in-flight gauge counts on an unbounded server too: `/stats`
-    /// reports the queries executing, not a constant 0.
+    /// `/stats` `inflight` reports the queries executing, not a
+    /// constant 0.
     #[test]
     fn unbounded_gauge_counts_admitted_queries() {
         let opts = ServeOptions { threads: 1, ..ServeOptions::default() };
         let (handle, mut reader, mut writer) = boot(opts, None);
-        assert!(handle.shared.try_admit().is_ok());
+        assert!(handle.shared.try_admit());
         let block = request(&mut reader, &mut writer, "/stats");
         assert!(block[0].contains("\"inflight\":1,"), "{block:?}");
         handle.shared.release_admission();
@@ -1271,17 +1219,13 @@ mod tests {
 
     #[test]
     fn stats_drain_resume_and_shutdown_controls() {
-        let (handle, mut reader, mut writer) = boot_cfg(ServeConfig {
-            workers: 2,
-            max_inflight: 4,
-            options: ServeOptions { threads: 1, ..ServeOptions::default() },
-            ..ServeConfig::default()
-        });
+        let opts = ServeOptions { threads: 1, ..ServeOptions::default() };
+        let (handle, mut reader, mut writer) = boot(opts, None);
         let answered = request(&mut reader, &mut writer, PAPER_QUERY);
         assert!(answered[0].starts_with("[1] ktg:"), "{answered:?}");
         // Drain: queries shed with an overloaded line that names the
-        // drain, not the in-flight bound; updates still apply (dropping
-        // them would fork the graph state).
+        // drain; updates still apply (dropping them would fork the graph
+        // state).
         let block = request(&mut reader, &mut writer, "/drain");
         assert!(block[0].starts_with("draining"), "{block:?}");
         let shed = request(&mut reader, &mut writer, PAPER_QUERY);

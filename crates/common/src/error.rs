@@ -20,8 +20,8 @@ pub enum KtgError {
     InvalidInput(String),
     /// An index was asked about a graph it was not built for.
     IndexMismatch(String),
-    /// The serving layer refused work beyond its admission bound
-    /// (`max_inflight`) instead of queueing it unboundedly.
+    /// A draining server (`/drain`, until `/resume`) refused a query
+    /// unsolved; a retry once it serves again can succeed.
     Overloaded(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
@@ -103,8 +103,8 @@ mod tests {
 
     #[test]
     fn overloaded_display() {
-        let err = KtgError::overloaded("admission bound of 4 reached");
-        assert_eq!(err.to_string(), "overloaded: admission bound of 4 reached");
+        let err = KtgError::overloaded("shed while draining, until /resume");
+        assert_eq!(err.to_string(), "overloaded: shed while draining, until /resume");
         assert!(err.source().is_none());
     }
 }

@@ -123,10 +123,6 @@ pub enum ItemOutcome {
         /// Human-readable panic payload of the final attempt.
         reason: String,
     },
-    /// Shed unsolved by the network server's admission gauge
-    /// (`ktg serve --max-inflight`, or a drain; see
-    /// [`ktg_common::KtgError::Overloaded`]). A session never sheds.
-    Overloaded,
 }
 
 /// What a cached entry stores: exactly the result-bearing fields, never

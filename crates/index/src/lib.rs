@@ -6,7 +6,7 @@
 //! The k-line filtering step of the branch-and-bound search asks one
 //! question over and over: *is the social distance of `u` and `v` greater
 //! than the tenuity constraint `k`?* ([`DistanceOracle::farther_than`]).
-//! Three implementations answer it:
+//! Four implementations answer it:
 //!
 //! * [`BfsOracle`] — no index: a hop-bounded BFS per (source, k), memoized
 //!   for the repeated-source access pattern of k-line filtering. The
@@ -35,9 +35,9 @@
 //! oracle probes entirely for small-to-medium candidate sets.
 //! [`rows::NeighborhoodCache`] is its memoizing twin for batched query
 //! serving: per-`(vertex, k)` conflict rows are cached across queries
-//! (sharded, bounded, and cleared by the session on every applied graph
-//! update) and remapped onto each query's candidate index space by
-//! [`rows::conflict_bitmaps_cached`].
+//! (sharded and bounded; after an applied graph update the session drops
+//! exactly the rows the edit can reach, see [`rows`]) and remapped onto
+//! each query's candidate index space by [`rows::conflict_bitmaps_cached`].
 
 
 #![forbid(unsafe_code)]

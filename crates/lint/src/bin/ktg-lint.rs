@@ -1,48 +1,35 @@
-//! `ktg-lint` — run the workspace lints against the ratchet baseline.
+//! `ktg-lint` — run the workspace lints; any finding fails.
 //!
 //! ```text
-//! ktg-lint [--root DIR] [--update-baseline] [--update-atomics]
-//!          [--list] [--json] [--explain L<N>]
+//! ktg-lint [--root DIR] [--update-atomics] [--json] [--explain L<N>]
 //! ```
 //!
-//! * default: scan, compare with `tools/lint-baseline.txt`, print every
-//!   finding in regressed `(lint, file)` pairs, exit 1 on regression.
-//! * `--update-baseline`: rewrite the baseline to the current findings
-//!   (use after *fixing* violations; CI diffs will show any loosening).
+//! * default: scan, print every finding on stderr, exit 1 if there is
+//!   any.
 //! * `--update-atomics`: rewrite `tools/atomics-allowlist.txt` from the
 //!   workspace's current `Ordering::` sites (L8). Review the diff — an
 //!   ordering change is a memory-model decision.
-//! * `--list`: print every finding (including baselined ones) and the
-//!   per-lint totals; always exits 0. For exploration, not gating.
-//! * `--json`: emit the run as one JSON object on stdout (findings,
-//!   per-lint totals, regression count, timing) — the CI artifact form.
-//!   Exit code still reflects the ratchet.
+//! * `--json`: emit the run as one JSON object on stdout (pass verdict,
+//!   timing, per-lint totals, findings) — the CI artifact form. The exit
+//!   code is the default run's.
 //! * `--explain L7`: print a lint's rule and rationale.
 
-use ktg_lint::lints::{atomics, ALL_LINTS};
-use ktg_lint::{baseline, walk, ATOMICS_PATH, BASELINE_PATH};
+use ktg_lint::lints::ALL_LINTS;
+use ktg_lint::{walk, Finding, Lint, ATOMICS_PATH};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 struct Options {
     root: Option<PathBuf>,
-    update_baseline: bool,
     update_atomics: bool,
-    list: bool,
     json: bool,
     explain: Option<String>,
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        root: None,
-        update_baseline: false,
-        update_atomics: false,
-        list: false,
-        json: false,
-        explain: None,
-    };
+    let mut opts = Options { root: None, update_atomics: false, json: false, explain: None };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -50,9 +37,7 @@ fn parse_args() -> Result<Options, String> {
                 let dir = args.next().ok_or("--root requires a directory")?;
                 opts.root = Some(PathBuf::from(dir));
             }
-            "--update-baseline" => opts.update_baseline = true,
             "--update-atomics" => opts.update_atomics = true,
-            "--list" => opts.list = true,
             "--json" => opts.json = true,
             "--explain" => {
                 let id = args.next().ok_or("--explain requires a lint id (e.g. L7)")?;
@@ -60,8 +45,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: ktg-lint [--root DIR] [--update-baseline] [--update-atomics] \
-                     [--list] [--json] [--explain L<N>]"
+                    "usage: ktg-lint [--root DIR] [--update-atomics] [--json] [--explain L<N>]"
                         .into(),
                 )
             }
@@ -85,7 +69,7 @@ fn run() -> Result<ExitCode, String> {
     let opts = parse_args()?;
 
     if let Some(id) = &opts.explain {
-        let Some(lint) = ktg_lint::Lint::from_id(id) else {
+        let Some(lint) = Lint::from_id(id) else {
             let known: Vec<&str> = ALL_LINTS.iter().map(|l| l.id()).collect();
             return Err(format!("unknown lint `{id}` — known: {}", known.join(" ")));
         };
@@ -105,10 +89,7 @@ fn run() -> Result<ExitCode, String> {
     };
 
     if opts.update_atomics {
-        let (sources, _) = ktg_lint::load_workspace(&root).map_err(|e| e.to_string())?;
-        let paths: Vec<String> = sources.iter().map(|s| s.path.clone()).collect();
-        let asts: Vec<_> = sources.iter().map(|s| ktg_lint::parser::parse(&s.text)).collect();
-        let allow = atomics::Allowlist::collect(&paths, &asts);
+        let allow = ktg_lint::collect_atomics_allowlist(&root).map_err(|e| e.to_string())?;
         let file = root.join(ATOMICS_PATH);
         std::fs::write(&file, allow.render())
             .map_err(|e| format!("writing {}: {e}", file.display()))?;
@@ -118,103 +99,37 @@ fn run() -> Result<ExitCode, String> {
 
     let started = Instant::now();
     let findings = ktg_lint::scan_workspace(&root).map_err(|e| e.to_string())?;
-    let current = baseline::count(&findings);
-
-    if opts.list {
-        for f in &findings {
-            println!("{f}");
-        }
-        for (lint, total) in per_lint_totals(&current) {
-            println!("total [{} {}]: {total}", lint.id(), lint.name());
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let baseline_file = root.join(BASELINE_PATH);
-    if opts.update_baseline {
-        std::fs::write(&baseline_file, baseline::render(&current))
-            .map_err(|e| format!("writing {}: {e}", baseline_file.display()))?;
-        println!(
-            "ktg-lint: baseline rewritten with {} findings across {} fingerprints",
-            findings.len(),
-            current.len()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let base = match std::fs::read_to_string(&baseline_file) {
-        Ok(text) => baseline::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(format!(
-                "no baseline at {} — run with --update-baseline to create it",
-                baseline_file.display()
-            ))
-        }
-        Err(e) => return Err(format!("reading {}: {e}", baseline_file.display())),
-    };
-
-    let cmp = ktg_lint::compare(&current, &base);
+    let code = if findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
 
     if opts.json {
         let elapsed_ms = started.elapsed().as_millis();
-        println!("{}", render_json(&findings, &current, &cmp, elapsed_ms));
-        return Ok(if cmp.is_pass() { ExitCode::SUCCESS } else { ExitCode::FAILURE });
+        println!("{}", render_json(&findings, elapsed_ms));
+        return Ok(code);
     }
 
-    if !cmp.is_pass() {
-        // Show every finding in each regressed fingerprint, so the
-        // offending lines are directly clickable.
-        for (lint, path, fp, _, _) in &cmp.regressions {
-            for f in findings
-                .iter()
-                .filter(|f| f.lint == *lint && &f.path == path && &f.fingerprint == fp)
-            {
-                eprintln!("{f}");
-            }
+    if findings.is_empty() {
+        println!("ktg-lint: PASS — no findings");
+    } else {
+        for f in &findings {
+            eprintln!("{f}");
         }
-        eprint!("{cmp}");
-        eprintln!("ktg-lint: FAIL — {} regression(s)", cmp.regressions.len());
-        return Ok(ExitCode::FAILURE);
+        eprintln!("ktg-lint: FAIL — {} finding(s)", findings.len());
     }
-    if !cmp.improvements.is_empty() {
-        print!("{cmp}");
-        println!("ktg-lint: baseline is stale — run `ktg-lint --update-baseline` to ratchet down");
-    }
-    println!(
-        "ktg-lint: PASS — {} findings, all within the committed baseline ({} fingerprints)",
-        findings.len(),
-        current.len()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn per_lint_totals(current: &baseline::Counts) -> Vec<(ktg_lint::Lint, usize)> {
-    let mut per_lint: Vec<(ktg_lint::Lint, usize)> = Vec::new();
-    for ((lint, _, _), n) in current {
-        match per_lint.iter_mut().find(|(l, _)| l == lint) {
-            Some((_, total)) => *total += n,
-            None => per_lint.push((*lint, *n)),
-        }
-    }
-    per_lint
+    Ok(code)
 }
 
 /// Hand-rolled JSON (the dependency budget excludes serde): one object
-/// with the pass verdict, every finding, per-lint totals, and timing.
-fn render_json(
-    findings: &[ktg_lint::Finding],
-    current: &baseline::Counts,
-    cmp: &ktg_lint::Comparison,
-    elapsed_ms: u128,
-) -> String {
+/// with the pass verdict, timing, per-lint totals, and every finding.
+fn render_json(findings: &[Finding], elapsed_ms: u128) -> String {
+    let mut totals: BTreeMap<Lint, usize> = BTreeMap::new();
+    for f in findings {
+        *totals.entry(f.lint).or_insert(0) += 1;
+    }
     let mut out = String::with_capacity(findings.len() * 160 + 256);
     out.push_str("{\n");
-    out.push_str(&format!("  \"pass\": {},\n", cmp.is_pass()));
-    out.push_str(&format!("  \"regressions\": {},\n", cmp.regressions.len()));
-    out.push_str(&format!("  \"improvements\": {},\n", cmp.improvements.len()));
+    out.push_str(&format!("  \"pass\": {},\n", findings.is_empty()));
     out.push_str(&format!("  \"elapsed_ms\": {elapsed_ms},\n"));
     out.push_str("  \"totals\": {");
-    let totals = per_lint_totals(current);
     for (i, (lint, total)) in totals.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -225,12 +140,11 @@ fn render_json(
     for (i, f) in findings.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"lint\": \"{}\", \"name\": \"{}\", \"path\": {}, \"line\": {}, \
-             \"fingerprint\": \"{}\", \"message\": {}, \"snippet\": {}}}{}\n",
+             \"message\": {}, \"snippet\": {}}}{}\n",
             f.lint.id(),
             f.lint.name(),
             json_str(&f.path),
             f.line,
-            f.fingerprint,
             json_str(&f.message),
             json_str(&f.snippet),
             if i + 1 < findings.len() { "," } else { "" },

@@ -36,16 +36,13 @@
 //! item/block parser ([`parser`]), a per-block scope model for lock
 //! guards ([`scopes`]), and a workspace call graph ([`callgraph`]).
 //!
-//! Pre-existing violations live in a committed ratchet baseline
-//! ([`baseline`], `tools/lint-baseline.txt`), keyed by per-violation
-//! fingerprints: the pass fails only on *regressions*, and `ktg-lint
-//! --update-baseline` drops stale entries after cleanups. See
-//! `DESIGN.md` §16 for the workflow.
+//! The pass fails on any finding; there is no baseline of tolerated
+//! violations. See `DESIGN.md` §10 for the gate and §16 for the
+//! workflow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod lints;
@@ -53,15 +50,11 @@ pub mod parser;
 pub mod scopes;
 pub mod walk;
 
-pub use baseline::{compare, Comparison, Counts};
 pub use lints::manifest::check as check_manifest;
 pub use lints::{analyze, check_rust_source, Finding, Lint, SourceFile};
 
 use std::io;
 use std::path::Path;
-
-/// The committed baseline location, relative to the workspace root.
-pub const BASELINE_PATH: &str = "tools/lint-baseline.txt";
 
 /// The committed atomic-ordering allowlist (L8), relative to the
 /// workspace root.
@@ -91,6 +84,15 @@ pub fn load_atomics_allowlist(root: &Path) -> Result<lints::atomics::Allowlist, 
     }
 }
 
+/// The allowlist covering exactly the workspace's current atomic
+/// `Ordering::` sites: what `ktg-lint --update-atomics` writes.
+pub fn collect_atomics_allowlist(root: &Path) -> io::Result<lints::atomics::Allowlist> {
+    let (sources, _) = load_workspace(root)?;
+    let paths: Vec<String> = sources.iter().map(|s| s.path.clone()).collect();
+    let asts: Vec<_> = sources.iter().map(|s| parser::parse(&s.text)).collect();
+    Ok(lints::atomics::Allowlist::collect(&paths, &asts))
+}
+
 /// Lints every Rust source and manifest under `root`, returning all
 /// findings sorted by path and line.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
@@ -103,37 +105,33 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 mod tests {
     use super::*;
 
-    /// The ratchet, enforced from `cargo test` as well as from CI: a
-    /// regression against the committed baseline fails the test suite of
-    /// the lint crate itself.
+    /// The gate, enforced from `cargo test` as well as from CI: any
+    /// finding in the workspace fails the lint crate's own test suite.
     #[test]
-    fn workspace_is_clean_against_committed_baseline() {
+    fn workspace_has_no_findings() {
         let root = walk::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
             .expect("workspace root");
         let findings = scan_workspace(&root).expect("workspace scan");
-        let current = baseline::count(&findings);
-        let text = std::fs::read_to_string(root.join(BASELINE_PATH))
-            .expect("committed baseline exists");
-        let base = baseline::parse(&text).expect("baseline parses");
-        let cmp = compare(&current, &base);
         assert!(
-            cmp.is_pass(),
-            "lint regressions against {BASELINE_PATH}:\n{cmp}\nfindings:\n{}",
-            findings
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
+            findings.is_empty(),
+            "ktg-lint findings:\n{}",
+            findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
         );
     }
 
-    /// The committed atomics allowlist must parse and stay in sync:
-    /// stale entries (sites that no longer exist) are tolerated by L8
-    /// but flagged here so the file cannot rot.
+    /// L8 tolerates stale and over-counted allowlist entries, and each
+    /// one pre-approves a later ordering at its site without review; so
+    /// the committed file must be exactly its regeneration.
     #[test]
-    fn atomics_allowlist_parses() {
+    fn atomics_allowlist_equals_its_regeneration() {
         let root = walk::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
             .expect("workspace root");
-        load_atomics_allowlist(&root).expect("allowlist parses");
+        let committed =
+            std::fs::read_to_string(root.join(ATOMICS_PATH)).expect("committed allowlist");
+        let current = collect_atomics_allowlist(&root).expect("workspace scan").render();
+        assert_eq!(
+            committed, current,
+            "{ATOMICS_PATH} is stale: regenerate it with `ktg-lint --update-atomics`"
+        );
     }
 }

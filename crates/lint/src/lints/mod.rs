@@ -1,13 +1,12 @@
 //! The ten workspace lints.
 //!
 //! Each lint reports [`Finding`]s against a *relative* path (workspace
-//! root = `""`), so results are stable across machines and usable as
-//! ratchet-baseline keys. All Rust-source lints run on the token stream
-//! of [`crate::lexer`] — never on raw text — so string literals, doc
-//! comments and `#[cfg(test)]` modules are classified correctly. The
-//! concurrency lints additionally use the item parser
-//! ([`crate::parser`]), the scope model ([`crate::scopes`]) and the
-//! workspace call graph ([`crate::callgraph`]).
+//! root = `""`), so results are stable across machines. All Rust-source
+//! lints run on the token stream of [`crate::lexer`] — never on raw
+//! text — so string literals, doc comments and `#[cfg(test)]` modules
+//! are classified correctly. The concurrency lints additionally use the
+//! item parser ([`crate::parser`]), the scope model ([`crate::scopes`])
+//! and the workspace call graph ([`crate::callgraph`]).
 //!
 //! | id  | name             | scope                         | rule |
 //! |-----|------------------|-------------------------------|------|
@@ -72,8 +71,7 @@ pub enum Lint {
     CancelThreading,
 }
 
-/// Every lint, in id order — the registry iterated by `--list` and
-/// `--explain`.
+/// Every lint, in id order — the registry `--explain` looks ids up in.
 pub const ALL_LINTS: [Lint; 10] = [
     Lint::RegistryDep,
     Lint::PanicInLib,
@@ -88,7 +86,7 @@ pub const ALL_LINTS: [Lint; 10] = [
 ];
 
 impl Lint {
-    /// Stable short id used in output and the ratchet baseline.
+    /// Stable short id used in output and by `--explain`.
     pub fn id(self) -> &'static str {
         match self {
             Lint::RegistryDep => "L1",
@@ -104,7 +102,7 @@ impl Lint {
         }
     }
 
-    /// Parses a baseline id back into a lint.
+    /// Parses an id (`L7`) back into a lint.
     pub fn from_id(id: &str) -> Option<Lint> {
         ALL_LINTS.into_iter().find(|l| l.id() == id)
     }
@@ -225,22 +223,12 @@ pub struct Finding {
     /// The normalized source line (filled by [`analyze`]; empty for
     /// file-level findings).
     pub snippet: String,
-    /// Per-violation fingerprint over lint + path + snippet (filled by
-    /// [`analyze`]) — the ratchet-baseline key.
-    pub fingerprint: String,
 }
 
 impl Finding {
-    /// A finding with its fingerprint not yet attached.
+    /// A finding with its snippet not yet attached.
     pub fn new(lint: Lint, path: &str, line: u32, message: String) -> Finding {
-        Finding {
-            lint,
-            path: path.to_string(),
-            line,
-            message,
-            snippet: String::new(),
-            fingerprint: String::new(),
-        }
+        Finding { lint, path: path.to_string(), line, message, snippet: String::new() }
     }
 }
 
@@ -326,9 +314,9 @@ pub fn check_rust_source(relpath: &str, source: &str) -> Vec<Finding> {
 
 /// Runs every lint over a whole workspace view: the token passes per
 /// file, the syntactic concurrency passes per library file, and the
-/// call-graph passes across all of them; then attaches snippets and
-/// fingerprints. This is the one entry point both `scan_workspace` and
-/// the fixture-corpus tests use.
+/// call-graph passes across all of them; then attaches snippets. This
+/// is the one entry point both `scan_workspace` and the fixture-corpus
+/// tests use.
 pub fn analyze(
     sources: &[SourceFile],
     manifests: &[SourceFile],
@@ -367,15 +355,13 @@ pub fn analyze(
             .get(f.path.as_str())
             .and_then(|text| snippet_at(text, f.line))
             .unwrap_or_default();
-        f.fingerprint = fingerprint(f.lint, &f.path, &f.snippet);
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
     findings
 }
 
 /// The normalized source line a finding anchors to: trimmed, internal
-/// whitespace collapsed, capped — so reformatting within a line (or a
-/// pure re-indent) keeps the fingerprint stable.
+/// whitespace collapsed, capped at 160 bytes.
 pub fn snippet_at(source: &str, line: u32) -> Option<String> {
     if line == 0 {
         return None;
@@ -401,21 +387,6 @@ pub fn snippet_at(source: &str, line: u32) -> Option<String> {
         out.pop();
     }
     Some(out)
-}
-
-/// The per-violation fingerprint: FNV-1a 64 over lint id, path and
-/// normalized snippet, rendered as 16 hex digits. Line numbers are
-/// deliberately excluded so unrelated edits above a violation do not
-/// churn the baseline.
-pub fn fingerprint(lint: Lint, path: &str, snippet: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in [lint.id(), "\u{0}", path, "\u{0}", snippet] {
-        for b in part.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
 }
 
 /// Whether `code[i..i+2]` is the `::` path separator.
@@ -786,17 +757,7 @@ path = "../index"
         assert_eq!(Lint::from_id("bogus"), None);
     }
 
-    // ---- fingerprints ---------------------------------------------------
-
-    #[test]
-    fn fingerprints_are_stable_and_distinct() {
-        let a = fingerprint(Lint::PanicInLib, "a.rs", "x.unwrap();");
-        assert_eq!(a, fingerprint(Lint::PanicInLib, "a.rs", "x.unwrap();"));
-        assert_ne!(a, fingerprint(Lint::PanicInLib, "b.rs", "x.unwrap();"));
-        assert_ne!(a, fingerprint(Lint::Nondeterminism, "a.rs", "x.unwrap();"));
-        assert_ne!(a, fingerprint(Lint::PanicInLib, "a.rs", "y.unwrap();"));
-        assert_eq!(a.len(), 16);
-    }
+    // ---- snippets -------------------------------------------------------
 
     #[test]
     fn snippets_normalize_whitespace() {
@@ -820,7 +781,6 @@ path = "../index"
         }];
         let findings = analyze(&sources, &manifests, &atomics::Allowlist::default());
         assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().all(|f| f.fingerprint.len() == 16));
         assert!(findings.iter().all(|f| !f.snippet.is_empty()));
         // Sorted by path: the manifest (Cargo.toml) precedes src/algo.rs.
         assert_eq!(findings[0].lint, Lint::RegistryDep);

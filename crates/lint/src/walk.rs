@@ -4,7 +4,7 @@
 //! that finds every Rust source file and every `Cargo.toml` under the
 //! workspace root, skipping build output, VCS metadata and benchmark
 //! artifacts. Paths are returned workspace-relative with `/` separators
-//! and sorted, so lint output and baselines are deterministic.
+//! and sorted, so lint output is deterministic.
 
 use std::fs;
 use std::io;

@@ -70,7 +70,6 @@ fn bad_fixtures_fire_exactly_their_lint() {
             assert_eq!(f.path, relpath);
             assert!(f.line > 0, "{dir}/{file}: finding without a line: {f}");
             assert!(!f.snippet.is_empty(), "{dir}/{file}: finding without a snippet: {f}");
-            assert_eq!(f.fingerprint.len(), 16, "{dir}/{file}: malformed fingerprint: {f}");
         }
     }
 }
@@ -93,21 +92,4 @@ fn good_fixtures_are_clean() {
         let findings = run(lint, relpath, text, &allow);
         assert!(findings.is_empty(), "{dir}/{file} must be clean: {findings:#?}");
     }
-}
-
-#[test]
-fn bad_fixture_fingerprints_are_stable_across_unrelated_edits() {
-    // Prepending a comment shifts every line; the fingerprint (path +
-    // normalized snippet) must survive, or baselines would churn.
-    let (id, dir, relpath) = CASES[1]; // L2
-    let lint = Lint::from_id(id).expect("known lint id");
-    let text = read_fixture(dir, "bad.rs");
-    let shifted = format!("// an unrelated leading comment\n{text}");
-    let a = run(lint, relpath, text, &Allowlist::default());
-    let b = run(lint, relpath, shifted, &Allowlist::default());
-    let fp = |fs: &[ktg_lint::Finding]| -> BTreeSet<String> {
-        fs.iter().map(|f| f.fingerprint.clone()).collect()
-    };
-    assert_eq!(fp(&a), fp(&b), "line shifts must not change fingerprints");
-    assert_ne!(a[0].line, b[0].line, "the line itself did move");
 }

@@ -248,12 +248,11 @@ fn degraded_answers_render_identically_over_tcp() {
 }
 
 /// Overloaded axis: a draining server sheds queries with an
-/// `overloaded` line that names the drain (with or without an admission
-/// bound, with the same lineno numbering as a shed batch item), keeps
-/// applying updates, and resumes answering after `/resume`. `/stats`
-/// reports the shed count.
+/// `overloaded` line that names the drain and still consumes the item's
+/// position, keeps applying updates, and resumes answering after
+/// `/resume`. `/stats` reports the shed count.
 #[test]
-fn drained_server_sheds_with_the_batch_overloaded_line() {
+fn drained_server_sheds_queries_until_resume() {
     let _guard = fault_lock().lock().unwrap();
     let net = random_network(22, 0.25, 8, 4, 53);
     let script = wire_script(&net, 0x0DD5);
@@ -262,51 +261,41 @@ fn drained_server_sheds_with_the_batch_overloaded_line() {
         .find(|l| l.starts_with("ktg "))
         .expect("script has a ktg line")
         .clone();
-    for max_inflight in [2usize, 0] {
-        let options = ServeOptions { threads: 1, ..ServeOptions::default() };
-        let cfg = ServeConfig { workers: 2, max_inflight, options, ..ServeConfig::default() };
-        let handle = start(net.clone(), cfg).expect("bind loopback server");
-        let (mut writer, mut reader) = connect(&handle);
+    let handle = boot(&net, 2, ServeOptions { threads: 1, ..ServeOptions::default() });
+    let (mut writer, mut reader) = connect(&handle);
 
-        // A sequential connection never exceeds one in-flight query, so
-        // the gauge alone cannot shed here: answered normally.
-        let block = request(&mut writer, &mut reader, &query);
-        assert!(block.starts_with("[1] ktg:"), "{block:?}");
-        // Normalize: guarantee edge 0–9 is absent so the drained insert
-        // below is deterministically `applied`.
-        let block = request(&mut writer, &mut reader, "remove 0 9");
-        assert!(block.starts_with("[2] update:"), "{block:?}");
+    let block = request(&mut writer, &mut reader, &query);
+    assert!(block.starts_with("[1] ktg:"), "{block:?}");
+    // Normalize: guarantee edge 0–9 is absent so the drained insert
+    // below is deterministically `applied`.
+    let block = request(&mut writer, &mut reader, "remove 0 9");
+    assert!(block.starts_with("[2] update:"), "{block:?}");
 
-        let block = request(&mut writer, &mut reader, "/drain");
-        assert!(block.starts_with("draining"), "{block:?}");
-        // Shed responses still consume item positions, exactly like a
-        // shed batch item, and the client's exit code 4 keys on
-        // `] overloaded:`.
-        let block = request(&mut writer, &mut reader, &query);
-        assert_eq!(block, "[3] overloaded: shed while draining, until /resume\n");
-        let block = request(&mut writer, &mut reader, "insert 0 9");
-        assert_eq!(block, "[4] update: applied\n", "updates must not be shed");
-        let block = request(&mut writer, &mut reader, &query);
-        assert_eq!(block, "[5] overloaded: shed while draining, until /resume\n");
+    let block = request(&mut writer, &mut reader, "/drain");
+    assert!(block.starts_with("draining"), "{block:?}");
+    // Shed responses still consume item positions, and the client's
+    // exit code 4 keys on `] overloaded:`.
+    let block = request(&mut writer, &mut reader, &query);
+    assert_eq!(block, "[3] overloaded: shed while draining, until /resume\n");
+    let block = request(&mut writer, &mut reader, "insert 0 9");
+    assert_eq!(block, "[4] update: applied\n", "updates must not be shed");
+    let block = request(&mut writer, &mut reader, &query);
+    assert_eq!(block, "[5] overloaded: shed while draining, until /resume\n");
 
-        let block = request(&mut writer, &mut reader, "/resume");
-        assert!(block.starts_with("resumed"), "{block:?}");
-        let block = request(&mut writer, &mut reader, &query);
-        assert!(block.starts_with("[6] ktg:"), "post-resume answer expected: {block:?}");
+    let block = request(&mut writer, &mut reader, "/resume");
+    assert!(block.starts_with("resumed"), "{block:?}");
+    let block = request(&mut writer, &mut reader, &query);
+    assert!(block.starts_with("[6] ktg:"), "post-resume answer expected: {block:?}");
 
-        // The stats line is one flat JSON object counting the shed items.
-        let block = request(&mut writer, &mut reader, "/stats");
-        assert!(block.starts_with("stats: {"), "{block:?}");
-        for field in ["\"overloaded\":2", "\"requests\":6", "\"p95_ns\":", "\"epoch\":"] {
-            assert!(
-                block.contains(field),
-                "max_inflight={max_inflight}: missing {field} in {block:?}"
-            );
-        }
-
-        handle.shutdown();
-        handle.join().expect("server thread");
+    // The stats line is one flat JSON object counting the shed items.
+    let block = request(&mut writer, &mut reader, "/stats");
+    assert!(block.starts_with("stats: {"), "{block:?}");
+    for field in ["\"overloaded\":2", "\"requests\":6", "\"p95_ns\":", "\"epoch\":"] {
+        assert!(block.contains(field), "missing {field} in {block:?}");
     }
+
+    handle.shutdown();
+    handle.join().expect("server thread");
 }
 
 /// Durability axis: a WAL-backed server that dies abruptly halfway

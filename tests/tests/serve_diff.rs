@@ -54,9 +54,6 @@ fn strip(outcomes: &[ItemOutcome]) -> Vec<Answer> {
             ItemOutcome::Failed { reason } => {
                 panic!("differential workload item failed: {reason}")
             }
-            ItemOutcome::Overloaded => {
-                panic!("differential workloads set no admission bound")
-            }
         })
         .collect()
 }
@@ -513,7 +510,7 @@ fn repeated_identical_workload_is_fully_cached_second_time() {
         ItemOutcome::Ktg(a) => a.cached,
         ItemOutcome::Dktg(a) => a.cached,
         ItemOutcome::Update { .. } => true,
-        ItemOutcome::Failed { .. } | ItemOutcome::Overloaded => false,
+        ItemOutcome::Failed { .. } => false,
     }));
 }
 

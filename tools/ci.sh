@@ -3,8 +3,8 @@
 #
 # The build must succeed with no network, no registry cache, and no
 # warnings; the in-tree static analysis pass (ktg-lint) must report no
-# regressions against tools/lint-baseline.txt; and a release-mode smoke
-# query must pass the checked-mode result verifier (KTG_VERIFY=1).
+# findings; and a release-mode smoke query must pass the checked-mode
+# result verifier (KTG_VERIFY=1).
 # Run from anywhere; operates on the repo root.
 
 set -euo pipefail
@@ -126,21 +126,19 @@ if [ "$scale_records" -lt 6 ]; then
 fi
 rm -rf "$bench_out"
 
-echo "== static analysis (ktg-lint L1-L10, fingerprint ratchet vs tools/lint-baseline.txt) =="
-# The JSON run is both the gate and the CI artifact: exit code reflects
-# the per-violation fingerprint ratchet (any L7-L10 concurrency-invariant
-# finding off the baseline fails here), and the report is kept for
-# inspection. The lint must also stay fast enough to run on every push.
+echo "== static analysis (ktg-lint L1-L10: any finding fails) =="
+# The JSON run is both the gate and the CI artifact: ktg-lint exits 1 on
+# any finding, and the report, kept for inspection, is printed when it
+# does. The lint must also stay fast enough to run on every push.
 lint_json="$root/target/ktg-lint.json"
 mkdir -p "$root/target"
 lint_start_ms="$(date +%s%3N)"
-cargo run -q --release --offline -p ktg-lint -- --json > "$lint_json"
-lint_elapsed_ms=$(( $(date +%s%3N) - lint_start_ms ))
-grep -q '"pass": true' "$lint_json" || {
-    echo "FAIL: ktg-lint reported a ratchet regression:" >&2
+if ! cargo run -q --release --offline -p ktg-lint -- --json > "$lint_json"; then
+    echo "FAIL: ktg-lint reported findings (or could not scan):" >&2
     cat "$lint_json" >&2
     exit 1
-}
+fi
+lint_elapsed_ms=$(( $(date +%s%3N) - lint_start_ms ))
 scan_ms="$(sed -n 's/.*"elapsed_ms": \([0-9]*\).*/\1/p' "$lint_json" | head -n1)"
 if [ -z "$scan_ms" ] || [ "$scan_ms" -ge 2000 ]; then
     echo "FAIL: ktg-lint scan took ${scan_ms:-?} ms, budget is < 2000 ms" >&2
