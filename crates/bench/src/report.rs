@@ -167,6 +167,6 @@ mod tests {
         t.row("r", ["2"]);
         let path = t.write_csv(&dir, "t").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "x,1\nr,2\n");
-        fs::remove_file(path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 }

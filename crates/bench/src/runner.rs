@@ -7,7 +7,7 @@
 //! `<search>-<index>`, e.g. `KTG-VKC-DEG-NLRNL`.
 
 use crate::params::Params;
-use ktg_common::{parallel, Result};
+use ktg_common::Result;
 use ktg_core::dktg::{self, DktgQuery};
 use ktg_core::{bb, AttributedGraph, KtgQuery, SearchStats};
 use ktg_datasets::{DatasetProfile, QueryGen};
@@ -158,39 +158,6 @@ impl<'g> Workbench<'g> {
         (start.elapsed(), out.stats, !out.groups.is_empty())
     }
 
-    /// Runs a batch across all cores (throughput mode): per-query latencies
-    /// are not meaningful under contention, so this reports total wall
-    /// time and queries/second instead. The paper measures sequential mean
-    /// latency; this mode exists for workload-replay use cases.
-    ///
-    /// An empty batch is a well-defined no-op: zero elapsed, zero qps.
-    pub fn run_batch_parallel(
-        &self,
-        algo: Algo,
-        batch: &[QueryKeywords],
-        params: &Params,
-        node_budget: Option<u64>,
-    ) -> (Duration, f64) {
-        if batch.is_empty() {
-            return (Duration::ZERO, 0.0);
-        }
-        let chunk = parallel::chunk_size(batch.len(), parallel::worker_count());
-        let start = Instant::now();
-        parallel::scope_join(batch.chunks(chunk).map(|queries| {
-            move || {
-                for q in queries {
-                    let _ = self.run_query(algo, q, params, node_budget);
-                }
-            }
-        }));
-        let elapsed = start.elapsed();
-        // elapsed can quantize to zero on a coarse clock; report 0 qps
-        // rather than a division artifact.
-        let secs = elapsed.as_secs_f64();
-        let qps = if secs > 0.0 { batch.len() as f64 / secs } else { 0.0 };
-        (elapsed, qps)
-    }
-
     /// Runs a whole batch, returning the aggregate measurement. An empty
     /// batch yields the all-zero [`Measurement`] (not a division by zero).
     ///
@@ -284,17 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_runs_all_queries() {
-        let (net, batch) =
-            dataset_with_queries(DatasetProfile::Brightkite, 800, 3, 6, DEFAULTS.wq).unwrap();
-        let bench = Workbench::new(&net);
-        let (elapsed, qps) =
-            bench.run_batch_parallel(Algo::KtgVkcDegNlrnl, &batch, &DEFAULTS, Some(100_000));
-        assert!(elapsed.as_nanos() > 0);
-        assert!(qps > 0.0);
-    }
-
-    #[test]
     fn empty_batch_is_a_zero_measurement() {
         let (net, _) =
             dataset_with_queries(DatasetProfile::Brightkite, 800, 3, 0, DEFAULTS.wq).unwrap();
@@ -304,9 +260,6 @@ mod tests {
         assert_eq!(m.solved, 0);
         assert_eq!(m.mean_latency, Duration::ZERO);
         assert_eq!(m.stats.nodes, 0);
-        let (elapsed, qps) = bench.run_batch_parallel(Algo::KtgVkcDegNlrnl, &[], &DEFAULTS, None);
-        assert_eq!(elapsed, Duration::ZERO);
-        assert_eq!(qps, 0.0);
     }
 
     #[test]

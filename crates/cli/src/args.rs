@@ -75,7 +75,7 @@ const GENERATE_FLAGS: &[&str] = &[
     "chunk-capacity",
 ];
 /// Where a command loads its network from.
-const NETWORK_FLAGS: &[&str] = &["edges", "keywords", "bundle"];
+pub(crate) const NETWORK_FLAGS: &[&str] = &["edges", "keywords", "bundle"];
 const QUERY_FLAGS: &[&str] = &[
     "p", "k", "n", "terms", "random-terms", "seed", "oracle", "algo", "threads",
     "bitmap-threshold", "deadline-ms", "node-budget", "authors", "explain",
@@ -84,11 +84,11 @@ const QUERY_FLAGS: &[&str] = &[
 /// always run the default engine (VKC-DEG, bitmap kernel up to
 /// `DEFAULT_BITMAP_THRESHOLD` candidates); only `query`/`dktg` choose
 /// `--algo` and `--bitmap-threshold`.
-const SESSION_FLAGS: &[&str] =
+pub(crate) const SESSION_FLAGS: &[&str] =
     &["threads", "no-cache", "cache-entries", "deadline-ms", "node-budget"];
-const SERVER_FLAGS: &[&str] =
+pub(crate) const SERVER_FLAGS: &[&str] =
     &["bind", "workers", "conn-deadline-ms", "wal", "wal-sync", "checkpoint-every"];
-const CLIENT_FLAGS: &[&str] =
+pub(crate) const CLIENT_FLAGS: &[&str] =
     &["connect", "workload", "stats", "shutdown", "retry", "retry-base-ms"];
 
 /// A parsed command line: the subcommand plus its flag map.
@@ -172,6 +172,17 @@ impl ParsedArgs {
                 KtgError::input(format!("flag --{name} has a non-numeric value"))
             }),
         }
+    }
+
+    /// Fails naming the first given flag of `groups`: flags the command
+    /// accepts, but that the mode described by `mode` does not read.
+    pub(crate) fn reject(&self, groups: &[&[&str]], mode: &str) -> Result<()> {
+        for name in groups.iter().flat_map(|group| group.iter()) {
+            if self.flags.contains_key(*name) {
+                return Err(KtgError::input(format!("flag '--{name}' is not read by {mode}")));
+            }
+        }
+        Ok(())
     }
 
     /// A comma-separated list flag.

@@ -5,7 +5,34 @@
 //! or failed; `4` — `ktg serve --connect` saw at least one query shed
 //! unsolved by a draining server (shedding wins over degradation so
 //! load problems are never misread as answer-quality problems); `2` —
-//! usage or runtime error.
+//! usage or runtime error. `--help` (or `-h`) anywhere on the command
+//! line prints the usage on stdout and exits 0.
+
+/// The usage text: on stdout for `--help`/`-h`, on stderr after an error.
+const USAGE: &str = "\
+usage: ktg <generate|stats|index|query|dktg|batch|serve> [--flag value]...
+  generate --profile NAME --out DIR [--scale N] [--seed N]
+  generate --sbm-n N --out DIR [--sbm-blocks B] [--sbm-pin P] [--sbm-pout P]
+  stats    --edges FILE [--keywords FILE]
+  index    --edges FILE [--keywords FILE] --bundle FILE [--threads N]
+  query    --edges FILE [--keywords FILE] (--terms a,b,c | --random-terms N)
+           [-p N] [-k N] [-n N] [--algo qkc|vkc|vkc-deg]
+           [--oracle bfs|nl|nlrnl] [--threads N] [--bitmap-threshold N]
+           [--authors 1,2] [--explain true] [--deadline-ms N] [--node-budget N]
+  dktg     (query flags) [--gamma F]
+  batch    --workload FILE --edges FILE [--keywords FILE] [--threads N]
+           [--cache-entries N] [--no-cache] [--deadline-ms N]
+           [--node-budget N]
+  serve    --edges FILE [--keywords FILE] [--bind ADDR] [--workers N]
+           [--conn-deadline-ms N] [--wal FILE [--wal-sync always|batch]
+           [--checkpoint-every N, with --bundle]] (plus the batch cache/budget
+           flags; --threads is accepted and ignored: lines run on the --workers pool)
+  serve    --connect ADDR [--workload FILE] [--stats] [--shutdown]
+           [--retry N] [--retry-base-ms MS] (client flags only)
+stats/query/dktg/batch/serve take --bundle FILE in place of --edges/--keywords;
+a flag the command does not read is an error.
+env: KTG_THREADS=N  KTG_VERIFY=1  KTG_FAULTS=<sites>:<rate>:<seed>
+exit codes: 0 ok; 3 degraded/partial answers; 4 overloaded/shed; 2 error";
 
 fn main() {
     // Under fault injection every injected panic is caught and retried
@@ -21,6 +48,10 @@ fn main() {
         }));
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{USAGE}");
+        return;
+    }
     let stdout = std::io::stdout();
     let mut lock = stdout.lock();
     match ktg_cli::run(&argv, &mut lock) {
@@ -30,29 +61,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            eprintln!("usage: ktg <generate|stats|index|query|dktg|batch|serve> [--flag value]...");
-            eprintln!("  generate --profile NAME --out DIR [--scale N] [--seed N]");
-            eprintln!("  generate --sbm-n N --out DIR [--sbm-blocks B] [--sbm-pin P] [--sbm-pout P]");
-            eprintln!("  stats    --edges FILE [--keywords FILE]");
-            eprintln!("  index    --edges FILE [--keywords FILE] --bundle FILE [--threads N]");
-            eprintln!("  query    --edges FILE [--keywords FILE] (--terms a,b,c | --random-terms N)");
-            eprintln!("           [-p N] [-k N] [-n N] [--algo qkc|vkc|vkc-deg]");
-            eprintln!("           [--oracle bfs|nl|nlrnl] [--threads N] [--bitmap-threshold N]");
-            eprintln!("           [--authors 1,2] [--explain true] [--deadline-ms N] [--node-budget N]");
-            eprintln!("  dktg     (query flags) [--gamma F]");
-            eprintln!("  batch    --workload FILE --edges FILE [--keywords FILE] [--threads N]");
-            eprintln!("           [--cache-entries N] [--no-cache] [--deadline-ms N]");
-            eprintln!("           [--node-budget N]");
-            eprintln!("  serve    --edges FILE [--keywords FILE] [--bind ADDR] [--workers N]");
-            eprintln!("           [--conn-deadline-ms N] [--wal FILE [--wal-sync always|batch]");
-            eprintln!("           [--checkpoint-every N]] (plus the batch cache/budget flags;");
-            eprintln!("           --threads is accepted and ignored: lines run on the --workers pool)");
-            eprintln!("  serve    --connect ADDR [--workload FILE] [--stats] [--shutdown]");
-            eprintln!("           [--retry N] [--retry-base-ms MS]");
-            eprintln!("stats/query/dktg/batch/serve take --bundle FILE in place of --edges/--keywords;");
-            eprintln!("a flag the command does not read is an error.");
-            eprintln!("env: KTG_THREADS=N  KTG_VERIFY=1  KTG_FAULTS=<sites>:<rate>:<seed>");
-            eprintln!("exit codes: 0 ok; 3 degraded/partial answers; 4 overloaded/shed; 2 error");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }

@@ -65,7 +65,7 @@
 //! flag after each one), and every socket carries a short read timeout
 //! so no worker can wedge on an idle peer.
 
-use crate::args::ParsedArgs;
+use crate::args::{ParsedArgs, CLIENT_FLAGS, NETWORK_FLAGS, SERVER_FLAGS, SESSION_FLAGS};
 use crate::commands::{load_network_ex, serve_options_from_flags, write_outcome};
 use crate::RunStatus;
 use ktg_common::fault::{self, FaultSite};
@@ -869,10 +869,23 @@ fn stats_line(shared: &Shared) -> String {
 }
 
 /// `ktg serve` dispatch: server mode (`--edges`) or client mode
-/// (`--connect`).
+/// (`--connect`). Each mode refuses the flags only the other reads, and
+/// the server refuses WAL tuning without `--wal` and automatic
+/// checkpoints without a `--bundle` to rewrite.
 pub(crate) fn serve_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunStatus> {
     if args.optional("connect").is_some() {
+        args.reject(&[NETWORK_FLAGS, SESSION_FLAGS, SERVER_FLAGS], "`ktg serve --connect`")?;
         return client_cmd(args, out);
+    }
+    args.reject(&[CLIENT_FLAGS], "`ktg serve` without --connect")?;
+    if args.optional("wal").is_none() {
+        args.reject(&[&["wal-sync", "checkpoint-every"]], "`ktg serve` without --wal")?;
+    }
+    let checkpoint_every = args.num_or("checkpoint-every", 0)?;
+    if checkpoint_every > 0 && args.optional("bundle").is_none() {
+        return Err(KtgError::input(
+            "flag '--checkpoint-every' needs --bundle: a checkpoint rewrites the bundle",
+        ));
     }
     let (net, preloaded) = load_network_ex(args)?;
     let options = serve_options_from_flags(args)?;
@@ -885,7 +898,7 @@ pub(crate) fn serve_cmd(args: &ParsedArgs, out: &mut dyn Write) -> Result<RunSta
         Some(path) => Some(WalConfig {
             path: PathBuf::from(path),
             sync: WalSync::parse(args.optional("wal-sync").unwrap_or("always"))?,
-            checkpoint_every: args.num_or("checkpoint-every", 0)?,
+            checkpoint_every,
             bundle: args.optional("bundle").map(PathBuf::from),
         }),
     };
@@ -1333,15 +1346,82 @@ mod tests {
         handle.join().unwrap();
     }
 
+    // -- mode flags -------------------------------------------------------
+
+    /// Runs `ktg serve PARTS…` through the real parser and dispatch; every
+    /// case below fails before it loads a network or opens a socket.
+    fn assert_rejected(parts: &[&str], flag: &str) {
+        let argv: Vec<String> =
+            std::iter::once("serve").chain(parts.iter().copied()).map(String::from).collect();
+        let args = crate::args::parse(&argv).unwrap();
+        match serve_cmd(&args, &mut Vec::new()) {
+            Err(KtgError::InvalidInput(msg)) => assert!(msg.contains(flag), "{parts:?}: {msg}"),
+            other => panic!("{parts:?} should be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_server_rejects_client_flags() {
+        for flag in ["--workload", "--retry", "--retry-base-ms"] {
+            assert_rejected(&["--edges", "e.txt", "--threads", "1", flag, "1"], flag);
+        }
+        for flag in ["--stats", "--shutdown"] {
+            assert_rejected(&["--bundle", "b.ktgb", flag], flag);
+        }
+    }
+
+    #[test]
+    fn the_client_rejects_server_session_and_network_flags() {
+        for flag in [
+            "--edges", "--keywords", "--bundle", "--threads", "--cache-entries",
+            "--deadline-ms", "--node-budget", "--bind", "--workers", "--conn-deadline-ms",
+            "--wal", "--wal-sync", "--checkpoint-every",
+        ] {
+            assert_rejected(&["--connect", "127.0.0.1:9", flag, "1"], flag);
+        }
+        assert_rejected(&["--connect", "127.0.0.1:9", "--no-cache"], "--no-cache");
+    }
+
+    #[test]
+    fn wal_flags_without_a_wal_are_rejected() {
+        assert_rejected(&["--edges", "e.txt", "--wal-sync", "bogus"], "--wal-sync");
+        assert_rejected(&["--edges", "e.txt", "--checkpoint-every", "3"], "--checkpoint-every");
+    }
+
+    #[test]
+    fn automatic_checkpoints_without_a_bundle_are_rejected() {
+        assert_rejected(
+            &["--edges", "e.txt", "--wal", "w.wal", "--checkpoint-every", "1"],
+            "--checkpoint-every",
+        );
+    }
+
     // -- durability ---------------------------------------------------------
 
+    /// A per-test scratch directory, removed with its contents on drop.
+    struct WalDir(PathBuf);
+
+    impl std::ops::Deref for WalDir {
+        type Target = std::path::Path;
+
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for WalDir {
+        fn drop(&mut self) {
+            drop(std::fs::remove_dir_all(&self.0));
+        }
+    }
+
     /// Fresh per-test scratch directory under the system temp dir.
-    fn wal_dir(tag: &str) -> PathBuf {
+    fn wal_dir(tag: &str) -> WalDir {
         let dir =
             std::env::temp_dir().join(format!("ktg-serve-{tag}-{}", std::process::id()));
         drop(std::fs::remove_dir_all(&dir));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        WalDir(dir)
     }
 
     fn wal_cfg(path: PathBuf) -> WalConfig {

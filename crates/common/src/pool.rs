@@ -8,12 +8,14 @@
 //! [`PoolGuard`]s that return their item on drop.
 //!
 //! The pool is deliberately unbounded: it never holds more items than the
-//! peak number of concurrent borrowers (each worker borrows one arena for
-//! the duration of a workload segment), so a capacity limit would only
-//! add a failure mode. A poisoned mutex is recovered, not propagated —
+//! peak number of concurrent borrowers (each fresh solve borrows one
+//! arena while it runs), so a capacity limit would only add a failure
+//! mode. A guard dropped while its thread is panicking drops its item
+//! instead of parking it: a borrower that panicked may have left the
+//! item half-mutated, so it never reaches another borrower, and the
+//! unwind takes no lock. A poisoned mutex is recovered, not propagated —
 //! the free list holds plain reusable buffers whose state a panicking
-//! borrower cannot corrupt (the item the panicking thread held is simply
-//! dropped, never returned).
+//! borrower cannot corrupt.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard};
@@ -56,21 +58,12 @@ impl<T> Pool<T> {
 }
 
 /// An exclusive borrow from a [`Pool`]; dereferences to the item and
-/// returns it to the pool on drop.
+/// returns it to the pool on drop, unless the drop is part of a panic's
+/// unwind ([`std::thread::panicking`]), which drops the item instead.
 #[derive(Debug)]
 pub struct PoolGuard<'p, T> {
     pool: &'p Pool<T>,
     item: Option<T>,
-}
-
-impl<T> PoolGuard<'_, T> {
-    /// Consumes the guard *without* returning the item to the pool: the
-    /// item is dropped. Recovery paths use this after a panic unwound
-    /// through a borrower — the item's state is suspect, so it must not
-    /// be recycled into another query.
-    pub fn discard(mut self) {
-        self.item.take();
-    }
 }
 
 impl<T> Deref for PoolGuard<'_, T> {
@@ -96,6 +89,11 @@ impl<T> DerefMut for PoolGuard<'_, T> {
 
 impl<T> Drop for PoolGuard<'_, T> {
     fn drop(&mut self) {
+        // Unwinding: the item's state is suspect, so it drops with the
+        // guard and the pool builds a fresh one on the next acquire.
+        if std::thread::panicking() {
+            return;
+        }
         if let Some(item) = self.item.take() {
             self.pool.lock().push(item);
         }
@@ -127,14 +125,17 @@ mod tests {
     }
 
     #[test]
-    fn discard_drops_instead_of_parking() {
+    fn a_panicking_borrow_drops_instead_of_parking() {
         let pool: Pool<Vec<u32>> = Pool::new();
-        let mut a = pool.acquire_with(Vec::new);
-        a.push(1);
-        a.discard();
-        assert_eq!(pool.idle(), 0, "discarded item must not re-enter the free list");
+        let caught = std::panic::catch_unwind(|| {
+            let mut a = pool.acquire_with(Vec::new);
+            a.push(1);
+            panic!("borrower fails mid-use");
+        });
+        assert!(caught.is_err());
+        assert_eq!(pool.idle(), 0, "an unwound item must not re-enter the free list");
         let b = pool.acquire_with(Vec::new);
-        assert!(b.is_empty(), "next acquire builds fresh, not the discarded item");
+        assert!(b.is_empty(), "next acquire builds fresh, not the unwound item");
     }
 
     #[test]

@@ -325,9 +325,10 @@ pub fn solve(
 }
 
 /// Runs the search over a pre-extracted candidate slice and a pre-built
-/// conflict kernel, then applies checked-mode verification. This is the
-/// batched executor's entry point: the executor owns pooled candidate
-/// vectors and recycled kernel rows, so nothing here may take ownership.
+/// conflict kernel under a deadline token made from `opts.deadline_ms`,
+/// then applies checked-mode verification. This is the batched
+/// executor's entry point: the executor owns pooled candidate vectors and
+/// recycled kernel rows, so nothing here may take ownership.
 pub(crate) fn solve_with_kernel(
     net: &AttributedGraph,
     query: &KtgQuery,
@@ -336,14 +337,18 @@ pub(crate) fn solve_with_kernel(
     kernel: &ConflictKernel,
     opts: &BbOptions,
 ) -> KtgOutcome {
-    let outcome = run(query, oracle, cands, kernel, opts);
+    let token = CancelToken::for_deadline_ms(opts.deadline_ms);
+    let outcome = run(query, oracle, cands, kernel, opts, token.as_ref());
+    // Truncated searches may hold a sub-optimal (but still well-formed)
+    // result; the audit's ordering/tenuity/coverage contract holds either
+    // way, so checked mode gates every driver exit.
     crate::verify::enforce(net, query, &outcome.groups);
     outcome
 }
 
-/// Runs a KTG query over a pre-extracted candidate pool, with access to
-/// the graph so the conflict-bitmap kernel can be built (the fast path
-/// for every caller that has an [`AttributedGraph`] at hand).
+/// Runs a KTG query over a pre-extracted candidate pool: builds the
+/// conflict kernel the options ask for, then searches it as the batched
+/// executor does.
 pub fn solve_prepared(
     net: &AttributedGraph,
     query: &KtgQuery,
@@ -352,42 +357,7 @@ pub fn solve_prepared(
     opts: &BbOptions,
 ) -> KtgOutcome {
     let kernel = ConflictKernel::build(net.graph(), &cands, query.k(), opts);
-    let outcome = run(query, oracle, &cands, &kernel, opts);
-    // Truncated searches may hold a sub-optimal (but still well-formed)
-    // result; the audit's ordering/tenuity/coverage contract holds either
-    // way, so checked mode gates every driver exit.
-    crate::verify::enforce(net, query, &outcome.groups);
-    outcome
-}
-
-/// Runs the search over a pre-extracted candidate set without a graph
-/// (used by DKTG-Greedy, the multi-query-vertex extension, and tests that
-/// manipulate the candidate pool). No graph means no bitmap kernel: all
-/// distance questions go through the oracle.
-pub fn solve_with_candidates(
-    query: &KtgQuery,
-    oracle: &impl DistanceOracle,
-    cands: &[Candidate],
-    opts: &BbOptions,
-) -> KtgOutcome {
-    run(query, oracle, cands, &ConflictKernel::Oracle, opts)
-}
-
-/// [`solve_with_candidates`] with an externally-owned [`CancelToken`].
-///
-/// Callers that chain several inner searches under one budget — the
-/// DKTG-Greedy loop re-solving with `N = 1` each round — share a single
-/// token across all of them so the budget covers the whole chain rather
-/// than restarting per round. `opts.deadline_ms` is ignored in favor of
-/// the passed token.
-pub fn solve_with_candidates_token(
-    query: &KtgQuery,
-    oracle: &impl DistanceOracle,
-    cands: &[Candidate],
-    opts: &BbOptions,
-    cancel: Option<&CancelToken>,
-) -> KtgOutcome {
-    run_with_token(query, oracle, cands, &ConflictKernel::Oracle, opts, cancel)
+    solve_with_kernel(net, query, oracle, &cands, &kernel, opts)
 }
 
 /// Derives the outcome status from what the engines observed: a fired
@@ -410,20 +380,9 @@ pub(crate) fn completion_status(
     }
 }
 
-/// Dispatches to the sequential or parallel driver, creating a deadline
-/// token from `opts.deadline_ms` when one is set.
-fn run(
-    query: &KtgQuery,
-    oracle: &impl DistanceOracle,
-    cands: &[Candidate],
-    kernel: &ConflictKernel,
-    opts: &BbOptions,
-) -> KtgOutcome {
-    let owned = CancelToken::for_deadline_ms(opts.deadline_ms);
-    run_with_token(query, oracle, cands, kernel, opts, owned.as_ref())
-}
-
-/// Dispatches to the sequential or parallel driver.
+/// Dispatches to the sequential or parallel driver under `cancel`
+/// (`opts.deadline_ms` is not read here: callers make the token, so
+/// DKTG-Greedy can share one across all its rounds).
 ///
 /// `stop_at_coverage` and `node_budget` force the sequential engine: both
 /// semantics are defined by DFS discovery order ("the first admitted
@@ -436,7 +395,7 @@ fn run(
 /// A query whose `p` exceeds the candidate count has no group of `p`
 /// distinct candidates, so it returns the empty exact answer before any
 /// per-depth state (sized by `p`) is allocated.
-fn run_with_token(
+pub(crate) fn run(
     query: &KtgQuery,
     oracle: &impl DistanceOracle,
     cands: &[Candidate],
@@ -913,8 +872,11 @@ mod tests {
         // with an empty (valid, trivially verifier-clean) result.
         let token = ktg_common::CancelToken::with_deadline_ms(0);
         assert!(token.poll(), "0 ms deadline fires on first poll");
-        let out =
-            solve_with_candidates_token(&query, &oracle, &cands, &BbOptions::vkc_deg(), Some(&token));
+        let opts = BbOptions::vkc_deg();
+        let oracle_run = |cancel: Option<&CancelToken>| {
+            run(&query, &oracle, &cands, &ConflictKernel::Oracle, &opts, cancel)
+        };
+        let out = oracle_run(Some(&token));
         assert!(out.stats.cancelled);
         assert_eq!(out.status, CompletionStatus::Degraded(DegradeReason::Deadline));
         assert!(out.stats.nodes <= 1, "cancelled search must stop immediately");
@@ -922,16 +884,13 @@ mod tests {
         // Explicit cancellation reports its own reason.
         let manual = ktg_common::CancelToken::new();
         manual.cancel();
-        let out = solve_with_candidates_token(
-            &query, &oracle, &cands, &BbOptions::vkc_deg(), Some(&manual),
-        );
+        let out = oracle_run(Some(&manual));
         assert_eq!(out.status, CompletionStatus::Degraded(DegradeReason::Cancelled));
 
         // A live token changes nothing.
         let live = ktg_common::CancelToken::new();
-        let with_live =
-            solve_with_candidates_token(&query, &oracle, &cands, &BbOptions::vkc_deg(), Some(&live));
-        let without = solve_with_candidates(&query, &oracle, &cands, &BbOptions::vkc_deg());
+        let with_live = oracle_run(Some(&live));
+        let without = oracle_run(None);
         assert_eq!(with_live.status, CompletionStatus::Exact);
         assert_eq!(with_live.groups, without.groups);
     }

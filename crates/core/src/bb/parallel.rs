@@ -76,7 +76,7 @@ pub(super) fn run_parallel(
     KtgOutcome {
         groups: merged.into_sorted_desc().into_iter().map(|r| r.group).collect(),
         stats,
-        // Placeholder: the dispatcher (`bb::run_with_token`) derives the
+        // Placeholder: the dispatcher (`bb::run`) derives the
         // real status from the merged stats and the token.
         status: CompletionStatus::Exact,
     }

@@ -46,7 +46,7 @@ pub(super) fn run_sequential(
     KtgOutcome {
         groups: results.into_sorted_desc().into_iter().map(|r| r.group).collect(),
         stats,
-        // Placeholder: the dispatcher (`bb::run_with_token`) derives the
+        // Placeholder: the dispatcher (`bb::run`) derives the
         // real status from the merged stats and the token.
         status: CompletionStatus::Exact,
     }

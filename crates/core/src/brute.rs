@@ -23,15 +23,6 @@ pub fn solve(
 ) -> KtgOutcome {
     let masks = net.compile(query.keywords());
     let cands = candidates::collect_vec(net.graph(), &masks);
-    solve_with_candidates(query, oracle, cands)
-}
-
-/// Brute-force search over a pre-extracted candidate pool.
-pub fn solve_with_candidates(
-    query: &KtgQuery,
-    oracle: &impl DistanceOracle,
-    cands: Vec<Candidate>,
-) -> KtgOutcome {
     let mut results: TopN<RankedGroup> = TopN::new(query.n());
     let mut stats = SearchStats::default();
     let mut chosen: Vec<usize> = Vec::with_capacity(query.p());

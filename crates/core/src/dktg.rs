@@ -16,7 +16,7 @@
 //! With disjoint groups `dL(RG) = 1`, giving the `1 − α` approximation
 //! guarantee of §VI-C (see [`approximation_ratio`]).
 
-use crate::bb::{self, BbOptions};
+use crate::bb::{self, BbOptions, ConflictKernel};
 use crate::candidates::{self, Candidate};
 use crate::group::Group;
 use crate::network::AttributedGraph;
@@ -188,13 +188,12 @@ pub fn solve_with_candidates(
     // One token for the whole greedy chain: `deadline_ms` budgets the
     // DKTG query end to end, not each inner N = 1 solve separately.
     let token = CancelToken::for_deadline_ms(inner_opts.deadline_ms);
-    solve_with_candidates_token(query, oracle, pool, inner_opts, token.as_ref())
+    greedy(query, oracle, pool, inner_opts, token.as_ref())
 }
 
-/// [`solve_with_candidates`] with an externally-owned [`CancelToken`]
-/// shared across every greedy round (`inner_opts.deadline_ms` is ignored
-/// in favor of the passed token).
-pub fn solve_with_candidates_token(
+/// The greedy rounds of [`solve_with_candidates`] under one token shared
+/// by every round (`inner_opts.deadline_ms` is not read).
+fn greedy(
     query: &DktgQuery,
     oracle: &impl DistanceOracle,
     pool: &mut Vec<Candidate>,
@@ -220,14 +219,13 @@ pub fn solve_with_candidates_token(
                     break;
                 }
             }
-            // The shared token is passed explicitly, so the inner options
-            // must not spawn their own per-round deadline.
-            let opts =
-                BbOptions { stop_at_coverage: c_max, deadline_ms: None, ..*inner_opts };
+            let opts = BbOptions { stop_at_coverage: c_max, ..*inner_opts };
             // The engine sorts a private index vector, never the slice, so
-            // the pool passes down by reference — no per-round clone.
+            // the pool passes down by reference — no per-round clone. Every
+            // distance question goes to the oracle: the rounds build no
+            // conflict rows.
             let outcome =
-                bb::solve_with_candidates_token(&inner_query, oracle, pool, &opts, cancel);
+                bb::run(&inner_query, oracle, pool, &ConflictKernel::Oracle, &opts, cancel);
             stats.merge(&outcome.stats);
             let Some(best) = outcome.groups.into_iter().next() else {
                 break; // no feasible group left in the remaining pool
@@ -359,13 +357,7 @@ mod tests {
         let mut pool = crate::candidates::collect_vec(net.graph(), &masks);
         let token = CancelToken::new();
         token.cancel();
-        let out = solve_with_candidates_token(
-            &query,
-            &oracle,
-            &mut pool,
-            &BbOptions::vkc_deg(),
-            Some(&token),
-        );
+        let out = greedy(&query, &oracle, &mut pool, &BbOptions::vkc_deg(), Some(&token));
         assert!(out.groups.is_empty(), "pre-cancelled chain starts no rounds");
         assert_eq!(
             out.status,

@@ -8,13 +8,12 @@
 //! quality studies on bounded instances, which is exactly where a
 //! ground-truth oracle matters.
 
-use crate::bb::{self, BbOptions};
 use crate::candidates::{self, Candidate};
 use crate::dktg::{self, DktgQuery};
 use crate::group::Group;
 use crate::network::AttributedGraph;
 use crate::query::KtgQuery;
-use ktg_common::{KtgError, Result, TopN, VertexId};
+use ktg_common::{KtgError, Result};
 use ktg_index::DistanceOracle;
 
 /// Upper bounds keeping the exact search tractable.
@@ -117,16 +116,6 @@ pub fn solve(
 ) -> Result<ExactDktg> {
     let masks = net.compile(query.base().keywords());
     let cands = candidates::collect_vec(net.graph(), &masks);
-    solve_with_candidates(query, oracle, cands, limits)
-}
-
-/// Exact DKTG over a pre-extracted candidate pool.
-pub fn solve_with_candidates(
-    query: &DktgQuery,
-    oracle: &impl DistanceOracle,
-    cands: Vec<Candidate>,
-    limits: &ExactLimits,
-) -> Result<ExactDktg> {
     let all = enumerate_feasible(query.base(), oracle, &cands, limits.max_groups)?;
     let n = query.base().n().min(all.len());
     let num_kw = query.base().keywords().len();
@@ -189,70 +178,64 @@ fn subset_search(
     }
 }
 
-/// Convenience for quality studies: the ratio `greedy_score / exact_score`
-/// on one instance (1.0 when both are empty).
-pub fn greedy_quality(
-    net: &AttributedGraph,
-    query: &DktgQuery,
-    oracle: &impl DistanceOracle,
-    limits: &ExactLimits,
-) -> Result<f64> {
-    let exact = solve(net, query, oracle, limits)?;
-    let greedy = dktg::solve(net, query, oracle);
-    if exact.groups.is_empty() && greedy.groups.is_empty() {
-        return Ok(1.0);
-    }
-    if exact.score <= 0.0 {
-        return Ok(1.0);
-    }
-    Ok(greedy.score / exact.score)
-}
-
-/// Helper used by tests: all feasible groups of the Figure 1 query.
-pub fn feasible_groups_of(
-    net: &AttributedGraph,
-    query: &KtgQuery,
-    oracle: &impl DistanceOracle,
-    cap: usize,
-) -> Result<Vec<Group>> {
-    let masks = net.compile(query.keywords());
-    let cands = candidates::collect_vec(net.graph(), &masks);
-    enumerate_feasible(query, oracle, &cands, cap)
-}
-
-/// Sanity helper shared with benches: confirms `enumerate_feasible` and
-/// the branch-and-bound engine agree on the best coverage.
-pub fn check_enumeration_consistency(
-    query: &KtgQuery,
-    oracle: &impl DistanceOracle,
-    cands: Vec<Candidate>,
-    cap: usize,
-) -> Result<bool> {
-    let all = enumerate_feasible(query, oracle, &cands, cap)?;
-    let mut top: TopN<u32> = TopN::new(1);
-    for g in &all {
-        top.offer(g.coverage_count());
-    }
-    let bb_out = bb::solve_with_candidates(query, oracle, &cands, &BbOptions::vkc_deg());
-    let bb_best = bb_out.groups.first().map(Group::coverage_count);
-    let enum_best = top.into_sorted_desc().into_iter().next();
-    Ok(bb_best == enum_best)
-}
-
-/// Returns the distinct members across a result set (diagnostics).
-pub fn distinct_members(groups: &[Group]) -> Vec<VertexId> {
-    let mut all: Vec<VertexId> =
-        groups.iter().flat_map(|g| g.members().iter().copied()).collect();
-    all.sort_unstable();
-    all.dedup();
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bb::{self, BbOptions, ConflictKernel};
     use crate::fixtures;
+    use ktg_common::TopN;
     use ktg_index::ExactOracle;
+
+    /// The ratio `greedy_score / exact_score` on one instance (1.0 when
+    /// both are empty).
+    fn greedy_quality(
+        net: &AttributedGraph,
+        query: &DktgQuery,
+        oracle: &impl DistanceOracle,
+        limits: &ExactLimits,
+    ) -> Result<f64> {
+        let exact = solve(net, query, oracle, limits)?;
+        let greedy = dktg::solve(net, query, oracle);
+        if exact.groups.is_empty() && greedy.groups.is_empty() {
+            return Ok(1.0);
+        }
+        if exact.score <= 0.0 {
+            return Ok(1.0);
+        }
+        Ok(greedy.score / exact.score)
+    }
+
+    /// All feasible groups of a KTG query, up to `cap`.
+    fn feasible_groups_of(
+        net: &AttributedGraph,
+        query: &KtgQuery,
+        oracle: &impl DistanceOracle,
+        cap: usize,
+    ) -> Result<Vec<Group>> {
+        let masks = net.compile(query.keywords());
+        let cands = candidates::collect_vec(net.graph(), &masks);
+        enumerate_feasible(query, oracle, &cands, cap)
+    }
+
+    /// Whether `enumerate_feasible` and the branch-and-bound engine (on the
+    /// oracle kernel) agree on the best coverage.
+    fn check_enumeration_consistency(
+        query: &KtgQuery,
+        oracle: &impl DistanceOracle,
+        cands: Vec<Candidate>,
+        cap: usize,
+    ) -> Result<bool> {
+        let all = enumerate_feasible(query, oracle, &cands, cap)?;
+        let mut top: TopN<u32> = TopN::new(1);
+        for g in &all {
+            top.offer(g.coverage_count());
+        }
+        let opts = BbOptions::vkc_deg();
+        let bb_out = bb::run(query, oracle, &cands, &ConflictKernel::Oracle, &opts, None);
+        let bb_best = bb_out.groups.first().map(Group::coverage_count);
+        let enum_best = top.into_sorted_desc().into_iter().next();
+        Ok(bb_best == enum_best)
+    }
 
     fn figure1_query(n: usize) -> (AttributedGraph, DktgQuery) {
         let net = fixtures::figure1();
@@ -328,16 +311,6 @@ mod tests {
         let masks = net.compile(q.base().keywords());
         let cands = candidates::collect_vec(net.graph(), &masks);
         assert!(check_enumeration_consistency(q.base(), &oracle, cands, 10_000).unwrap());
-    }
-
-    #[test]
-    fn distinct_members_dedups() {
-        let g1 = Group::new(vec![VertexId(1), VertexId(2)], 0);
-        let g2 = Group::new(vec![VertexId(2), VertexId(3)], 0);
-        assert_eq!(
-            distinct_members(&[g1, g2]),
-            vec![VertexId(1), VertexId(2), VertexId(3)]
-        );
     }
 
     #[test]

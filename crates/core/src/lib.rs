@@ -19,8 +19,9 @@
 //! * [`multi_query`] — the §IV-B *Discussion* extension: exclude
 //!   candidates socially close to given query vertices (paper authors).
 //! * [`serve`] — the batched query-serving layer: workload executor with
-//!   pooled scratch arenas, an epoch-guarded result cache, and
-//!   cross-query conflict-row reuse (byte-identical to fresh solves).
+//!   pooled scratch arenas, a result cache, and cross-query conflict-row
+//!   reuse, both invalidated by update locality (byte-identical to fresh
+//!   solves).
 //! * [`network`] — [`network::AttributedGraph`], the ergonomic facade
 //!   bundling topology + keywords that examples and downstream users
 //!   interact with.
@@ -66,7 +67,6 @@ pub mod query;
 pub mod serve;
 pub mod stats;
 pub mod tagq;
-pub mod tenuity;
 pub mod verify;
 
 pub use bb::{BbOptions, KtgOutcome, MemberOrdering};

@@ -7,7 +7,7 @@
 //! whose social distance from the authors is greater than k remain."
 //!
 //! [`restrict_candidates`] applies exactly that filter; compose it with
-//! [`crate::bb::solve_with_candidates`] to run an author-aware query.
+//! [`crate::bb::solve_prepared`] to run an author-aware query.
 
 use crate::candidates::Candidate;
 use ktg_common::VertexId;
@@ -83,7 +83,7 @@ mod tests {
         let masks = net.compile(query.keywords());
         let mut cands = candidates::collect_vec(net.graph(), &masks);
         restrict_candidates(&oracle, &[ktg_common::VertexId(2)], 1, &mut cands);
-        let out = bb::solve_with_candidates(&query, &oracle, &cands, &BbOptions::vkc_deg());
+        let out = bb::solve_prepared(&net, &query, &oracle, cands, &BbOptions::vkc_deg());
         for g in &out.groups {
             fixtures::assert_k_distance(net.graph(), g.members(), 1);
             // u2 and its neighbors (u0, u3, u10) cannot appear.

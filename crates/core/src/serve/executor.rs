@@ -4,9 +4,10 @@
 //! [`WorkloadItem`] scripts against it, amortizing everything that a
 //! query-at-a-time loop re-pays per query:
 //!
-//! * **Scratch pooling** — each worker borrows an [`Arena`] (candidate
-//!   vector, kernel scratch, bitmap rows) from a [`ktg_common::Pool`];
-//!   steady state performs no large allocations per query.
+//! * **Scratch pooling** — each fresh solve borrows an [`Arena`]
+//!   (candidate vector, kernel scratch, bitmap rows) from a
+//!   [`ktg_common::Pool`]; steady state performs no large allocations
+//!   per query.
 //! * **Result caching** — whole answers are memoized in a
 //!   [`ResultCache`] keyed on the query.
 //! * **Conflict-row reuse** — fresh solves assemble their conflict-bitmap
@@ -39,9 +40,9 @@
 //!
 //! **Robustness.** Every workload item executes under
 //! [`std::panic::catch_unwind`]: a panicking item (injected fault or
-//! genuine bug) discards its borrowed arena — half-mutated scratch never
-//! returns to the pool — is retried once with fault injection
-//! suppressed, and on a second failure becomes an
+//! genuine bug) drops the arena it borrowed as the panic unwinds —
+//! half-mutated scratch never returns to the pool — is retried once
+//! with fault injection suppressed, and on a second failure becomes an
 //! [`ItemOutcome::Failed`] record while the session keeps draining the
 //! rest of the run. Deadline-cut solves come back flagged
 //! [`CompletionStatus::Degraded`]; only `Exact` answers ever enter the
@@ -52,7 +53,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ktg_common::fault::{self, FaultSite};
 use ktg_common::parallel::{scope_join, worker_count};
-use ktg_common::{CompletionStatus, FixedBitSet, FxHashMap, Pool, PoolGuard, Stopwatch, VertexId};
+use ktg_common::{CompletionStatus, FixedBitSet, FxHashMap, Pool, Stopwatch, VertexId};
 use ktg_index::{
     conflict_bitmaps_cached, kline_conflict_bitmaps, KernelScratch, NeighborhoodCache,
     NlrnlIndex,
@@ -117,7 +118,7 @@ pub enum ItemOutcome {
         applied: bool,
     },
     /// The item's worker panicked on the solve *and* on the suppressed
-    /// retry; its arena was discarded both times and the session moved
+    /// retry; its arena was dropped both times and the session moved
     /// on. `reason` renders the second panic's payload.
     Failed {
         /// Human-readable panic payload of the final attempt.
@@ -135,7 +136,7 @@ enum CachedAnswer {
     Dktg { groups: Vec<Group>, diversity: f64, min_qkc: f64, score: f64 },
 }
 
-/// Per-worker recycled scratch: everything a fresh solve needs that is
+/// Recycled scratch: everything a fresh solve needs that is
 /// sized by the query, pooled so steady-state serving allocates nothing
 /// large. (The per-query keyword-mask compile still allocates inside
 /// `ktg-keywords`; see DESIGN.md §13.)
@@ -299,8 +300,7 @@ impl ServeSession {
                 reason: "update items require exclusive session access".to_string(),
             };
         }
-        let mut slot: Option<PoolGuard<'_, Arena>> = None;
-        self.answer_isolated(item, &mut slot)
+        self.answer_isolated(item)
     }
 
     /// Executes one item of any kind, taking `&mut self`: queries go
@@ -406,8 +406,7 @@ impl ServeSession {
         // amortization that makes the fan-out actually scale (per-worker
         // memoizing oracles would redo each other's BFS work).
         if workers <= 1 {
-            let mut slot: Option<PoolGuard<'_, Arena>> = None;
-            out.extend(items.iter().map(|item| self.answer_isolated(item, &mut slot)));
+            out.extend(items.iter().map(|item| self.answer_isolated(item)));
             return;
         }
 
@@ -415,15 +414,11 @@ impl ServeSession {
         let parts = scope_join((0..workers).map(|_| {
             let next = &next;
             move || {
-                // The arena is acquired lazily inside each isolated
-                // attempt so an injected pool-acquire fault is charged to
-                // the item that triggered it, not to worker startup.
-                let mut slot: Option<PoolGuard<'_, Arena>> = None;
                 let mut local = Vec::new();
                 loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(idx) else { break };
-                    local.push((idx, self.answer_isolated(item, &mut slot)));
+                    local.push((idx, self.answer_isolated(item)));
                 }
                 local
             }
@@ -443,56 +438,33 @@ impl ServeSession {
 
     /// Answers one item with panic isolation and a retry-once policy.
     ///
-    /// A panicking attempt discards the borrowed arena (`slot`) so
-    /// half-mutated scratch never re-enters the pool, then retries once
-    /// under [`fault::suppressed`]: an *injected* fault cannot re-fire,
-    /// so transients always recover to the byte-identical answer, while a
+    /// A panicking attempt drops the arena it borrowed, so half-mutated
+    /// scratch never re-enters the pool, then retries once under
+    /// [`fault::suppressed`]: an *injected* fault cannot re-fire, so
+    /// transients always recover to the byte-identical answer, while a
     /// genuine persistent bug fails again and is recorded as
     /// [`ItemOutcome::Failed`] — the session keeps draining.
-    fn answer_isolated<'p>(
-        &'p self,
-        item: &WorkloadItem,
-        slot: &mut Option<PoolGuard<'p, Arena>>,
-    ) -> ItemOutcome {
-        match self.attempt(item, slot) {
+    fn answer_isolated(&self, item: &WorkloadItem) -> ItemOutcome {
+        match self.attempt(item) {
             Ok(outcome) => outcome,
-            Err(_first) => {
-                if let Some(guard) = slot.take() {
-                    guard.discard();
-                }
-                match fault::suppressed(|| self.attempt(item, slot)) {
-                    Ok(outcome) => outcome,
-                    Err(second) => {
-                        if let Some(guard) = slot.take() {
-                            guard.discard();
-                        }
-                        ItemOutcome::Failed { reason: panic_reason(second.as_ref()) }
-                    }
-                }
-            }
+            Err(_first) => match fault::suppressed(|| self.attempt(item)) {
+                Ok(outcome) => outcome,
+                Err(second) => ItemOutcome::Failed { reason: panic_reason(second.as_ref()) },
+            },
         }
     }
 
-    /// One guarded solve attempt. `AssertUnwindSafe` is justified by the
-    /// discard-on-panic contract: the arena in `slot` is the only state a
-    /// panicking attempt can leave half-mutated, and `answer_isolated`
-    /// throws it away before anything observes it again (the caches
-    /// mutate whole entries under poison-recovering locks, and all fault
-    /// sites fire *before* their lock is taken).
-    fn attempt<'p>(
-        &'p self,
-        item: &WorkloadItem,
-        slot: &mut Option<PoolGuard<'p, Arena>>,
-    ) -> std::thread::Result<ItemOutcome> {
+    /// One guarded solve attempt. `AssertUnwindSafe` is justified because
+    /// the unwind itself drops the only state a panicking attempt can
+    /// leave half-mutated: the arena, borrowed inside this closure on a
+    /// cache miss, whose [`ktg_common::PoolGuard`] drops it instead of
+    /// parking it when dropped by a panic. The caches mutate whole entries
+    /// under poison-recovering locks, and all fault sites fire *before*
+    /// their lock is taken, so no lock is held while a guard unwinds.
+    fn attempt(&self, item: &WorkloadItem) -> std::thread::Result<ItemOutcome> {
         catch_unwind(AssertUnwindSafe(|| {
             fault::inject(FaultSite::WorkerSolve);
-            if slot.is_none() {
-                *slot = Some(self.arenas.acquire_with(Arena::default));
-            }
-            match slot.as_mut() {
-                Some(arena) => self.answer(item, arena),
-                None => unreachable!("arena slot was filled just above"),
-            }
+            self.answer(item)
         }))
     }
 
@@ -503,17 +475,17 @@ impl ServeSession {
         BbOptions { threads: 1, ..self.options.engine }
     }
 
-    fn answer(&self, item: &WorkloadItem, arena: &mut Arena) -> ItemOutcome {
+    fn answer(&self, item: &WorkloadItem) -> ItemOutcome {
         match item {
-            WorkloadItem::Ktg(query) => ItemOutcome::Ktg(self.answer_ktg(query, arena)),
-            WorkloadItem::Dktg(query) => ItemOutcome::Dktg(self.answer_dktg(query, arena)),
+            WorkloadItem::Ktg(query) => ItemOutcome::Ktg(self.answer_ktg(query)),
+            WorkloadItem::Dktg(query) => ItemOutcome::Dktg(self.answer_dktg(query)),
             WorkloadItem::Insert(..) | WorkloadItem::Remove(..) => {
                 unreachable!("updates are split out of query runs")
             }
         }
     }
 
-    fn answer_ktg(&self, query: &KtgQuery, arena: &mut Arena) -> KtgAnswer {
+    fn answer_ktg(&self, query: &KtgQuery) -> KtgAnswer {
         let opts = self.inner_opts();
         let key = self.options.use_cache.then(|| CacheKey::ktg(query));
         if let Some(key) = &key {
@@ -524,8 +496,9 @@ impl ServeSession {
                 return KtgAnswer { groups, cached: true, status: CompletionStatus::Exact };
             }
         }
+        let mut arena = self.arenas.acquire_with(Arena::default);
         let clock = Stopwatch::start();
-        let outcome = self.solve_ktg(query, arena, &opts);
+        let outcome = self.solve_ktg(query, &mut arena, &opts);
         let solve_ns = clock.elapsed_nanos();
         // Only exact answers are cacheable: a deadline-cut result is
         // valid best-so-far but not canonical, and must not shadow the
@@ -588,7 +561,7 @@ impl ServeSession {
         outcome
     }
 
-    fn answer_dktg(&self, query: &DktgQuery, arena: &mut Arena) -> DktgAnswer {
+    fn answer_dktg(&self, query: &DktgQuery) -> DktgAnswer {
         let opts = self.inner_opts();
         let key = self.options.use_cache.then(|| CacheKey::dktg(query));
         if let Some(key) = &key {
@@ -608,6 +581,7 @@ impl ServeSession {
         // Same code path as `dktg::solve_with_options`, minus the
         // candidate-vector allocation: greedy rounds consume the pooled
         // vector in place.
+        let mut arena = self.arenas.acquire_with(Arena::default);
         let clock = Stopwatch::start();
         let masks = self.net.compile(query.base().keywords());
         candidates::collect(self.net.graph(), &masks, &mut arena.cands);

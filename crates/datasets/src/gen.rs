@@ -1,12 +1,9 @@
 //! Synthetic graph generators.
 //!
-//! Four classic models, all seeded and deterministic:
+//! Three classic models, all seeded and deterministic:
 //!
 //! * [`erdos_renyi`] — `G(n, m)`: `m` uniform random edges. The
 //!   no-structure baseline.
-//! * [`barabasi_albert`] — preferential attachment: each new vertex links
-//!   to `m0` existing vertices with probability proportional to degree.
-//!   Produces power-law degrees with exponent ≈ 3.
 //! * [`watts_strogatz`] — ring lattice with rewiring: high clustering,
 //!   small diameter.
 //! * [`chung_lu`] — expected-degree model against an explicit power-law
@@ -32,44 +29,6 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
         let key = if u < v { (u, v) } else { (v, u) };
         if seen.insert(key) {
             builder.add_edge_unchecked(VertexId(key.0), VertexId(key.1));
-        }
-    }
-    builder.build()
-}
-
-/// Barabási–Albert preferential attachment: vertices `m0..n` each attach
-/// to `m0` distinct existing vertices chosen proportionally to degree
-/// (implemented with the classic repeated-endpoint trick: sampling a
-/// uniform position in the half-edge list is degree-proportional).
-pub fn barabasi_albert(n: usize, m0: usize, seed: u64) -> CsrGraph {
-    assert!(m0 >= 1, "attachment count must be positive");
-    assert!(n > m0, "need more vertices than the seed clique");
-    let mut rng = SeededRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(n);
-    // Half-edge endpoint list: each vertex appears once per incident edge.
-    let mut endpoints: Vec<u32> = Vec::with_capacity(2 * n * m0);
-
-    // Seed: a (m0+1)-clique so every early vertex has degree ≥ m0.
-    for u in 0..=m0 as u32 {
-        for v in (u + 1)..=m0 as u32 {
-            builder.add_edge_unchecked(VertexId(u), VertexId(v));
-            endpoints.push(u);
-            endpoints.push(v);
-        }
-    }
-
-    let mut targets: FxHashSet<u32> = FxHashSet::default();
-    for v in (m0 + 1)..n {
-        targets.clear();
-        // Rejection-sample m0 distinct degree-proportional targets.
-        while targets.len() < m0 {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            targets.insert(t);
-        }
-        for &t in &targets {
-            builder.add_edge_unchecked(VertexId(v as u32), VertexId(t));
-            endpoints.push(v as u32);
-            endpoints.push(t);
         }
     }
     builder.build()
@@ -186,7 +145,6 @@ mod tests {
     #[test]
     fn generators_are_deterministic() {
         assert_eq!(erdos_renyi(50, 100, 42), erdos_renyi(50, 100, 42));
-        assert_eq!(barabasi_albert(50, 3, 42), barabasi_albert(50, 3, 42));
         assert_eq!(watts_strogatz(50, 4, 0.1, 42), watts_strogatz(50, 4, 0.1, 42));
         assert_eq!(chung_lu(50, 120, 2.5, 42), chung_lu(50, 120, 2.5, 42));
     }
@@ -194,15 +152,6 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         assert_ne!(erdos_renyi(50, 100, 1), erdos_renyi(50, 100, 2));
-    }
-
-    #[test]
-    fn barabasi_albert_min_degree() {
-        let g = barabasi_albert(200, 3, 9);
-        // Every non-seed vertex attaches to 3 targets; degrees ≥ 3.
-        let s = stats::degree_stats(&g);
-        assert!(s.min >= 3, "min degree {}", s.min);
-        assert!(s.max > 10, "hubs should emerge, max {}", s.max);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! substitution rationale is in DESIGN.md §4:
 //!
 //! * [`gen`] — graph generators built from scratch: Erdős–Rényi `G(n, m)`,
-//!   Barabási–Albert preferential attachment, Watts–Strogatz small-world,
-//!   and Chung–Lu power-law (the default for dataset profiles, since it
+//!   Watts–Strogatz small-world, and Chung–Lu power-law (the default for dataset profiles, since it
 //!   matches a target degree distribution *and* edge count).
 //! * [`keywords`] — Zipf-distributed keyword assignment over a synthetic
 //!   vocabulary, reproducing the head-heavy selectivity of real term

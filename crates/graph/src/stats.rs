@@ -39,24 +39,6 @@ pub fn degree_stats<A: Adjacency>(graph: &A) -> DegreeStats {
     }
 }
 
-/// The hop histogram from a single source: `hist[d - 1]` counts vertices at
-/// exact distance `d` (source excluded; trailing zeros trimmed).
-pub fn hop_histogram<A: Adjacency>(
-    graph: &A,
-    source: VertexId,
-    scratch: &mut BfsScratch,
-) -> Vec<usize> {
-    let mut hist: Vec<usize> = Vec::new();
-    bfs_levels(graph, source, usize::MAX, scratch, |_, d| {
-        let d = d as usize;
-        if hist.len() < d {
-            hist.resize(d, 0);
-        }
-        hist[d - 1] += 1;
-    });
-    hist
-}
-
 /// Estimates the graph's effective diameter and mean distance by BFS from a
 /// deterministic sample of `samples` sources (every `n/samples`-th vertex).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -131,14 +113,6 @@ mod tests {
         let g = CsrGraph::from_edges(0, &[]).unwrap();
         let s = degree_stats(&g);
         assert_eq!(s, DegreeStats { min: 0, max: 0, mean: 0.0, median: 0 });
-    }
-
-    #[test]
-    fn hop_histogram_star() {
-        let g = star();
-        let mut s = BfsScratch::new(5);
-        assert_eq!(hop_histogram(&g, VertexId(0), &mut s), vec![4]);
-        assert_eq!(hop_histogram(&g, VertexId(1), &mut s), vec![1, 3]);
     }
 
     #[test]

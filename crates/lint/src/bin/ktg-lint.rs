@@ -13,6 +13,7 @@
 //!   timing, per-lint totals, findings) — the CI artifact form. The exit
 //!   code is the default run's.
 //! * `--explain L7`: print a lint's rule and rationale.
+//! * `--help`/`-h`: print the usage line on stdout and exit 0.
 
 use ktg_lint::lints::ALL_LINTS;
 use ktg_lint::{walk, Finding, Lint, ATOMICS_PATH};
@@ -21,15 +22,19 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+const USAGE: &str = "usage: ktg-lint [--root DIR] [--update-atomics] [--json] [--explain L<N>]";
+
 struct Options {
     root: Option<PathBuf>,
     update_atomics: bool,
     json: bool,
     explain: Option<String>,
+    help: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut opts = Options { root: None, update_atomics: false, json: false, explain: None };
+    let mut opts =
+        Options { root: None, update_atomics: false, json: false, explain: None, help: false };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -43,12 +48,7 @@ fn parse_args() -> Result<Options, String> {
                 let id = args.next().ok_or("--explain requires a lint id (e.g. L7)")?;
                 opts.explain = Some(id);
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: ktg-lint [--root DIR] [--update-atomics] [--json] [--explain L<N>]"
-                        .into(),
-                )
-            }
+            "--help" | "-h" => opts.help = true,
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
@@ -67,6 +67,10 @@ fn main() -> ExitCode {
 
 fn run() -> Result<ExitCode, String> {
     let opts = parse_args()?;
+    if opts.help {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
 
     if let Some(id) = &opts.explain {
         let Some(lint) = Lint::from_id(id) else {

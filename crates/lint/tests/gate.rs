@@ -2,6 +2,7 @@
 //! finding every scanning mode exits 1, on a clean one the scan exits 0,
 //! and `--update-baseline`/`--list`, which belonged to a retired
 //! baseline of tolerated findings, are unknown arguments (exit 2).
+//! `--help` is a request, not an error: usage on stdout, exit 0.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -54,4 +55,21 @@ fn any_finding_fails_the_gate() {
     assert_eq!(clean.status.code(), Some(0), "{}", String::from_utf8_lossy(&clean.stderr));
 
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn help_prints_usage_and_succeeds() {
+    let run = |arg: &str| {
+        Command::new(env!("CARGO_BIN_EXE_ktg-lint")).arg(arg).output().expect("run ktg-lint")
+    };
+    for flag in ["--help", "-h"] {
+        let out = run(flag);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.starts_with("usage: ktg-lint [--root DIR]"), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag} wrote to stderr");
+    }
+    let bad = run("--bogus");
+    assert_eq!(bad.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown argument `--bogus`"));
 }

@@ -81,8 +81,19 @@ echo "== perfbench builds against the current crates =="
 env -u RUSTFLAGS CARGO_TARGET_DIR=.bench_build \
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== offline test suite =="
-cargo test -q --offline
+echo "== offline test suite (leaves no ktg-* temp entry behind) =="
+# The suite runs with TMPDIR (which std::env::temp_dir reads) set to a
+# fresh directory, so a test that leaves a `ktg-*` file or directory
+# behind fails the gate. Other entries, such as rustc's own, are ignored.
+test_tmp="$(mktemp -d)"
+TMPDIR="$test_tmp" cargo test -q --offline
+leaked="$(find "$test_tmp" -mindepth 1 -maxdepth 1 -name 'ktg-*')"
+if [ -n "$leaked" ]; then
+    echo "FAIL: the test suite left temp entries behind:" >&2
+    echo "$leaked" >&2
+    exit 1
+fi
+rm -rf "$test_tmp"
 
 echo "== parallel differential gate (KTG_THREADS=4, checked mode) =="
 KTG_THREADS=4 KTG_VERIFY=1 cargo test -q --offline \
