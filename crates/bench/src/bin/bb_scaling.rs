@@ -95,10 +95,8 @@ fn main() {
             let mut stats = SearchStats::default();
             let mut solved = 0usize;
             let mut groups: Vec<Vec<ktg_core::Group>> = Vec::new();
+            // Stats, solved count and groups come from the first sample.
             for sample in 0..samples {
-                stats = SearchStats::default();
-                solved = 0;
-                groups.clear();
                 let start = Instant::now();
                 for q in &batch {
                     let query = KtgQuery::new(q.clone(), 3, 2, 5).expect("valid params");

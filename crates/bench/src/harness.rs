@@ -185,11 +185,6 @@ impl BenchGroup {
         }
         summary
     }
-
-    /// Whether the harness is in the quick (single-run) mode.
-    pub fn is_quick(&self) -> bool {
-        self.quick
-    }
 }
 
 /// Index of the `q`-quantile in a sorted sample array of length `n`

@@ -114,29 +114,6 @@ impl FixedBitSet {
         }
     }
 
-    /// Overwrites `self` with a copy of `other` without reallocating.
-    ///
-    /// # Panics
-    /// Panics when the capacities differ.
-    pub fn copy_from(&mut self, other: &FixedBitSet) {
-        assert!(self.len == other.len, "capacity mismatch: {} vs {}", self.len, other.len);
-        self.words.copy_from_slice(&other.words);
-    }
-
-    /// Number of set bits in `self & !other` without materializing the
-    /// difference (word-parallel popcount).
-    ///
-    /// # Panics
-    /// Panics when the capacities differ.
-    pub fn and_not_count(&self, other: &FixedBitSet) -> usize {
-        assert!(self.len == other.len, "capacity mismatch: {} vs {}", self.len, other.len);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(&a, &b)| (a & !b).count_ones() as usize)
-            .sum()
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -243,12 +220,6 @@ impl EpochMarker {
     #[inline]
     pub fn mark_vertex(&mut self, v: VertexId) -> bool {
         self.mark(v.index())
-    }
-
-    /// Tests a vertex id.
-    #[inline]
-    pub fn is_vertex_marked(&self, v: VertexId) -> bool {
-        self.is_marked(v.index())
     }
 
     /// Grows the arena to at least `len` slots (new slots unmarked).
@@ -395,18 +366,6 @@ mod tests {
         out.insert(77); // stale content must be overwritten
         out.assign_and_not(&a, &b);
         assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![0, 100, 129]);
-        assert_eq!(a.and_not_count(&b), 3);
-        assert_eq!(b.and_not_count(&a), 1, "only bit 128 is b-exclusive");
-    }
-
-    #[test]
-    fn copy_from_overwrites() {
-        let mut a = FixedBitSet::new(70);
-        a.insert(3);
-        let mut b = FixedBitSet::new(70);
-        b.insert(69);
-        b.copy_from(&a);
-        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![3]);
     }
 
     #[test]
@@ -418,15 +377,13 @@ mod tests {
             out.assign_and_not(&a, &b)
         }));
         assert!(panic.is_err());
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.and_not_count(&b)));
-        assert!(panic.is_err());
     }
 
     #[test]
     fn epoch_vertex_helpers() {
         let mut em = EpochMarker::new(8);
         assert!(em.mark_vertex(VertexId(5)));
-        assert!(em.is_vertex_marked(VertexId(5)));
+        assert!(em.is_marked(5));
         em.grow(16);
         assert_eq!(em.len(), 16);
         assert!(!em.is_marked(15));

@@ -67,14 +67,6 @@ impl CompletionStatus {
     pub fn is_exact(&self) -> bool {
         matches!(self, CompletionStatus::Exact)
     }
-
-    /// The degrade reason, if any.
-    pub fn degrade_reason(&self) -> Option<DegradeReason> {
-        match self {
-            CompletionStatus::Exact => None,
-            CompletionStatus::Degraded(reason) => Some(*reason),
-        }
-    }
 }
 
 impl fmt::Display for CompletionStatus {
@@ -286,11 +278,9 @@ mod tests {
     fn status_display_and_accessors() {
         assert_eq!(CompletionStatus::Exact.to_string(), "exact");
         assert!(CompletionStatus::Exact.is_exact());
-        assert_eq!(CompletionStatus::Exact.degrade_reason(), None);
         let d = CompletionStatus::Degraded(DegradeReason::Deadline);
         assert_eq!(d.to_string(), "degraded(deadline)");
         assert!(!d.is_exact());
-        assert_eq!(d.degrade_reason(), Some(DegradeReason::Deadline));
         assert_eq!(
             CompletionStatus::Degraded(DegradeReason::NodeBudget).to_string(),
             "degraded(node-budget)"

@@ -36,12 +36,6 @@ impl VertexId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Whether this id is the invalid sentinel.
-    #[inline]
-    pub fn is_valid(self) -> bool {
-        self != Self::INVALID
-    }
 }
 
 impl From<u32> for VertexId {
@@ -95,8 +89,8 @@ mod tests {
 
     #[test]
     fn invalid_sentinel() {
-        assert!(!VertexId::INVALID.is_valid());
-        assert!(VertexId(0).is_valid());
+        assert_eq!(VertexId::INVALID, VertexId(u32::MAX));
+        assert!(VertexId(u32::MAX - 1) < VertexId::INVALID, "the sentinel is the largest id");
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl Xoshiro256pp {
         out
     }
 
-    /// Next 32 uniform bits (the high half, whose bits mix best).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `u64` in `0..n` via Lemire multiply-shift with rejection.
     ///
     /// # Panics

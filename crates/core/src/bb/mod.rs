@@ -43,8 +43,9 @@
 //! * [`kernel`] — the **conflict-bitmap kernel**. At query start (when
 //!   the candidate set fits under [`BbOptions::bitmap_threshold`]) one
 //!   `FixedBitSet` of k-line conflicts is precomputed per candidate by
-//!   parallel bounded BFS; the DFS then derives each child `S_R` with a
-//!   word-parallel AND-NOT instead of per-pair oracle probes.
+//!   bounded BFS, or from a serving session's `(vertex, k)` row memo;
+//!   the DFS then derives each child `S_R` with a word-parallel AND-NOT
+//!   instead of per-pair oracle probes.
 //! * [`sequential`] — the single-threaded DFS over candidate *indices*,
 //!   parameterized by kernel, root-branch partition, and an optional
 //!   shared cross-worker pruning floor.
@@ -302,13 +303,6 @@ pub struct KtgOutcome {
     /// still *valid* — size, tenuity, coverage masks, and ordering all
     /// hold, and they pass the checked-mode audit.
     pub status: CompletionStatus,
-}
-
-impl KtgOutcome {
-    /// Coverage ratio of the best group (0.0 when no group was found).
-    pub fn best_qkc(&self, num_query_keywords: usize) -> f64 {
-        self.groups.first().map_or(0.0, |g| g.qkc(num_query_keywords))
-    }
 }
 
 /// Runs a KTG query end to end: compile masks, collect candidates, build
@@ -786,21 +780,6 @@ mod tests {
         assert_eq!(MemberOrdering::Vkc.name(), "vkc");
         assert_eq!(MemberOrdering::VkcDeg.name(), "vkc-deg");
         assert_eq!(MemberOrdering::VkcDegDesc.name(), "vkc-deg-desc");
-    }
-
-    #[test]
-    fn best_qkc_helper() {
-        let net = fixtures::figure1();
-        let query = paper_query(&net);
-        let oracle = ExactOracle::build(net.graph());
-        let out = solve(&net, &query, &oracle, &BbOptions::vkc_deg());
-        assert!((out.best_qkc(5) - 0.8).abs() < 1e-12);
-        let empty = KtgOutcome {
-            groups: vec![],
-            stats: SearchStats::default(),
-            status: CompletionStatus::Exact,
-        };
-        assert_eq!(empty.best_qkc(5), 0.0);
     }
 
     #[test]

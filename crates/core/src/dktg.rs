@@ -177,8 +177,8 @@ pub fn solve_with_options(
 
 /// DKTG-Greedy over a pre-extracted candidate pool. The pool is consumed
 /// in place (each greedy round retains only the non-selected candidates)
-/// but the *allocation* is the caller's — the batched executor hands in a
-/// pooled vector and recycles it afterwards.
+/// but the *allocation* is the caller's, so a caller that times candidate
+/// extraction apart from the greedy rounds (perfbench's tracer) can.
 pub fn solve_with_candidates(
     query: &DktgQuery,
     oracle: &impl DistanceOracle,

@@ -4,15 +4,15 @@
 //! [`WorkloadItem`] scripts against it, amortizing everything that a
 //! query-at-a-time loop re-pays per query:
 //!
-//! * **Scratch pooling** — each fresh solve borrows an [`Arena`]
+//! * **Scratch pooling** — each fresh KTG solve borrows an [`Arena`]
 //!   (candidate vector, kernel scratch, bitmap rows) from a
 //!   [`ktg_common::Pool`]; steady state performs no large allocations
 //!   per query.
 //! * **Result caching** — whole answers are memoized in a
 //!   [`ResultCache`] keyed on the query.
-//! * **Conflict-row reuse** — fresh solves assemble their conflict-bitmap
-//!   kernels through the [`ktg_index::NeighborhoodCache`] `(vertex, k)`
-//!   memo instead of re-running one bounded BFS per candidate per query.
+//! * **Conflict-row reuse** — fresh KTG solves build their conflict-bitmap
+//!   kernels from the `NeighborhoodCache` `(vertex, k)` memo instead of
+//!   re-running one bounded BFS per candidate per query.
 //!
 //! Updates are serialization points: [`ServeSession::run`] splits the
 //! workload into maximal query runs separated by edge updates, fans each
@@ -30,17 +30,17 @@
 //!
 //! **Answer fidelity.** Every path — pooled, cached, parallel — returns
 //! groups and scores byte-identical to a fresh sequential
-//! [`bb::solve`] / [`crate::dktg::solve_with_options`] call against the
-//! current graph: candidate extraction is shared, the bitmap-vs-oracle
-//! fork runs on [`ConflictKernel::wants_bitmap`] exactly, and the cached
-//! kernel rows are bit-for-bit those of
-//! [`ktg_index::kline_conflict_bitmaps`]. The differential suite
+//! [`bb::solve`] / [`dktg::solve_with_options`] call against the
+//! current graph: a DKTG miss *is* that call, and a KTG miss shares
+//! candidate extraction and builds its kernel with the same
+//! [`ConflictKernel`] row function as `bb::solve`, whose memoized rows
+//! are bit-for-bit its fresh ones. The differential suite
 //! (`tests/tests/serve_diff.rs`) enforces this across thread counts,
 //! cache settings, and interleaved updates.
 //!
 //! **Robustness.** Every workload item executes under
 //! [`std::panic::catch_unwind`]: a panicking item (injected fault or
-//! genuine bug) drops the arena it borrowed as the panic unwinds —
+//! genuine bug) drops any arena it borrowed as the panic unwinds —
 //! half-mutated scratch never returns to the pool — is retried once
 //! with fault injection suppressed, and on a second failure becomes an
 //! [`ItemOutcome::Failed`] record while the session keeps draining the
@@ -54,11 +54,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ktg_common::fault::{self, FaultSite};
 use ktg_common::parallel::{scope_join, worker_count};
 use ktg_common::{CompletionStatus, FixedBitSet, FxHashMap, Pool, Stopwatch, VertexId};
-use ktg_index::{
-    conflict_bitmaps_cached, kline_conflict_bitmaps, KernelScratch, NeighborhoodCache,
-    NlrnlIndex,
-};
+use ktg_index::NlrnlIndex;
 
+use crate::bb::kernel::{KernelScratch, NeighborhoodCache};
 use crate::bb::{self, BbOptions, ConflictKernel, KtgOutcome};
 use crate::candidates::{self, Candidate};
 use crate::dktg::{self, DktgQuery};
@@ -118,8 +116,8 @@ pub enum ItemOutcome {
         applied: bool,
     },
     /// The item's worker panicked on the solve *and* on the suppressed
-    /// retry; its arena was dropped both times and the session moved
-    /// on. `reason` renders the second panic's payload.
+    /// retry; any arena it borrowed was dropped both times and the
+    /// session moved on. `reason` renders the second panic's payload.
     Failed {
         /// Human-readable panic payload of the final attempt.
         reason: String,
@@ -136,7 +134,7 @@ enum CachedAnswer {
     Dktg { groups: Vec<Group>, diversity: f64, min_qkc: f64, score: f64 },
 }
 
-/// Recycled scratch: everything a fresh solve needs that is
+/// Recycled scratch: everything a fresh KTG solve needs that is
 /// sized by the query, pooled so steady-state serving allocates nothing
 /// large. (The per-query keyword-mask compile still allocates inside
 /// `ktg-keywords`; see DESIGN.md §13.)
@@ -144,7 +142,6 @@ enum CachedAnswer {
 struct Arena {
     kernel: KernelScratch,
     cands: Vec<Candidate>,
-    sources: Vec<VertexId>,
     bitmaps: Vec<FixedBitSet>,
 }
 
@@ -438,7 +435,7 @@ impl ServeSession {
 
     /// Answers one item with panic isolation and a retry-once policy.
     ///
-    /// A panicking attempt drops the arena it borrowed, so half-mutated
+    /// A panicking attempt drops any arena it borrowed, so half-mutated
     /// scratch never re-enters the pool, then retries once under
     /// [`fault::suppressed`]: an *injected* fault cannot re-fire, so
     /// transients always recover to the byte-identical answer, while a
@@ -457,7 +454,7 @@ impl ServeSession {
     /// One guarded solve attempt. `AssertUnwindSafe` is justified because
     /// the unwind itself drops the only state a panicking attempt can
     /// leave half-mutated: the arena, borrowed inside this closure on a
-    /// cache miss, whose [`ktg_common::PoolGuard`] drops it instead of
+    /// KTG cache miss, whose [`ktg_common::PoolGuard`] drops it instead of
     /// parking it when dropped by a panic. The caches mutate whole entries
     /// under poison-recovering locks, and all fault sites fire *before*
     /// their lock is taken, so no lock is held while a guard unwinds.
@@ -520,37 +517,21 @@ impl ServeSession {
         self.results.get(key)
     }
 
-    /// A fresh KTG solve through the pooled arena, taking the
-    /// bitmap-vs-oracle fork on exactly [`ConflictKernel::wants_bitmap`]
-    /// so stats and results match [`bb::solve`] bit for bit.
+    /// A fresh KTG solve through the pooled arena: the kernel reads its
+    /// rows from the `(vertex, k)` memo when the cache is on, so stats and
+    /// results match [`bb::solve`] bit for bit either way.
     fn solve_ktg(&self, query: &KtgQuery, arena: &mut Arena, opts: &BbOptions) -> KtgOutcome {
         let masks = self.net.compile(query.keywords());
         candidates::collect(self.net.graph(), &masks, &mut arena.cands);
-        if !ConflictKernel::wants_bitmap(arena.cands.len(), opts) {
-            return bb::solve_with_kernel(
-                &self.net,
-                query,
-                &self.index,
-                &arena.cands,
-                &ConflictKernel::Oracle,
-                opts,
-            );
-        }
-        arena.sources.clear();
-        arena.sources.extend(arena.cands.iter().map(|c| c.v));
-        if self.options.use_cache {
-            conflict_bitmaps_cached(
-                self.net.graph(),
-                &arena.sources,
-                query.k(),
-                &self.rows,
-                &mut arena.kernel,
-                &mut arena.bitmaps,
-            );
-        } else {
-            arena.bitmaps = kline_conflict_bitmaps(self.net.graph(), &arena.sources, query.k());
-        }
-        let kernel = ConflictKernel::Bitmap(std::mem::take(&mut arena.bitmaps));
+        let kernel = ConflictKernel::build_with(
+            self.net.graph(),
+            &arena.cands,
+            query.k(),
+            opts,
+            self.options.use_cache.then_some(&self.rows),
+            &mut arena.kernel,
+            &mut arena.bitmaps,
+        );
         let outcome =
             bb::solve_with_kernel(&self.net, query, &self.index, &arena.cands, &kernel, opts);
         if let Some(rows) = kernel.into_bitmaps() {
@@ -578,16 +559,9 @@ impl ServeSession {
                 };
             }
         }
-        // Same code path as `dktg::solve_with_options`, minus the
-        // candidate-vector allocation: greedy rounds consume the pooled
-        // vector in place.
-        let mut arena = self.arenas.acquire_with(Arena::default);
         let clock = Stopwatch::start();
-        let masks = self.net.compile(query.base().keywords());
-        candidates::collect(self.net.graph(), &masks, &mut arena.cands);
-        let outcome = dktg::solve_with_candidates(query, &self.index, &mut arena.cands, &opts);
+        let outcome = dktg::solve_with_options(&self.net, query, &self.index, &opts);
         let solve_ns = clock.elapsed_nanos();
-        crate::verify::enforce_dktg(&self.net, query, &outcome.groups);
         if let Some(key) = key.filter(|_| outcome.status.is_exact()) {
             self.results.insert(
                 key,
@@ -699,8 +673,9 @@ dktg terms=GD,QP,SN,DQ,GQ p=3 k=1 n=2 gamma=0.5
                 assert_eq!(ans.groups, expect);
             }
         }
-        assert_eq!(session.stats().result_hits, 0);
-        assert_eq!(session.stats().row_hits, 0);
+        let stats = session.stats();
+        assert_eq!(stats.result_hits, 0);
+        assert_eq!((stats.row_hits, stats.row_misses), (0, 0), "a cache-off solve reads no memo");
     }
 
     #[test]

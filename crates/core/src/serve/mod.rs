@@ -12,7 +12,7 @@
 //! * [`executor`] — [`ServeSession`], which replays workloads with
 //!   worker fan-out, pooled per-worker scratch arenas, the result cache,
 //!   and cross-query `(vertex, k)` conflict-row reuse through
-//!   [`ktg_index::NeighborhoodCache`]. Both caches are instances of
+//!   `bb::kernel::NeighborhoodCache`. Both caches are instances of
 //!   [`ktg_common::Memo`], one sharded, bounded type with cost-aware
 //!   eviction, and every applied edge update drops from both exactly the
 //!   entries it can change. Updates edit the session's one CSR topology

@@ -33,7 +33,6 @@ pub mod gen;
 pub mod keywords;
 pub mod profile;
 pub mod sbm;
-pub mod validate;
 pub mod workload;
 
 pub use profile::DatasetProfile;

@@ -151,6 +151,36 @@ mod tests {
         assert!(dt > 2.0 * db, "twitter {dt} vs brightkite {db}");
     }
 
+    /// A scaled profile stands in for its dataset only if the properties
+    /// the algorithms are sensitive to survive the scaling: size,
+    /// density, degree skew, small-world hop structure and keyword
+    /// selectivity skew.
+    #[test]
+    fn scaled_profiles_pass_their_envelope() {
+        let scale = 200;
+        for profile in DatasetProfile::PRIMARY {
+            let net = profile.instantiate(scale, 42);
+            let graph = net.graph();
+            let (nodes, edges) = profile.full_size();
+            let (nodes, edges) = (nodes / scale, edges / scale);
+            assert_eq!(graph.num_vertices(), nodes, "{profile}");
+            let m = graph.num_edges();
+            assert!(m >= edges * 4 / 5 && m <= edges, "{profile}: {m} edges, target {edges}");
+            let deg = stats::degree_stats(graph);
+            let degree_skew = deg.max as f64 / deg.mean;
+            assert!(degree_skew >= 3.0, "{profile}: degree skew {degree_skew:.2}");
+            let mean_hops = stats::sample_hop_stats(graph, 16).mean_hops;
+            assert!(mean_hops <= 6.0, "{profile}: mean hops {mean_hops:.2}");
+            let used: Vec<usize> = (0..net.vocab().len())
+                .map(|k| net.inverted().frequency(ktg_keywords::KeywordId(k as u32)))
+                .filter(|&f| f > 0)
+                .collect();
+            let mean = used.iter().sum::<usize>() as f64 / used.len() as f64;
+            let keyword_skew = used.iter().copied().max().unwrap_or(0) as f64 / mean;
+            assert!(keyword_skew >= 3.0, "{profile}: keyword skew {keyword_skew:.2}");
+        }
+    }
+
     #[test]
     fn names_and_display() {
         assert_eq!(DatasetProfile::Dblp.name(), "dblp");

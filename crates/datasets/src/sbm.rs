@@ -190,26 +190,26 @@ pub fn planted_partition_chunked(
     b.finish()
 }
 
-/// The fraction of edges that stay inside a community — a cheap modularity
-/// proxy used by tests and the ablation bench.
-pub fn intra_fraction(params: &SbmParams, graph: &CsrGraph) -> f64 {
-    let mut intra = 0usize;
-    let mut total = 0usize;
-    for (u, v) in graph.edges() {
-        total += 1;
-        if block_of(params, u) == block_of(params, v) {
-            intra += 1;
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    intra as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fraction of edges that stay inside a community — a cheap
+    /// modularity proxy.
+    fn intra_fraction(params: &SbmParams, graph: &CsrGraph) -> f64 {
+        let mut intra = 0usize;
+        let mut total = 0usize;
+        for (u, v) in graph.edges() {
+            total += 1;
+            if block_of(params, u) == block_of(params, v) {
+                intra += 1;
+            }
+        }
+        if total == 0 {
+            return 0.0;
+        }
+        intra as f64 / total as f64
+    }
 
     #[test]
     fn deterministic() {

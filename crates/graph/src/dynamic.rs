@@ -53,12 +53,6 @@ impl DynamicGraph {
         self.adj[u.index()].binary_search(&v).is_ok()
     }
 
-    /// Adds a vertex, returning its id.
-    pub fn add_vertex(&mut self) -> VertexId {
-        self.adj.push(Vec::new());
-        VertexId::new(self.adj.len() - 1)
-    }
-
     /// Inserts the undirected edge `{u, v}`. Returns `true` if the edge was
     /// new, `false` if it already existed. Self-loops are rejected.
     ///
@@ -211,15 +205,6 @@ mod tests {
         let dyn_g = DynamicGraph::from_csr(&csr);
         assert_eq!(dyn_g.num_edges(), 3);
         assert_eq!(dyn_g.to_csr(), csr);
-    }
-
-    #[test]
-    fn add_vertex_extends() {
-        let mut g = DynamicGraph::new(1);
-        let v = g.add_vertex();
-        assert_eq!(v, VertexId(1));
-        g.insert_edge(VertexId(0), v).unwrap();
-        assert_eq!(g.num_edges(), 1);
     }
 
     #[test]

@@ -81,8 +81,9 @@ impl StreamingGraphBuilder {
         self.num_vertices
     }
 
-    /// Number of spill runs written so far (observability for tests).
-    pub fn spilled_runs(&self) -> usize {
+    /// Number of spill runs written so far.
+    #[cfg(test)]
+    fn spilled_runs(&self) -> usize {
         self.runs.len()
     }
 

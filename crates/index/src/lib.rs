@@ -29,21 +29,15 @@
 //! [`NlrnlIndex::apply_update`] after it, on whatever graph the caller
 //! edits; [`DynamicNlrnl`] packages the pair over a [`ktg_graph::DynamicGraph`]).
 //!
-//! [`batch::kline_conflict_bitmaps`] is the batch entry point used by the
-//! solver's conflict-bitmap kernel: one hop-bounded BFS per candidate, run
-//! in parallel, producing per-candidate conflict bitsets that replace
-//! oracle probes entirely for small-to-medium candidate sets.
-//! [`rows::NeighborhoodCache`] is its memoizing twin for batched query
-//! serving: per-`(vertex, k)` conflict rows are cached across queries
-//! (sharded and bounded; after an applied graph update the session drops
-//! exactly the rows the edit can reach, see [`rows`]) and remapped onto
-//! each query's candidate index space by [`rows::conflict_bitmaps_cached`].
+//! The crate holds oracles, the bundle format ([`persist`]) and the
+//! write-ahead log ([`wal`]), nothing else. The search's conflict rows,
+//! and their `(vertex, k)` memo, live beside the kernel that reads them
+//! in `ktg_core::bb::kernel`.
 
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bfs_oracle;
 pub mod dynamic;
 pub mod exact;
@@ -52,17 +46,14 @@ pub mod nl;
 pub mod nlrnl;
 pub mod oracle;
 pub mod persist;
-pub mod rows;
 pub mod space;
 pub mod wal;
 
-pub use batch::kline_conflict_bitmaps;
 pub use bfs_oracle::BfsOracle;
 pub use dynamic::DynamicNlrnl;
 pub use exact::ExactOracle;
 pub use nl::NlIndex;
 pub use nlrnl::{EdgeUpdate, NlrnlIndex};
 pub use oracle::DistanceOracle;
-pub use rows::{conflict_bitmaps_cached, KernelScratch, NeighborhoodCache};
 pub use space::{BuildStats, IndexSpace};
 pub use wal::{WalRecord, WalReplay, WalSync, WalWriter};

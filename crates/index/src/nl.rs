@@ -25,10 +25,10 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Number of expansion-cache shards. Expansion state is keyed by the
 /// *source* vertex, so striping the cache by a vertex-hash lets
-/// concurrent queries (the batched executor fans out over workers that
-/// share one index) expand different sources without serializing on a
-/// single lock. A small fixed power of two keeps the shard pick one
-/// multiply + shift.
+/// concurrent searches (the `bb::parallel` workers of
+/// `ktg query --oracle nl --threads N`, which share one index) expand
+/// different sources without serializing on a single lock. A small fixed
+/// power of two keeps the shard pick one multiply + shift.
 const EXPANSION_SHARDS: usize = 16;
 
 /// The NL (h-hop neighbors list) index.

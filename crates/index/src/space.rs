@@ -22,11 +22,6 @@ impl IndexSpace {
     pub fn total_bytes(&self) -> usize {
         self.forward_bytes + self.reverse_bytes + self.aux_bytes
     }
-
-    /// Total in mebibytes, for reports.
-    pub fn total_mib(&self) -> f64 {
-        self.total_bytes() as f64 / (1024.0 * 1024.0)
-    }
 }
 
 /// Construction statistics.
@@ -48,7 +43,6 @@ mod tests {
     fn totals_add_up() {
         let s = IndexSpace { forward_bytes: 100, reverse_bytes: 50, aux_bytes: 10 };
         assert_eq!(s.total_bytes(), 160);
-        assert!((s.total_mib() - 160.0 / 1048576.0).abs() < 1e-12);
     }
 
     #[test]

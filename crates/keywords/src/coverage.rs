@@ -30,12 +30,6 @@ pub fn group_mask<I: IntoIterator<Item = u64>>(masks: I) -> u64 {
     masks.into_iter().fold(0, |acc, m| acc | m)
 }
 
-/// `QKC` of a group (Def. 6).
-#[inline]
-pub fn group_qkc<I: IntoIterator<Item = u64>>(masks: I, num_query_keywords: usize) -> f64 {
-    qkc(group_mask(masks), num_query_keywords)
-}
-
 /// Valid-keyword count of `mask` w.r.t. an already-covered mask (Def. 8
 /// numerator): query keywords `v` would newly contribute to `S_I`.
 #[inline]
@@ -64,7 +58,7 @@ mod tests {
     fn group_union() {
         let masks = [0b001u64, 0b010, 0b010];
         assert_eq!(group_mask(masks), 0b011);
-        assert!((group_qkc(masks, 3) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((qkc(group_mask(masks), 3) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -87,6 +81,6 @@ mod tests {
         assert_eq!(vkc_count(u10, u0), 1);
         assert!((vkc(u10, u0, w_q) - 0.2).abs() < 1e-12);
         // Group coverage of {u0, u10}: SN, QP, DQ, GD → 4/5.
-        assert!((group_qkc([u0, u10], w_q) - 0.8).abs() < 1e-12);
+        assert!((qkc(group_mask([u0, u10]), w_q) - 0.8).abs() < 1e-12);
     }
 }

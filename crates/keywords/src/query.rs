@@ -84,16 +84,6 @@ impl QueryKeywords {
         &self.ids
     }
 
-    /// The full-coverage mask: low `|W_Q|` bits set.
-    #[inline]
-    pub fn full_mask(&self) -> u64 {
-        if self.ids.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.ids.len()) - 1
-        }
-    }
-
     /// Compiles the query against an inverted index: per-vertex masks plus
     /// the candidate list (vertices covering ≥ 1 query keyword — the
     /// paper's per-member constraint `0 < QKC(v)`).
@@ -190,8 +180,7 @@ mod tests {
     #[test]
     fn duplicates_removed() {
         let q = QueryKeywords::new([KeywordId(1), KeywordId(1), KeywordId(2)]).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.full_mask(), 0b11);
+        assert_eq!(q.ids(), &[KeywordId(1), KeywordId(2)]);
     }
 
     #[test]
@@ -208,7 +197,7 @@ mod tests {
     #[test]
     fn exactly_64_allowed() {
         let q = QueryKeywords::new((0..64).map(KeywordId)).unwrap();
-        assert_eq!(q.full_mask(), u64::MAX);
+        assert_eq!(q.len(), 64);
     }
 
     #[test]

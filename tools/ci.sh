@@ -484,6 +484,19 @@ if ! cmp -s "$tmp/scale-text.out" "$tmp/scale-bundle.out"; then
     diff "$tmp/scale-text.out" "$tmp/scale-bundle.out" >&2 || true
     exit 1
 fi
+# Cache off, every conflict row comes from a fresh BFS written straight
+# into its bitmap through the pooled scratch, instead of from the
+# `(vertex, k)` memo: the answer lines must not change.
+KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch \
+    "${scale_batch[@]}" --bundle "$tmp/sbm/net.bundle" --no-cache > "$tmp/scale-nocache.out"
+grep -v '^batch: \|^served: ' "$tmp/scale-bundle.out" | sed 's/ \[cached\]$//' \
+    > "$tmp/scale-cached-body.out"
+grep -v '^batch: \|^served: ' "$tmp/scale-nocache.out" > "$tmp/scale-nocache-body.out"
+if ! cmp -s "$tmp/scale-cached-body.out" "$tmp/scale-nocache-body.out"; then
+    echo "FAIL: --no-cache batch answers diverged from the cached run at 100k:" >&2
+    diff "$tmp/scale-cached-body.out" "$tmp/scale-nocache-body.out" >&2 || true
+    exit 1
+fi
 
 echo "== 100k update leg (a far edit keeps cached answers; in-place edits == edge-list rebuild) =="
 # One batch session answers the scale workload three times. Between the
